@@ -10,6 +10,9 @@ or autoparallel), ``defect`` (Burgers vector / Frank deficit of a contour),
 ``compare-measures`` (difference-measure vs position-measure energy ladders).
 ``report`` pretty-prints the artifacts of a previous run.
 
+Energies are the eigen-energies -hbar ln(lambda) / eps, with multiplicity, of the
+transfer matrix ``propagate`` diagonalized; the trace fit is only an oracle.
+
 The config is one flat JSON object; unknown keys are rejected and every
 validation error names the offending key.  Outputs are ``results.json``
 (byte-stable for a fixed config), ``manifest.json`` (config hash, versions,
@@ -29,7 +32,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ParseError, TorsionGeoError, ValidationError
+from .errors import ConfigError, ParseError, SpectrumUnresolved, TorsionGeoError, ValidationError
 
 COMMANDS = ("geom", "traj", "defect", "propagate", "compare-measures")
 
@@ -272,22 +275,12 @@ def _default_taus(cfg, tau_min=None) -> list:
     return [k * cfg.eps for k in range(k_lo, cfg.n_slices + 1)]
 
 
-def _spectrum_once(geom, cfg, grid, taus, n_levels, extract, m_sector=0):
-    from .propagator import propagate
-    from .spectrum import extract_spectrum
-
-    result = propagate(geom, cfg, grid=grid, taus=taus, m_sector=m_sector)
-    energies, residual = [], float("nan")
-    if extract:
-        fit = extract_spectrum(
-            taus, result.trace, hbar=cfg.hbar, n_levels=max(n_levels + 5, 8),
-            e_max=min(40.0 * cfg.hbar / taus[0], 80.0 * cfg.hbar), n_trial=4000, residual_threshold=5e-2,
-        )
-        energies = fit.energies[:n_levels]
-        residual = fit.residual
-    result.energies = energies
-    result.residual = residual
-    return result
+def _eigen_energies(result, cfg, n_levels: int) -> list:
+    """The n_levels lowest levels -hbar ln(lambda) / eps of the transfer matrix, ascending, with multiplicity."""
+    positive = result.eigenvalues[result.eigenvalues > 0.0]
+    if positive.size < n_levels:
+        raise SpectrumUnresolved(f"transfer matrix has {positive.size} positive eigenvalues < n_levels={n_levels}")
+    return [-cfg.hbar * math.log(lam) / cfg.eps + 0.0 for lam in positive[:n_levels]]  # + 0.0 turns -0.0 into 0.0
 
 
 def _grid_for(geom, opts, factor: float = 1.0):
@@ -299,10 +292,9 @@ def _grid_for(geom, opts, factor: float = 1.0):
 
 
 def _run_spectrum_command(config: RunConfig, out_dir: str, measure=None) -> dict:
-    import numpy as np
-
     from . import catalog
     from .io import write_amplitude_csv
+    from .propagator import propagate
     from .spectrum import richardson_pair
 
     geom = catalog.make(config.geometry, **config.geometry_params)
@@ -314,7 +306,9 @@ def _run_spectrum_command(config: RunConfig, out_dir: str, measure=None) -> dict
     n_levels = int(opts.get("n_levels", 4))
     extract = bool(opts.get("extract", True))
     m_sector = int(opts.get("m_sector", 0))
-    result = _spectrum_once(geom, cfg, _grid_for(geom, opts), taus, n_levels, extract, m_sector)
+    amplitude_taus = [float(t) for t in opts.get("amplitude_taus", [])]
+    result = propagate(geom, cfg, grid=_grid_for(geom, opts), taus=taus, m_sector=m_sector, store_taus=amplitude_taus)
+    energies = _eigen_energies(result, cfg, n_levels) if extract else []
     payload = {
         "geometry": config.geometry,
         "measure": cfg.measure,
@@ -323,25 +317,20 @@ def _run_spectrum_command(config: RunConfig, out_dir: str, measure=None) -> dict
         "eps": cfg.eps,
         "tau": list(map(float, taus)),
         "trace": [float(v) for v in result.trace],
-        "energies": [float(e) for e in result.energies],
-        "residuals": [float(result.residual)] if extract else [],
+        "energies": energies,
         "asymmetry": float(result.asymmetry),
+        "min_eigenvalue": float(result.eigenvalues[-1]),
+        "clipped_eigenvalues": int((result.eigenvalues < 0.0).sum()),
     }
     if bool(opts.get("richardson", False)) and extract:
         half = _slice_config({**opts, "N": 2 * cfg.n_slices, "eps": 0.5 * cfg.eps}, measure=cfg.measure)
-        res_half = _spectrum_once(geom, half, _grid_for(geom, opts, math.sqrt(2.0)), taus, n_levels, True, m_sector)
-        payload["energies_halved_step"] = [float(e) for e in res_half.energies]
-        payload["energies_extrapolated"] = richardson_pair(result.energies, res_half.energies)
-    for tau in opts.get("amplitude_taus", []):
-        from .propagator import propagate
-
-        amp_res = propagate(geom, cfg, grid=_grid_for(geom, opts), taus=[tau], store_taus=[tau])
-        write_amplitude_csv(
-            np.asarray(amp_res.grid, dtype=float).reshape(-1),
-            amp_res.amplitudes[float(tau)],
-            float(tau),
-            os.path.join(out_dir, f"amplitude_tau_{tau:g}.csv"),
-        )
+        res_half = propagate(geom, half, grid=_grid_for(geom, opts, math.sqrt(2.0)), taus=taus, m_sector=m_sector)
+        energies_half = _eigen_energies(res_half, half, n_levels)
+        payload["energies_halved_step"] = energies_half
+        payload["energies_extrapolated"] = richardson_pair(energies, energies_half)
+    for tau in amplitude_taus:
+        path = os.path.join(out_dir, f"amplitude_tau_{tau:g}.csv")
+        write_amplitude_csv(result.grid, result.amplitudes[tau], tau, path)
     return payload
 
 
@@ -437,11 +426,12 @@ def format_report(results: dict) -> str:
         if not energies:
             lines.append("no results")
         else:
-            lines.append(f"{'level':>6} {'energy':>14} {'residual':>12}")
-            res = (results.get("residuals") or [float('nan')])[0]
+            lines.append(f"{'level':>6} {'energy':>14}")
             shown = results.get("energies_extrapolated", energies)
-            for k, e in enumerate(shown):
-                lines.append(f"{k:>6} {e:>14.6f} {res:>12.3e}")
+            lines += [f"{k:>6} {e:>14.6f}" for k, e in enumerate(shown)]
+            if results.get("residuals"):  # payloads from before levels were read from eigenvalues
+                lines.append(f"fit residual {results['residuals'][0]:.3e}")
+        lines += _eigen_health([results])
     elif command == "compare-measures":
         e_q = results["qep"].get("energies_extrapolated", results["qep"]["energies"])
         e_n = results["naive_dewitt"].get("energies_extrapolated", results["naive_dewitt"]["energies"])
@@ -451,6 +441,7 @@ def format_report(results: dict) -> str:
             lines.append(f"{'level':>6} {'E_qep':>12} {'E_naive':>12} {'dE':>10} {'reference':>10}")
             for k, (a, b) in enumerate(zip(e_q, e_n)):
                 lines.append(f"{k:>6} {a:>12.6f} {b:>12.6f} {b - a:>10.6f} {results['reference_shift']:>10.6f}")
+        lines += _eigen_health([results["qep"], results["naive_dewitt"]])
     elif command == "defect":
         lines.append(f"{'kind':>14} {'parameter':>12} {'winding':>8} {'value':>24}")
         value = results.get("b", results.get("deficit"))
@@ -470,6 +461,11 @@ def format_report(results: dict) -> str:
     else:
         lines.append("no results")
     return "\n".join(lines)
+
+
+def _eigen_health(ladders) -> list:
+    return [f"{r['measure']}: min eigenvalue {r['min_eigenvalue']:.3e}, {r['clipped_eigenvalues']} negative clipped"
+            for r in ladders if "min_eigenvalue" in r]
 
 
 def report(out_dir) -> str:

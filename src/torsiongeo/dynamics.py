@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import expm
 
 from .errors import ChartSingularity, GridMismatch, GridTooCoarse, SingularTriad, StepTooLarge
 from .geometry import Geometry
@@ -154,6 +152,8 @@ def integrate_trajectory(
 
 def evaluate_action(geom: Geometry, traj: Trajectory, mass: float) -> float:
     """Composite-Simpson quadrature of the kinetic Lagrangian along the orbit."""
+    from scipy.integrate import simpson
+
     lag = 0.5 * mass * traj.kinetic_invariant()
     return float(simpson(lag, x=traj.t))
 
@@ -274,6 +274,12 @@ def nonholonomic_variation(geom: Geometry, traj: Trajectory, dq) -> VariationRec
 
 
 _GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential; scipy.linalg loads on first use, not on import."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 def _step_generator(G: np.ndarray, k: int, dt: float, order: int, frac_hi: float = 1.0) -> np.ndarray:

@@ -53,6 +53,10 @@ class IllConditionedFit(TorsionGeoError):
     """Spectrum fit residual exceeded the configured threshold."""
 
 
+class SpectrumUnresolved(TorsionGeoError):
+    """Fewer positive transfer-matrix eigenvalues than requested levels."""
+
+
 class TorsionPresentWarning(UserWarning):
     """Torsion-free closed form applied at a point with nonzero torsion."""
 

@@ -14,7 +14,8 @@ weights carry sqrt(g) at the integrated point; in the similarity frame
 
 traces and spectra are those of the asymmetric transfer matrix, while B is
 symmetric up to the truncation order and is symmetrized numerically before
-the eigendecomposition (the recorded asymmetry is a diagnostic).
+the eigendecomposition (the recorded asymmetry is a diagnostic); its levels
+are E = -hbar ln(lambda) / eps, from the eigenvalues kept unclipped.
 
 Supported endpoint topologies:
 
@@ -66,11 +67,10 @@ class PropagatorResult:
     trace: np.ndarray
     grid: np.ndarray
     weights: np.ndarray
+    eigenvalues: np.ndarray  # of the symmetrized B, unclipped, descending
     amplitudes: dict = field(default_factory=dict)  # tau -> symmetric kernel matrix
     asymmetry: float = 0.0
     extras: dict = field(default_factory=dict)
-    energies: list = field(default_factory=list)
-    residual: float = float("nan")
 
 
 def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0, contour: str = "euclidean"):
@@ -325,17 +325,16 @@ def _tau_indices(taus, config: SliceConfig) -> list[int]:
 def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, store):
     asym = float(np.max(np.abs(b_mat - b_mat.T)) / max(np.max(np.abs(b_mat)), 1e-300))
     b_sym = 0.5 * (b_mat + b_mat.T)
-    evals, evecs = np.linalg.eigh(b_sym)
-    min_eval = float(evals.min())
-    evals = np.clip(evals, 0.0, None)
+    raw, evecs = np.linalg.eigh(b_sym)
+    evals = np.clip(raw, 0.0, None)
     ks = _tau_indices(taus, config)
     trace = np.array([float(np.sum(evals**k)) for k in ks])
     amplitudes = {}
     inv_root_w = 1.0 / np.sqrt(weights)
-    for k in store:
+    for tau, k in store.items():
         mat = (evecs * evals**k) @ evecs.T
-        amplitudes[k * config.eps] = inv_root_w[:, None] * mat * inv_root_w[None, :]
-    return trace, amplitudes, asym, min_eval
+        amplitudes[tau] = inv_root_w[:, None] * mat * inv_root_w[None, :]
+    return trace, amplitudes, asym, raw[::-1]
 
 
 def propagate(
@@ -352,9 +351,9 @@ def propagate(
 
     ``taus`` (default: the single total time N eps) must be positive
     multiples of eps; the trace over the endpoint grid is returned for each.
-    ``store_taus`` selects times whose full kernel matrix is kept.  For the
-    sphere, ``m_sector`` picks the azimuthal sector; the m = 0 trace
-    contains every angular-momentum level exactly once.
+    ``store_taus`` selects times whose full kernel matrix is kept, keyed by
+    the requested time.  For the sphere, ``m_sector`` picks the azimuthal
+    sector; the m = 0 trace contains every angular-momentum level exactly once.
 
     ``grid`` is ``(lo, hi, n)`` for the line, a point count for the circle,
     and a node count for the sphere.
@@ -367,7 +366,7 @@ def propagate(
     if geom.topology not in ("line", "circle", "sphere"):
         raise ValueError(f"geometry '{geom.name}' has no propagation topology")
     taus = list(taus) if taus is not None else [config.total_time]
-    store = _tau_indices(store_taus, config) if store_taus else []
+    store = dict(zip(map(float, store_taus), _tau_indices(store_taus, config)))
 
     if geom.topology == "sphere":
         n_theta = int(grid) if grid is not None else 192
@@ -381,7 +380,7 @@ def propagate(
         nodes, du = _line_nodes(grid)
         b_mat, weights = _build_1d(geom, config, nodes, du, period=None)
 
-    trace, amplitudes, asym, min_eval = _compose(b_mat, weights, config, taus, store)
+    trace, amplitudes, asym, eigenvalues = _compose(b_mat, weights, config, taus, store)
     return PropagatorResult(
         geometry=geom.name,
         measure=config.measure,
@@ -392,7 +391,8 @@ def propagate(
         trace=trace,
         grid=nodes,
         weights=weights,
+        eigenvalues=eigenvalues,
         amplitudes=amplitudes,
         asymmetry=asym,
-        extras={"m_sector": m_sector if geom.topology == "sphere" else None, "min_eigenvalue": min_eval},
+        extras={"m_sector": m_sector if geom.topology == "sphere" else None},
     )

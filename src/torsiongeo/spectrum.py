@@ -6,6 +6,9 @@ exponentials sum_k A_k exp(-E_k tau / hbar) with nonnegative amplitudes:
 first a nonnegative least squares solve over a dense trial energy grid,
 whose support clusters seed the level list, then a bounded local refinement
 of (A_k, E_k) on relative residuals.
+
+The CLI reads its levels from the transfer matrix's eigenvalues instead; this
+fit is their independent oracle and the tool for externally supplied traces.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from .errors import IllConditionedFit
 
@@ -103,6 +105,18 @@ def extract_spectrum(
     order = np.argsort(es)
     levels = [EnergyLevel(float(es[i]), float(amps[i])) for i in order]
     return SpectrumFit(levels, rms)
+
+
+def nnls(a, b):
+    """scipy.optimize.nnls, imported on first call so that importing this module loads no solver."""
+    from scipy.optimize import nnls as solve
+    return solve(a, b)
+
+
+def least_squares(fun, x0, **kwargs):
+    """scipy.optimize.least_squares, imported on first call like :func:`nnls`."""
+    from scipy.optimize import least_squares as solve
+    return solve(fun, x0, **kwargs)
 
 
 def _cluster(trial: np.ndarray, amps: np.ndarray, spacing: float) -> list[tuple[float, float]]:

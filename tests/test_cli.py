@@ -166,6 +166,14 @@ def test_propagate_amplitude_csv(tmp_path):
     assert len(rows) == 257
 
 
+def test_amplitude_tau_off_the_float_grid_of_eps(tmp_path):
+    # 3 * 0.1 != 0.3 in floating point; the CSV is still found by the requested tau
+    cfg = write_config(tmp_path, {"geometry": "circle", "a": 1.0, "command": "propagate", "N": 4, "eps": 0.1,
+                                  "grid_points": 200, "extract": False, "amplitude_taus": [0.3]})
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "amplitude_tau_0.3.csv").read_text().startswith("0.3,")
+
+
 def test_report_subcommand_and_empty(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     assert "no results" in capsys.readouterr().out
@@ -229,3 +237,78 @@ def test_geom_command_random_points(tmp_path):
     results = run(cfg, tmp_path / "out", seed=7)
     assert len(results["points"]) == 3
     assert "torsion" in results["points"][0]
+
+
+# -- energies from the transfer matrix ------------------------------------------
+
+
+def test_circle_eigen_energies_against_fit_oracle(tmp_path):
+    from torsiongeo.spectrum import extract_spectrum
+
+    results = run(load_config(REPO / "configs" / "circle_spectrum.json"), tmp_path / "out")
+    # the +-m degeneracy is resolved: each l >= 1 appears twice
+    assert results["energies"] == pytest.approx([0.0, 0.5, 0.5, 2.0], abs=1e-9)
+    # negative eigenvalues of the symmetrized B are rounding noise here
+    assert 0 <= results["clipped_eigenvalues"] < 256 - 4 and abs(results["min_eigenvalue"]) < 1e-12
+    distinct = [e for k, e in enumerate(results["energies"]) if k == 0 or e - results["energies"][k - 1] > 1e-6]
+    taus = results["tau"]
+    fit = extract_spectrum(taus, results["trace"], n_levels=9, e_max=min(40.0 / taus[0], 80.0), n_trial=4000,
+                           residual_threshold=5e-2)
+    assert fit.energies[: len(distinct)] == pytest.approx(distinct, abs=1e-3)
+
+
+def test_too_few_positive_eigenvalues_exits_1(tmp_path, capsys):
+    # 256 grid points leave fewer than 256 positive eigenvalues
+    cfg = write_config(tmp_path, {**MINIMAL, "N": 16, "grid_points": 256, "n_levels": 256})
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "< n_levels=256" in capsys.readouterr().err
+
+
+def test_sphere_amplitudes_use_m_sector_and_one_propagate(tmp_path, monkeypatch):
+    from torsiongeo import catalog, propagator
+    from torsiongeo.io import write_amplitude_csv
+    from torsiongeo.slicing import SliceConfig
+
+    calls = []
+    original = propagator.propagate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("m_sector"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "propagate", counting)
+    taus = [0.1, 0.2, 0.3, 0.4]
+    cfg = load_config(write_config(tmp_path, {
+        "geometry": "sphere", "a": 1.0, "command": "propagate", "N": 8, "eps": 0.05, "grid_points": 120,
+        "tau_values": taus, "m_sector": 1, "amplitude_taus": [0.2]}))
+    run(cfg, tmp_path / "out")
+    assert calls == [1]
+    got = (tmp_path / "out" / "amplitude_tau_0.2.csv").read_text()
+    sphere, slices = catalog.make("sphere", a=1.0), SliceConfig(n_slices=8, eps=0.05)
+    for m, same in ((1, True), (0, False)):
+        ref = original(sphere, slices, grid=120, taus=taus, m_sector=m, store_taus=[0.2])
+        write_amplitude_csv(ref.grid, ref.amplitudes[0.2], 0.2, tmp_path / f"ref_m{m}.csv")
+        assert ((tmp_path / f"ref_m{m}.csv").read_text() == got) is same
+
+
+COLD_START = """
+import sys
+from torsiongeo import cli, defects, io, propagator, slicing, spectrum
+defect_cfg, circle_cfg, out = sys.argv[1:]
+assert cli.main(["defect", "--config", defect_cfg, "--out", out + "/defect"]) == 0
+assert cli.main(["propagate", "--config", circle_cfg, "--out", out + "/circle"]) == 0
+print(sorted({"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(sys.modules)))
+"""
+
+
+def test_cli_cold_path_imports_no_scipy_solvers(tmp_path):
+    import os
+
+    defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
+                                     "contour_segments": 512}, "defect.json")
+    circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(defect), str(circle), str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -134,7 +134,7 @@ def test_circle_kernel_hermitian_and_positive():
     assert res.asymmetry < 1e-12  # constant metric: exactly symmetric
     k = res.amplitudes[0.5]
     assert np.allclose(k, k.T, atol=1e-12)
-    assert res.extras["min_eigenvalue"] > -1e-12
+    assert res.eigenvalues[-1] > -1e-12
     assert res.trace[0] > 0
 
 
@@ -314,3 +314,15 @@ def test_sphere_expansion_order_ablation():
         errs[order] = abs(np.log(trace / oracle))
     assert errs[3] < errs[2]
     assert errs[4] < 0.01 * errs[2]
+
+
+def test_sphere_eigen_ground_level_against_fit_oracle():
+    # the golden compare-measures sphere under the position measure
+    eps = 0.05
+    taus = [k * eps for k in range(8, 81)]
+    res = propagate(catalog.make("sphere", a=1.0), SliceConfig(n_slices=80, eps=eps, measure="naive-dewitt"),
+                    taus=taus, grid=176)
+    assert np.all(np.diff(res.eigenvalues) <= 0.0)
+    fit = extract_spectrum(taus, res.trace, n_levels=8, e_max=40.0 / taus[0], n_trial=4000,
+                           residual_threshold=5e-2)
+    assert -np.log(res.eigenvalues[0]) / eps == pytest.approx(fit.energies[0], abs=1e-5)
