@@ -18,7 +18,9 @@ validation error names the offending key.  Outputs are ``results.json``
 (byte-stable for a fixed config), ``manifest.json`` (config hash, versions,
 wall time; the only file with a timestamp), and command-specific CSV files.
 Exit codes: 0 success, 1 computation error, 2 config error.  The environment
-variable ``TORSIONGEO_THREADS`` caps BLAS/OpenMP parallelism.
+variable ``TORSIONGEO_THREADS`` (a positive integer) caps BLAS/OpenMP
+parallelism: ``main`` copies it into ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` before numpy is first imported.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ _SLICE_KEYS = {
     "scheme": str,
     "order": int,
     "measure": str,
-    "contour": str,
 }
 _COMMAND_KEYS = {
     "geom": {"points", "n_points"},
@@ -57,8 +58,6 @@ _COMMAND_KEYS = {
     | {"grid_points", "tau_min", "tau_values", "m_sector", "n_levels", "richardson"},
 }
 
-_SCHEMES = ("postpoint", "prepoint", "midpoint")
-_MEASURES = ("qep", "naive-dewitt")
 _KINDS = ("geodesic", "autoparallel")
 
 
@@ -118,12 +117,12 @@ def load_config(path) -> RunConfig:
 
 
 def _validate_options(command: str, options: dict) -> None:
+    from .slicing import MEASURES, SCHEMES
+
     if "scheme" in options:
-        _require(options["scheme"] in _SCHEMES, "scheme", f"must be one of {list(_SCHEMES)}")
+        _require(options["scheme"] in SCHEMES, "scheme", f"must be one of {list(SCHEMES)}")
     if "measure" in options:
-        _require(options["measure"] in _MEASURES, "measure", f"must be one of {list(_MEASURES)}")
-    if "contour" in options:
-        _require(options["contour"] in ("euclidean", "real-time"), "contour", "must be euclidean or real-time")
+        _require(options["measure"] in MEASURES, "measure", f"must be one of {list(MEASURES)}")
     if "order" in options:
         _require(options["order"] in (2, 3, 4), "order", "must be 2, 3 or 4")
     if "kind" in options:
@@ -143,6 +142,12 @@ def _validate_options(command: str, options: dict) -> None:
         if key in options:
             _require(isinstance(options[key], list) and all(isinstance(x, (int, float)) and x > 0 for x in options[key]),
                      key, "must be a list of positive numbers")
+            from .propagator import _tau_indices
+
+            try:
+                _tau_indices(options[key], _slice_config(options))
+            except ValueError as exc:
+                raise ValidationError(f"config key '{key}': {exc}") from exc
     if "points" in options:
         _require(isinstance(options["points"], list) and options["points"], "points", "must be a nonempty list")
     for key in ("extract", "richardson"):
@@ -264,7 +269,6 @@ def _slice_config(opts: dict, measure=None):
         hbar=float(opts.get("hbar", 1.0)),
         scheme=opts.get("scheme", "postpoint"),
         order=int(opts.get("order", 4)),
-        contour=opts.get("contour", "euclidean"),
         measure=measure if measure is not None else opts.get("measure", "qep"),
     )
 
@@ -342,13 +346,13 @@ def _run_compare(config: RunConfig, out_dir: str, seed: int) -> dict:
     import numpy as np
 
     from . import catalog
-    from .slicing import effective_potential
+    from .slicing import MEASURES, effective_potential
 
     opts = dict(config.options)
     opts.setdefault("richardson", True)
     cfg_probe = RunConfig(config.geometry, config.geometry_params, config.command, opts, config.raw)
     ladders = {}
-    for measure in _MEASURES:
+    for measure in MEASURES:
         ladders[measure] = _run_spectrum_command(cfg_probe, out_dir, measure=measure)
     key = "energies_extrapolated" if "energies_extrapolated" in ladders["qep"] else "energies"
     e_qep = ladders["qep"][key]
@@ -494,19 +498,19 @@ def main(argv=None) -> int:
     p_rep.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
+    threads = os.environ.get("TORSIONGEO_THREADS")
+    if threads:
+        n_threads = int(threads) if threads.strip().isdecimal() else 0
+        if n_threads < 1:
+            print(f"config error: TORSIONGEO_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
+            return 2
+        # BLAS and OpenMP read these once, when numpy first loads
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[name] = str(n_threads)
+
     if args.command == "report":
         print(report(args.out))
         return 0
-
-    threads = os.environ.get("TORSIONGEO_THREADS")
-    limiter = None
-    if threads:
-        try:
-            from threadpoolctl import threadpool_limits
-
-            limiter = threadpool_limits(limits=int(threads))
-        except (ImportError, ValueError):
-            limiter = None
 
     try:
         config = load_config(args.config)
@@ -523,9 +527,6 @@ def main(argv=None) -> int:
     except (TorsionGeoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 if __name__ == "__main__":

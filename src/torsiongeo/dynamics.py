@@ -282,15 +282,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def _step_generator(G: np.ndarray, k: int, dt: float, order: int, frac_hi: float = 1.0) -> np.ndarray:
-    """Exponent of the ordered product over the substep [t_k, t_k + frac_hi dt]."""
-    h = frac_hi * dt
+def _step_generator(G: np.ndarray, k: int, dt: float, order: int, lo: float = 0.0) -> np.ndarray:
+    """Exponent of the ordered product U(t_{k+1}, t_k + lo dt) over the tail [lo, 1] of step k:
+    the midpoint rule at order 2, the two-node Gauss (fourth-order Magnus) generator at order 4."""
+    span = 1.0 - lo
+    h = span * dt
     if order == 2:
-        m = -_interp(G, k, 0.5 * frac_hi)
-        return m * h
-    c1, c2 = (frac_hi * _GAUSS_NODES[0], frac_hi * _GAUSS_NODES[1])
-    a1 = -_interp(G, k, c1)
-    a2 = -_interp(G, k, c2)
+        return -_interp(G, k, lo + 0.5 * span) * h
+    a1 = -_interp(G, k, lo + span * _GAUSS_NODES[0])
+    a2 = -_interp(G, k, lo + span * _GAUSS_NODES[1])
     return 0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0) * h**2 * (a2 @ a1 - a1 @ a2)
 
 
@@ -323,22 +323,11 @@ def variation_closed_form(geom: Geometry, traj: Trajectory, dq, *, order: int = 
             src = np.zeros(d)
             for c in _GAUSS_NODES:
                 # U(t_{k+1}, t_k + c dt): ordered product over the tail of the step
-                tail = _tail_generator(G, k, dt, c)
+                tail = _step_generator(G, k, dt, order, lo=c)
                 src += 0.5 * dt * (expm(tail) @ (_interp(Sigma, k, c) @ _interp(dq, k, c)))
         b = U_full @ b + src
         db[k + 1] = b
     return db
-
-
-def _tail_generator(G: np.ndarray, k: int, dt: float, frac_lo: float) -> np.ndarray:
-    """Fourth-order generator for U(t_{k+1}, t_k + frac_lo dt)."""
-    h = (1.0 - frac_lo) * dt
-    lo = frac_lo
-    c1 = lo + (1.0 - lo) * _GAUSS_NODES[0]
-    c2 = lo + (1.0 - lo) * _GAUSS_NODES[1]
-    a1 = -_interp(G, k, c1)
-    a2 = -_interp(G, k, c2)
-    return 0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0) * h**2 * (a2 @ a1 - a1 @ a2)
 
 
 def time_ordered_propagator(G: np.ndarray, dt: float, *, order: int = 4) -> np.ndarray:

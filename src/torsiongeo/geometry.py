@@ -315,6 +315,8 @@ class Geometry:
 
     def at(self, q, cache: bool = True) -> PointGeometry:
         q = np.asarray(q, dtype=float)
+        if q.shape != (self.dim,):
+            raise ValueError(f"{self.name}: point must have shape ({self.dim},), got {q.shape}")
         if not cache or self.cache_size <= 0:
             return PointGeometry(self, q)
         key = q.tobytes()

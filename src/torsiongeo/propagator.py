@@ -32,10 +32,6 @@ the measure exponent) are relevant-order perturbations: they multiply the
 Gaussian as the truncated exponential series 1 + c + c^2/2, which is positive
 and polynomially bounded, so Gaussian tails are never amplified.  Outside a
 trust region where the kernel is below exp(-30) the bare Gaussian is used.
-
-All transfer-matrix numerics run on the Euclidean contour; the real-time
-contour is available only through the closed-form flat kernel
-:func:`flat_line_kernel`.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from .slicing import SliceConfig, _h_tensor, delta_jacobian_action
 EXPONENT_CUT = 30.0  # quadratic exponent beyond which corrections are dropped
 TAIL_SIGMA = 7.5  # kernel support half-width in units of the slice width
 MIN_POINTS_PER_SIGMA = 8.0
+BLOCK_ENTRIES = 1 << 16  # (row, column, image or zeta) kernel entries assembled per block
 
 
 @dataclass
@@ -125,66 +122,58 @@ class _CoefficientTable:
                 self.dj_lin[j] = delta.linear
                 self.dj_quad[j] = delta.quadratic
 
-    def interpolated(self, axis_nodes: np.ndarray, query: np.ndarray) -> "_CoefficientTable":
-        out = object.__new__(_CoefficientTable)
-        for name in ("g", "sqrt_g", "t3", "t4", "dj_lin", "dj_quad"):
-            setattr(out, name, _interp_table(axis_nodes, getattr(self, name), query))
-        return out
+    def terms(self):
+        """The slice-kernel tables in the argument order of :func:`_slice_kernel`."""
+        return self.g, self.t3, self.t4, self.dj_lin, self.dj_quad
 
 
 def _interp_table(x_nodes: np.ndarray, table: np.ndarray, x_query: np.ndarray) -> np.ndarray:
+    """Linear interpolation of per-node tables at query points of any shape."""
     idx = np.clip(np.searchsorted(x_nodes, x_query) - 1, 0, len(x_nodes) - 2)
     frac = (x_query - x_nodes[idx]) / (x_nodes[idx + 1] - x_nodes[idx])
-    shape = (-1,) + (1,) * (table.ndim - 1)
-    w = frac.reshape(shape)
+    w = frac.reshape(frac.shape + (1,) * (table.ndim - 1))
     return (1.0 - w) * table[idx] + w * table[idx + 1]
 
 
-def _perturbative_factor(corr: np.ndarray) -> np.ndarray:
-    """Exponential of the correction exponent truncated at second order.
+def _trust_region(quad: np.ndarray, corr: np.ndarray) -> np.ndarray:
+    """exp(-quad) (1 + c + c^2/2) with c = corr where quad < EXPONENT_CUT; exp(-quad) elsewhere.
 
     The cubic/quartic action terms and the measure exponent are relevant-order
     corrections: exponentiating them raw would amplify Gaussian tails where
     the expansion is meaningless, whereas 1 + c + c^2/2 = ((c+1)^2 + 1)/2 is
     positive, polynomially bounded, and correct through the retained order.
     """
-    return 1.0 + corr + 0.5 * corr**2
-
-
-def _kernel_row(g, t3, t4, dj_lin, dj_quad, u: np.ndarray, pref: float) -> np.ndarray:
-    """Euclidean slice kernel (unnormalized) for one reference point."""
-    quad = pref * np.einsum("mn,m...,n...->...", g, u, u)
     out = np.exp(-quad)
     mask = quad < EXPONENT_CUT
-    if not np.any(mask):
-        return out
-    um = u[:, mask]
-    corr = -pref * np.einsum("mnl,mx,nx,lx->x", t3, um, um, um)
-    corr -= pref * np.einsum("mnsk,mx,nx,sx,kx->x", t4, um, um, um, um)
-    corr += np.einsum("m,mx->x", dj_lin, um)
-    corr += np.einsum("mn,mx,nx->x", dj_quad, um, um)
-    out[mask] *= _perturbative_factor(corr)
+    c = corr[mask]
+    out[mask] *= 1.0 + c + 0.5 * c**2
     return out
 
 
-def _kernel_pairwise(coef: _CoefficientTable, u: np.ndarray, pref: float) -> np.ndarray:
-    """Slice kernel with per-column coefficients: u (D, n, ...), tables (n, ...)."""
-    quad = pref * np.einsum("amn,ma...,na...->a...", coef.g, u, u)
-    out = np.exp(-quad)
-    mask = quad < EXPONENT_CUT
-    if not np.any(mask):
-        return out
-    corr = -pref * np.einsum("amnl,ma...,na...,la...->a...", coef.t3, u, u, u)
-    corr -= pref * np.einsum("amnsk,ma...,na...,sa...,ka...->a...", coef.t4, u, u, u, u)
-    corr += np.einsum("am,ma...->a...", coef.dj_lin, u)
-    corr += np.einsum("amn,ma...,na...->a...", coef.dj_quad, u, u)
-    out[mask] *= _perturbative_factor(corr[mask])
-    return out
+def _slice_kernel(g, t3, t4, dj_lin, dj_quad, u: np.ndarray, pref: float) -> np.ndarray:
+    """Euclidean slice kernel (unnormalized) at differences ``u`` of shape (..., D).
+
+    The tables g (..., D, D), t3 (..., D, D, D), t4 (..., D, D, D, D),
+    dj_lin (..., D) and dj_quad (..., D, D) broadcast against the leading
+    axes of ``u``: one reference point per row, or one per entry.
+    """
+    quad = pref * np.einsum("...mn,...m,...n->...", g, u, u)
+    corr = -pref * np.einsum("...mnl,...m,...n,...l->...", t3, u, u, u)
+    corr -= pref * np.einsum("...mnsk,...m,...n,...s,...k->...", t4, u, u, u, u)
+    corr += np.einsum("...m,...m->...", dj_lin, u)
+    corr += np.einsum("...mn,...m,...n->...", dj_quad, u, u)
+    return _trust_region(quad, corr)
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
+
+
+def _row_blocks(n_rows: int, entries_per_row: int):
+    """Slices of kernel rows holding about BLOCK_ENTRIES entries each."""
+    step = max(1, BLOCK_ENTRIES // entries_per_row)
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
 def _line_nodes(grid) -> tuple[np.ndarray, float]:
@@ -208,32 +197,26 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
 
     if period is not None:
         w_max = int(math.ceil((TAIL_SIGMA * float(np.max(sigma_u)) + period / 2) / period))
-        windings = range(-w_max, w_max + 1)
+        shifts = (np.arange(-w_max, w_max + 1) * period)[:, None]
     else:
-        windings = (0,)
+        shifts = np.zeros((1, 1))
 
-    kernel = np.zeros((n, n))
-    prepoint = config.scheme == "prepoint"
-    midpoint = config.scheme == "midpoint"
-    for b in range(n):
-        row = np.zeros(n)
-        for w in windings:
-            dq = nodes[b] - nodes + (w * period if period is not None else 0.0)
-            u = dq[None, :]
-            if midpoint:
-                # mean chart point of the image pair; odd windings land it on
-                # the opposite side of the period
-                mid = 0.5 * (nodes[b] + nodes) - (0.5 * w * period if period is not None else 0.0)
-                if period is not None:
-                    mid = mid % period
-                coef = table.interpolated(nodes, mid)
-                row += _kernel_pairwise(coef, u, pref)
-            else:
-                row += _kernel_row(
-                    table.g[b], table.t3[b], table.t4[b], table.dj_lin[b], table.dj_quad[b], u, pref
-                )
-        kernel[b] = row
-    if prepoint:
+    # each block holds (row, image, column) entries; the winding images are summed
+    kernel = np.empty((n, n))
+    for rows in _row_blocks(n, n * shifts.size):
+        here = nodes[rows, None, None]
+        u = (here - nodes + shifts)[..., None]
+        if config.scheme == "midpoint":
+            # mean chart point of the image pair; odd windings land it on
+            # the opposite side of the period
+            mid = 0.5 * (here + nodes) - 0.5 * shifts
+            if period is not None:
+                mid = mid % period
+            coef = [_interp_table(nodes, t, mid) for t in table.terms()]
+        else:
+            coef = [t[rows, None, None] for t in table.terms()]
+        kernel[rows] = _slice_kernel(*coef, u, pref).sum(axis=1)
+    if config.scheme == "prepoint":
         # rows hold the reference point and its outgoing difference; indexing
         # by (later, earlier) with the sign flip of the difference is the
         # transpose of that matrix
@@ -284,24 +267,21 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     one_minus_cos = 1.0 - np.cos(zeta)
     phase = np.ones(n_phi) if m == 0 else np.cos(m * zeta)
 
-    kernel = np.zeros((n_theta, n_theta))
-    for b in range(n_theta):
-        p_form = a * a * (theta[b] - theta)[:, None] ** 2
+    # blocks of (row, column, zeta) entries, integrated against the phase
+    kernel = np.empty((n_theta, n_theta))
+    for rows in _row_blocks(n_theta, n_theta * n_phi):
+        p_form = a * a * (theta[rows, None] - theta)[..., None] ** 2
         if config.order == 2:
-            quad = pref * (p_form + g_phi[b] * (zeta**2)[None, :])
-            vals = np.exp(-quad)
+            vals = np.exp(-pref * (p_form + g_phi[rows, None, None] * zeta**2))
         else:
-            q_form = 2.0 * a * a * (sin_t[b] * sin_t)[:, None] * one_minus_cos[None, :]
-            quad = pref * (p_form + q_form)
-            vals = np.exp(-quad)
-            mask = quad < EXPONENT_CUT
-            corr = np.zeros_like(quad)
+            q_form = 2.0 * a * a * (sin_t[rows, None] * sin_t)[..., None] * one_minus_cos
+            corr = np.zeros(q_form.shape)
             if config.order >= 4:
                 corr -= pref * (p_form * q_form / 6.0 + q_form**2 / 12.0) / a**2
             if config.measure == "qep":
-                corr += ricci_scalar[b] * (p_form + q_form) / 12.0
-            vals[mask] *= _perturbative_factor(corr[mask])
-        kernel[b] = (vals @ phase) * dzeta
+                corr += ricci_scalar[rows, None, None] * (p_form + q_form) / 12.0
+            vals = _trust_region(pref * (p_form + q_form), corr)
+        kernel[rows] = (vals.reshape(-1, n_phi) @ phase).reshape(-1, n_theta) * dzeta
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
     weights = a * a * gl_w
     return norm * np.sqrt(np.outer(weights, weights)) * kernel, weights, theta
@@ -358,11 +338,6 @@ def propagate(
     ``grid`` is ``(lo, hi, n)`` for the line, a point count for the circle,
     and a node count for the sphere.
     """
-    if config.contour != "euclidean":
-        raise ValueError(
-            "transfer-matrix propagation needs the euclidean contour; "
-            "the real-time form exists only as the closed-form flat kernel"
-        )
     if geom.topology not in ("line", "circle", "sphere"):
         raise ValueError(f"geometry '{geom.name}' has no propagation topology")
     taus = list(taus) if taus is not None else [config.total_time]

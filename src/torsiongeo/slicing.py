@@ -43,7 +43,6 @@ from .geometry import Geometry, PointGeometry
 
 SCHEMES = ("postpoint", "prepoint", "midpoint")
 MEASURES = ("qep", "naive-dewitt")
-CONTOURS = ("euclidean", "real-time")
 
 
 @dataclass
@@ -56,7 +55,6 @@ class SliceConfig:
     hbar: float = 1.0
     scheme: str = "postpoint"
     order: int = 4
-    contour: str = "euclidean"
     measure: str = "qep"
 
     def __post_init__(self):
@@ -70,8 +68,6 @@ class SliceConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.order not in (2, 3, 4):
             raise ValueError("order must be 2, 3 or 4")
-        if self.contour not in CONTOURS:
-            raise ValueError(f"contour must be one of {CONTOURS}")
         if self.measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}")
 

@@ -200,6 +200,58 @@ def test_console_entry_point(tmp_path):
     assert "dislocation" in proc.stdout
 
 
+def test_contour_key_is_unknown(tmp_path, capsys):
+    # propagation runs on the Euclidean contour only; there is no contour option
+    cfg = write_config(tmp_path, dict(MINIMAL, contour="real-time"))
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "'contour'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tau_values", "amplitude_taus"])
+def test_tau_off_the_eps_grid_is_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, dict(MINIMAL, N=8, eps=0.1, **{key: [0.2, 0.25]}))
+    with pytest.raises(ValidationError, match=key):
+        load_config(cfg)
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_malformed_threads_env_is_config_error(tmp_path):
+    import os
+
+    cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
+                                  "contour_segments": 512})
+    for value in ("abc", "0", "-2", "1.5"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsiongeo.cli", "defect", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "TORSIONGEO_THREADS": value}, cwd=REPO,
+        )
+        assert proc.returncode == 2
+        assert "TORSIONGEO_THREADS" in proc.stderr
+
+
+THREAD_PINS = """
+import os, sys
+from torsiongeo import cli
+assert "numpy" not in sys.modules  # the pins below must precede the first numpy import
+code = cli.main(["defect", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, [os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")])
+"""
+
+
+def test_threads_env_sets_blas_variables_before_numpy(tmp_path):
+    import os
+
+    cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
+                                  "contour_segments": 512})
+    env = {**os.environ, "TORSIONGEO_THREADS": "2", "OPENBLAS_NUM_THREADS": "7",
+           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", THREAD_PINS, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 ['2', '2', '2']"
+
+
 def test_threads_env_cap(tmp_path):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_radius": 1.0, "contour_segments": 512})

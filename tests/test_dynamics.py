@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from torsiongeo import catalog
+from torsiongeo import catalog, dynamics
 from torsiongeo.dynamics import (
     ParticleParams,
     Trajectory,
@@ -244,6 +244,32 @@ def test_ordered_product_richardson_second_order():
         errs.append(np.max(np.abs(time_ordered_propagator(G, dt, order=2) - U_ref)))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
+
+
+def _split_generators(G, k, dt, order, lo=0.0):
+    """The separate full-step and step-tail Magnus generators, as two formulas."""
+    root3 = np.sqrt(3.0) / 12.0
+    gauss = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+    if lo == 0.0:
+        if order == 2:
+            return -dynamics._interp(G, k, 0.5) * dt
+        a1, a2 = (-dynamics._interp(G, k, c) for c in gauss)
+        return 0.5 * dt * (a1 + a2) + root3 * dt**2 * (a2 @ a1 - a1 @ a2)
+    h = (1.0 - lo) * dt
+    a1, a2 = (-dynamics._interp(G, k, lo + (1.0 - lo) * c) for c in gauss)
+    return 0.5 * h * (a1 + a2) + root3 * h**2 * (a2 @ a1 - a1 @ a2)
+
+
+def test_merged_magnus_generator_is_bit_identical(monkeypatch):
+    geom, traj, dq = toy_setup(dt=5e-3)
+    G, _ = dynamics._orbit_matrices(geom, traj)
+    runs = []
+    for generator in (dynamics._step_generator, _split_generators):
+        monkeypatch.setattr(dynamics, "_step_generator", generator)
+        runs.append([variation_closed_form(geom, traj, dq, order=o) for o in (2, 4)]
+                    + [time_ordered_propagator(G, traj.dt, order=o) for o in (2, 4)])
+    for merged, split in zip(*runs):
+        assert np.array_equal(merged, split)
 
 
 def test_particle_params_validation():

@@ -310,3 +310,13 @@ def test_metric_field_positive_definite_guard():
     field.metric(np.array([0.5, 0.0]))
     with pytest.raises(MetricNotPositiveDefinite):
         field.metric(np.array([1.5, 0.0]))
+
+
+def test_point_shape_is_checked_before_the_cache():
+    # a (1, 2) point has the bytes of a (2,) point; it must not hit its cache entry
+    geom = catalog.make("polar")
+    pt = geom.at([1.0, 0.3])
+    for bad in ([[1.0, 0.3]], [1.0], 1.0, [1.0, 0.3, 0.0]):
+        with pytest.raises(ValueError, match="shape"):
+            geom.at(bad)
+    assert geom.at(np.array([1.0, 0.3])) is pt

@@ -1,15 +1,21 @@
 # Transfer-matrix propagators: flat-line Gaussian reproduction, circle traces
 # against the exact mode sum, sphere sector machinery, measure comparison,
-# spectrum extraction, and the analytic real-time flat kernel.
+# spectrum extraction, the analytic real-time flat kernel, and the assembled
+# slice kernel against the per-point action and measure formulas.
+
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsiongeo import catalog
 from torsiongeo.errors import GridResolutionInsufficient, IllConditionedFit
 from torsiongeo.geometry import Geometry
-from torsiongeo.propagator import flat_line_kernel, propagate
-from torsiongeo.slicing import SliceConfig
+from torsiongeo.propagator import EXPONENT_CUT, TAIL_SIGMA, _build_1d, _line_nodes, flat_line_kernel, propagate
+from torsiongeo.slicing import SliceConfig, delta_jacobian_action, short_time_action
 from torsiongeo.spectrum import extract_spectrum, richardson_pair
 from torsiongeo.triads import TriadField
 
@@ -68,12 +74,6 @@ def test_real_time_flat_kernel_composes():
     expected = flat_line_kernel(x, 0.0, t1 + t2, mass, hbar, contour="real-time")
     composed = amp * np.exp(width * x**2)
     assert abs(composed - expected) < 1e-12
-
-
-def test_real_time_propagation_rejected():
-    cfg = SliceConfig(n_slices=4, eps=0.1, contour="real-time")
-    with pytest.raises(ValueError, match="euclidean"):
-        propagate(flat_line(), cfg)
 
 
 def test_grid_resolution_guard():
@@ -181,6 +181,79 @@ def test_schemes_agree_on_varying_1d_metric():
     # the symmetrized transfer frame makes prepoint and postpoint identical
     assert traces["prepoint"] == pytest.approx(base, rel=1e-12)
     assert traces["midpoint"] == pytest.approx(base, rel=3e-3)
+
+
+# -- assembled kernel against the per-entry formula -------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(topology, scheme, order, measure):
+    """Geometry, config, nodes, period and the unnormalized kernel of _build_1d."""
+    if topology == "circle":
+        geom, grid, period = catalog.make("circle"), (0.0, 2 * np.pi, 256), 2 * np.pi
+    else:
+        geom, grid, period = _bumpy_line(), (-5.0, 5.0, 512), None
+    cfg = SliceConfig(n_slices=8, eps=0.05, scheme=scheme, order=order, measure=measure)
+    nodes, du = _line_nodes(grid)
+    b_mat, weights = _build_1d(geom, cfg, nodes, du, period)
+    norm = (2 * np.pi * cfg.hbar * cfg.eps / cfg.mass) ** -0.5
+    return geom, cfg, nodes, period, b_mat / (norm * np.sqrt(np.outer(weights, weights)))
+
+
+@functools.lru_cache(maxsize=None)
+def _bumpy_line():
+    return bumpy_line_geometry()
+
+
+def _kernel_entry_oracle(geom, cfg, later, earlier, period):
+    """exp(-A / hbar) (1 + c + c^2 / 2) from short_time_action and
+    delta_jacobian_action, summed over the winding images _build_1d keeps;
+    also the smallest quadratic exponent over the images."""
+    shifts = [0.0]
+    if period is not None:
+        sigma_u = math.sqrt(cfg.eps * cfg.hbar / cfg.mass / geom.at([0.0]).metric[0, 0])
+        w_max = math.ceil((TAIL_SIGMA * sigma_u + period / 2) / period)
+        shifts = [w * period for w in range(-w_max, w_max + 1)]
+    total, smallest = 0.0, math.inf
+    for shift in shifts:
+        dq = later - earlier + shift
+        if cfg.scheme == "postpoint":
+            ref, u = later, dq
+        elif cfg.scheme == "prepoint":
+            ref, u = earlier, -dq
+        else:
+            ref, u = 0.5 * (later + earlier) - 0.5 * shift, dq
+            ref = ref % period if period is not None else ref
+        terms = short_time_action(geom, [ref], [dq], cfg)
+        quad = terms.quadratic / cfg.hbar
+        corr = -(terms.cubic + terms.quartic) / cfg.hbar
+        if cfg.measure == "qep":
+            corr += delta_jacobian_action(geom, [ref]).value([u])
+        total += math.exp(-quad) * (1.0 + corr + 0.5 * corr**2 if quad < EXPONENT_CUT else 1.0)
+        smallest = min(smallest, quad)
+    return total, smallest
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    topology=st.sampled_from(["circle", "bumpy-line"]),
+    scheme=st.sampled_from(["postpoint", "prepoint", "midpoint"]),
+    order=st.sampled_from([2, 3, 4]),
+    measure=st.sampled_from(["qep", "naive-dewitt"]),
+    data=st.data(),
+)
+def test_build_1d_entries_match_per_entry_formula(topology, scheme, order, measure, data):
+    geom, cfg, nodes, period, kernel = _oracle_case(topology, scheme, order, measure)
+    n = nodes.size
+    row = data.draw(st.integers(0, n - 1), label="row")
+    # on the line, columns within about 8 kernel widths, across the trust-region edge
+    near = (0, n - 1) if period is not None else (max(0, row - 100), min(n - 1, row + 100))
+    col = data.draw(st.integers(*near), label="column")
+    want, quad = _kernel_entry_oracle(geom, cfg, nodes[row], nodes[col], period)
+    # midpoint coefficients on a varying metric are interpolated from the node
+    # tables; the metric's interpolation error enters through the exponent
+    tol = 1e-4 * (1.0 + quad) if scheme == "midpoint" and period is None else 1e-12
+    assert kernel[row, col] == pytest.approx(want, rel=tol, abs=0.0)
 
 
 # -- sphere --------------------------------------------------------------------
