@@ -14,8 +14,9 @@ weights carry sqrt(g) at the integrated point; in the similarity frame
 
 traces and spectra are those of the asymmetric transfer matrix, while B is
 symmetric up to the truncation order and is symmetrized numerically before
-the eigendecomposition (the recorded asymmetry is a diagnostic); its levels
-are E = -hbar ln(lambda) / eps, from the eigenvalues kept unclipped.
+the eigendecomposition (the recorded asymmetry is a diagnostic, 0.0 by
+construction on the sphere at order >= 3 and the chart asymmetry at order 2);
+its levels are E = -hbar ln(lambda) / eps, from the eigenvalues kept unclipped.
 
 Supported endpoint topologies:
 
@@ -135,17 +136,18 @@ def _interp_table(x_nodes: np.ndarray, table: np.ndarray, x_query: np.ndarray) -
     return (1.0 - w) * table[idx] + w * table[idx + 1]
 
 
-def _trust_region(quad: np.ndarray, corr: np.ndarray) -> np.ndarray:
-    """exp(-quad) (1 + c + c^2/2) with c = corr where quad < EXPONENT_CUT; exp(-quad) elsewhere.
+def _trust_region(quad: np.ndarray, corr) -> np.ndarray:
+    """exp(-quad) (1 + c + c^2/2) with c = corr(mask) on mask = quad < EXPONENT_CUT; exp(-quad) elsewhere.
 
-    The cubic/quartic action terms and the measure exponent are relevant-order
-    corrections: exponentiating them raw would amplify Gaussian tails where
-    the expansion is meaningless, whereas 1 + c + c^2/2 = ((c+1)^2 + 1)/2 is
-    positive, polynomially bounded, and correct through the retained order.
+    ``corr`` gives c at the masked entries only.  The cubic/quartic action terms
+    and the measure exponent are relevant-order corrections: exponentiating them
+    raw would amplify Gaussian tails where the expansion is meaningless, whereas
+    1 + c + c^2/2 = ((c+1)^2 + 1)/2 is positive, polynomially bounded, and
+    correct through the retained order.
     """
     out = np.exp(-quad)
     mask = quad < EXPONENT_CUT
-    c = corr[mask]
+    c = corr(mask)
     out[mask] *= 1.0 + c + 0.5 * c**2
     return out
 
@@ -162,7 +164,7 @@ def _slice_kernel(g, t3, t4, dj_lin, dj_quad, u: np.ndarray, pref: float) -> np.
     corr -= pref * np.einsum("...mnsk,...m,...n,...s,...k->...", t4, u, u, u, u)
     corr += np.einsum("...m,...m->...", dj_lin, u)
     corr += np.einsum("...mn,...m,...n->...", dj_quad, u, u)
-    return _trust_region(quad, corr)
+    return _trust_region(quad, lambda mask: corr[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +172,10 @@ def _slice_kernel(g, t3, t4, dj_lin, dj_quad, u: np.ndarray, pref: float) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _row_blocks(n_rows: int, entries_per_row: int):
-    """Slices of kernel rows holding about BLOCK_ENTRIES entries each."""
-    step = max(1, BLOCK_ENTRIES // entries_per_row)
-    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
+def _blocks(n_items: int, entries_per_item: int):
+    """Slices of kernel rows or node pairs holding about BLOCK_ENTRIES entries each."""
+    step = max(1, BLOCK_ENTRIES // entries_per_item)
+    return (slice(lo, lo + step) for lo in range(0, n_items, step))
 
 
 def _line_nodes(grid) -> tuple[np.ndarray, float]:
@@ -203,7 +205,7 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
 
     # each block holds (row, image, column) entries; the winding images are summed
     kernel = np.empty((n, n))
-    for rows in _row_blocks(n, n * shifts.size):
+    for rows in _blocks(n, n * shifts.size):
         here = nodes[rows, None, None]
         u = (here - nodes + shifts)[..., None]
         if config.scheme == "midpoint":
@@ -245,7 +247,12 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     resummed representation the three expansion schemes coincide (their
     differences are beyond the retained order), so the scheme field only
     changes the 1-d builders.  Order semantics: 2 = bare chart quadratic,
-    3 = resummed core, 4 = core plus quartic residue.
+    3 = resummed core, 4 = core plus quartic residue.  Every integrand is even
+    in zeta, so the zeta > 0 half of the even midpoint grid is summed at
+    weight 2 dzeta.  At order >= 3 the measure term takes the endpoint mean of
+    the per-node R (2 / a^2 up to rounding), so the kernel is symmetric and
+    only columns >= row are evaluated, then mirrored; order 2 keeps full rows,
+    as its quadratic takes the row's g_phi.
     """
     a = float(geom.params.get("a", 1.0))
     x_nodes, x_weights = np.polynomial.legendre.leggauss(int(n_theta))
@@ -259,29 +266,37 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     pref = config.mass / (2.0 * config.eps * config.hbar)
     sin_t = np.sin(theta)
     g_phi = a * a * sin_t**2
-    ricci_scalar = np.array([geom.at(np.array([th, 0.0])).scalar_riemann for th in theta])
+    quartic = pref / a**2 if config.order >= 4 else 0.0
+    qep = config.measure == "qep" and config.order >= 3
+    ricci = np.array([geom.at(np.array([th, 0.0])).scalar_riemann if qep else 0.0 for th in theta])
 
     n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
-    zeta = -math.pi + (2 * math.pi / n_phi) * (np.arange(n_phi) + 0.5)
     dzeta = 2 * math.pi / n_phi
-    one_minus_cos = 1.0 - np.cos(zeta)
-    phase = np.ones(n_phi) if m == 0 else np.cos(m * zeta)
+    zeta = dzeta * (np.arange(n_phi // 2) + 0.5)
+    one_minus_cos, phase = 1.0 - np.cos(zeta), np.cos(m * zeta)
+    rows, cols = np.divmod(np.arange(n_theta**2), n_theta) if config.order == 2 else np.triu_indices(n_theta)
 
-    # blocks of (row, column, zeta) entries, integrated against the phase
+    # blocks of (node pair, zeta) entries, integrated against the phase
     kernel = np.empty((n_theta, n_theta))
-    for rows in _row_blocks(n_theta, n_theta * n_phi):
-        p_form = a * a * (theta[rows, None] - theta)[..., None] ** 2
+    for block in _blocks(rows.size, zeta.size):
+        i, j = rows[block], cols[block]
+        p_form = a * a * (theta[i] - theta[j]) ** 2
         if config.order == 2:
-            vals = np.exp(-pref * (p_form + g_phi[rows, None, None] * zeta**2))
+            vals = np.exp(-pref * (p_form[:, None] + g_phi[i, None] * zeta**2))
         else:
-            q_form = 2.0 * a * a * (sin_t[rows, None] * sin_t)[..., None] * one_minus_cos
-            corr = np.zeros(q_form.shape)
-            if config.order >= 4:
-                corr -= pref * (p_form * q_form / 6.0 + q_form**2 / 12.0) / a**2
-            if config.measure == "qep":
-                corr += ricci_scalar[rows, None, None] * (p_form + q_form) / 12.0
-            vals = _trust_region(pref * (p_form + q_form), corr)
-        kernel[rows] = (vals.reshape(-1, n_phi) @ phase).reshape(-1, n_theta) * dzeta
+            q_form = 2.0 * a * a * (sin_t[i] * sin_t[j])[:, None] * one_minus_cos
+            # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
+            r_mean = (ricci[i] + ricci[j]) / 24.0
+            lin, const = r_mean - quartic * p_form / 6.0, r_mean * p_form
+
+            def corr(mask):
+                count = np.count_nonzero(mask, axis=1)
+                q = q_form[mask]
+                return q * (np.repeat(lin, count) - quartic / 12.0 * q) + np.repeat(const, count)
+            vals = _trust_region(pref * (p_form[:, None] + q_form), corr)
+        kernel[i, j] = vals @ phase * (2.0 * dzeta)
+    if config.order >= 3:
+        kernel[cols, rows] = kernel[rows, cols]
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
     weights = a * a * gl_w
     return norm * np.sqrt(np.outer(weights, weights)) * kernel, weights, theta

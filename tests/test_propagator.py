@@ -1,9 +1,11 @@
 # Transfer-matrix propagators: flat-line Gaussian reproduction, circle traces
 # against the exact mode sum, sphere sector machinery, measure comparison,
-# spectrum extraction, the analytic real-time flat kernel, and the assembled
-# slice kernel against the per-point action and measure formulas.
+# spectrum extraction, the analytic real-time flat kernel, the assembled
+# slice kernel against the per-point action and measure formulas, and the
+# symmetry-reduced sphere kernel against its full-period reference.
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +16,17 @@ from hypothesis import strategies as st
 from torsiongeo import catalog
 from torsiongeo.errors import GridResolutionInsufficient, IllConditionedFit
 from torsiongeo.geometry import Geometry
-from torsiongeo.propagator import EXPONENT_CUT, TAIL_SIGMA, _build_1d, _line_nodes, flat_line_kernel, propagate
+from torsiongeo.propagator import (
+    EXPONENT_CUT,
+    MIN_POINTS_PER_SIGMA,
+    TAIL_SIGMA,
+    _build_1d,
+    _build_sphere,
+    _line_nodes,
+    _slice_kernel,
+    flat_line_kernel,
+    propagate,
+)
 from torsiongeo.slicing import SliceConfig, delta_jacobian_action, short_time_action
 from torsiongeo.spectrum import extract_spectrum, richardson_pair
 from torsiongeo.triads import TriadField
@@ -256,6 +268,41 @@ def test_build_1d_entries_match_per_entry_formula(topology, scheme, order, measu
     assert kernel[row, col] == pytest.approx(want, rel=tol, abs=0.0)
 
 
+def _contract(table, x):
+    """sum of table[i1, ..., ik] x[i1] ... x[ik] over all indices, written out."""
+    indices = itertools.product(range(len(x)), repeat=table.ndim)
+    return sum(table[idx] * math.prod(x[k] for k in idx) for idx in indices)
+
+
+def test_slice_kernel_terms_against_hand_sum():
+    # Synthetic two-dimensional tables, one reference point per row, with every
+    # correction nonzero; the differences straddle the trust-region edge.  The
+    # 1-d builders cannot see the measure terms (the 1-d measure exponent
+    # vanishes), so this pins their signs: the action corrections enter the
+    # exponent with a minus sign, the measure terms with a plus sign.
+    rng = np.random.default_rng(7)
+    d, n_rows, n_cols, pref = 2, 3, 40, 10.0
+    root = rng.normal(size=(n_rows, d, d))
+    g = np.eye(d) + 0.2 * root @ root.transpose(0, 2, 1)
+    t3 = 0.3 * rng.normal(size=(n_rows, d, d, d))
+    t4 = 0.1 * rng.normal(size=(n_rows, d, d, d, d))
+    dj_lin = rng.normal(size=(n_rows, d))
+    dj_quad = rng.normal(size=(n_rows, d, d))
+    u = rng.uniform(-2.5, 2.5, size=(n_rows, n_cols, d))
+    got = _slice_kernel(*(t[:, None] for t in (g, t3, t4, dj_lin, dj_quad)), u, pref)
+    assert got.shape == (n_rows, n_cols)
+    inside = 0
+    for r, col in itertools.product(range(n_rows), range(n_cols)):
+        x = u[r, col]
+        quad = pref * _contract(g[r], x)
+        action = -pref * (_contract(t3[r], x) + _contract(t4[r], x))
+        c = action + _contract(dj_lin[r], x) + _contract(dj_quad[r], x)
+        inside += quad < EXPONENT_CUT
+        want = math.exp(-quad) * (1.0 + c + 0.5 * c**2 if quad < EXPONENT_CUT else 1.0)
+        assert got[r, col] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert 0 < inside < n_rows * n_cols
+
+
 # -- sphere --------------------------------------------------------------------
 
 
@@ -399,3 +446,77 @@ def test_sphere_eigen_ground_level_against_fit_oracle():
     fit = extract_spectrum(taus, res.trace, n_levels=8, e_max=40.0 / taus[0], n_trial=4000,
                            residual_threshold=5e-2)
     assert -np.log(res.eigenvalues[0]) / eps == pytest.approx(fit.energies[0], abs=1e-5)
+
+
+def _sphere_reference(geom, cfg, n_theta, m):
+    """The sphere sector kernel row by row: every (row, column) pair, the full
+    zeta period, and the row's scalar curvature in the measure term."""
+    a = float(geom.params.get("a", 1.0))
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(n_theta)
+    theta, weights = np.arccos(x_nodes)[::-1], a * a * x_weights[::-1]
+    sigma = math.sqrt(cfg.eps * cfg.hbar / cfg.mass)
+    pref = cfg.mass / (2.0 * cfg.eps * cfg.hbar)
+    sin_t = np.sin(theta)
+    ricci = [geom.at(np.array([th, 0.0])).scalar_riemann for th in theta]
+    n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
+    zeta = -math.pi + (2 * math.pi / n_phi) * (np.arange(n_phi) + 0.5)
+    kernel = np.empty((n_theta, n_theta))
+    for row in range(n_theta):
+        p_form = a * a * (theta[row] - theta)[:, None] ** 2
+        if cfg.order == 2:
+            vals = np.exp(-pref * (p_form + a * a * sin_t[row] ** 2 * zeta**2))
+        else:
+            q_form = 2.0 * a * a * (sin_t[row] * sin_t)[:, None] * (1.0 - np.cos(zeta))
+            corr = np.zeros(q_form.shape)
+            if cfg.order >= 4:
+                corr -= pref * (p_form * q_form / 6.0 + q_form**2 / 12.0) / a**2
+            if cfg.measure == "qep":
+                corr += ricci[row] * (p_form + q_form) / 12.0
+            quad = pref * (p_form + q_form)
+            vals = np.exp(-quad) * np.where(quad < EXPONENT_CUT, 1.0 + corr + 0.5 * corr**2, 1.0)
+        kernel[row] = vals @ np.cos(m * zeta) * (2 * math.pi / n_phi)
+    norm = cfg.mass / (2 * np.pi * cfg.hbar * cfg.eps)
+    return norm * np.sqrt(np.outer(weights, weights)) * kernel, weights, theta
+
+
+SPHERE_REFERENCE_CASES = [
+    *((1.0, 120, order, measure, m)
+      for order in (2, 3, 4) for measure in ("qep", "naive-dewitt") for m in (0, 1, 2)),
+    # the a = 2 resolution floor (160 nodes raise GridResolutionInsufficient)
+    (2.0, 232, 2, "qep", 0),
+    (2.0, 232, 3, "naive-dewitt", 1),
+    (2.0, 232, 4, "qep", 2),
+]
+
+
+@pytest.mark.parametrize("a, n_theta, order, measure, m", SPHERE_REFERENCE_CASES)
+def test_build_sphere_matches_full_period_reference(a, n_theta, order, measure, m):
+    # the half zeta period, the mirrored node-pair triangle, the endpoint-mean
+    # curvature and the corrections evaluated only in the trust region change
+    # the kernel only at rounding level
+    geom = catalog.make("sphere", a=a)
+    cfg = SliceConfig(n_slices=8, eps=0.05, order=order, measure=measure)
+    got, weights, theta = _build_sphere(geom, cfg, n_theta, m)
+    want, ref_weights, ref_theta = _sphere_reference(geom, cfg, n_theta, m)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(weights, ref_weights)
+    assert np.array_equal(theta, ref_theta)
+
+
+def test_sphere_radius_two_at_160_nodes_is_under_resolved():
+    cfg = SliceConfig(n_slices=8, eps=0.05)
+    with pytest.raises(GridResolutionInsufficient):
+        _build_sphere(catalog.make("sphere", a=2.0), cfg, 160, 0)
+
+
+@pytest.mark.parametrize("measure", ["qep", "naive-dewitt"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_sphere_asymmetry_vanishes_beyond_the_bare_chart(order, measure):
+    # order >= 3 kernels are built symmetric; the order-2 chart quadratic takes
+    # the row's g_phi, so its recorded asymmetry stays a real diagnostic
+    cfg = SliceConfig(n_slices=8, eps=0.05, order=order, measure=measure)
+    res = propagate(catalog.make("sphere"), cfg, grid=120)
+    if order == 2:
+        assert res.asymmetry > 0.1
+    else:
+        assert res.asymmetry == 0.0
