@@ -16,7 +16,8 @@ transfer matrix ``propagate`` diagonalized; the trace fit is only an oracle.
 The config is one flat JSON object; unknown keys are rejected and every
 validation error names the offending key.  Outputs are ``results.json``
 (byte-stable for a fixed config), ``manifest.json`` (config hash, versions,
-wall time; the only file with a timestamp), and command-specific CSV files.
+wall time, per-stage seconds; the only file with a timestamp), and
+command-specific CSV files.
 Exit codes: 0 success, 1 computation error, 2 config error.  The environment
 variable ``TORSIONGEO_THREADS`` (a positive integer) caps BLAS/OpenMP
 parallelism: ``main`` copies it into ``OPENBLAS_NUM_THREADS``,
@@ -26,6 +27,7 @@ parallelism: ``main`` copies it into ``OPENBLAS_NUM_THREADS``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -160,7 +162,17 @@ def _validate_options(command: str, options: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_geom(config: RunConfig, out_dir: str, seed: int) -> dict:
+@contextlib.contextmanager
+def _stage(stages: dict, name: str):
+    """Add the perf_counter span of the block to ``stages[name]`` (seconds)."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - started
+
+
+def _run_geom(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     import numpy as np
 
     from . import catalog
@@ -192,7 +204,7 @@ def _run_geom(config: RunConfig, out_dir: str, seed: int) -> dict:
     return {"command": "geom", "geometry": config.geometry, "points": rows}
 
 
-def _run_traj(config: RunConfig, out_dir: str, seed: int) -> dict:
+def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     import numpy as np
 
     from . import catalog
@@ -206,7 +218,8 @@ def _run_traj(config: RunConfig, out_dir: str, seed: int) -> dict:
     duration = float(opts.get("duration", 1.0))
     dt = float(opts.get("dt", 1e-3))
     traj = integrate_trajectory(geom, opts["kind"], opts["q0"], opts["v0"], duration, dt)
-    write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+    with _stage(stages, "write"):
+        write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     inv = traj.kinetic_invariant()
     return {
         "command": "traj",
@@ -236,7 +249,7 @@ def _make_contour(opts: dict):
     )
 
 
-def _run_defect(config: RunConfig, out_dir: str, seed: int) -> dict:
+def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     from .defects import DefectGeometry, burgers_vector, frank_rotation_deficit
 
     if config.geometry not in ("dislocation", "disclination"):
@@ -295,10 +308,10 @@ def _grid_for(geom, opts, factor: float = 1.0):
     return int(math.ceil(base * factor))
 
 
-def _run_spectrum_command(config: RunConfig, out_dir: str, measure=None) -> dict:
+def _run_spectrum_command(config: RunConfig, out_dir: str, stages: dict, measure=None) -> dict:
     from . import catalog
     from .io import write_amplitude_csv
-    from .propagator import propagate
+    from .propagator import negative_beyond_rounding, propagate
     from .spectrum import richardson_pair
 
     geom = catalog.make(config.geometry, **config.geometry_params)
@@ -311,7 +324,9 @@ def _run_spectrum_command(config: RunConfig, out_dir: str, measure=None) -> dict
     extract = bool(opts.get("extract", True))
     m_sector = int(opts.get("m_sector", 0))
     amplitude_taus = [float(t) for t in opts.get("amplitude_taus", [])]
-    result = propagate(geom, cfg, grid=_grid_for(geom, opts), taus=taus, m_sector=m_sector, store_taus=amplitude_taus)
+    with _stage(stages, "propagate"):
+        result = propagate(geom, cfg, grid=_grid_for(geom, opts), taus=taus, m_sector=m_sector,
+                           store_taus=amplitude_taus)
     energies = _eigen_energies(result, cfg, n_levels) if extract else []
     payload = {
         "geometry": config.geometry,
@@ -324,25 +339,27 @@ def _run_spectrum_command(config: RunConfig, out_dir: str, measure=None) -> dict
         "energies": energies,
         "asymmetry": float(result.asymmetry),
         "min_eigenvalue": float(result.eigenvalues[-1]),
-        "clipped_eigenvalues": int((result.eigenvalues < 0.0).sum()),
+        "clipped_eigenvalues": negative_beyond_rounding(result.eigenvalues),
     }
     if bool(opts.get("richardson", False)) and extract:
         half = _slice_config({**opts, "N": 2 * cfg.n_slices, "eps": 0.5 * cfg.eps}, measure=cfg.measure)
-        res_half = propagate(geom, half, grid=_grid_for(geom, opts, math.sqrt(2.0)), taus=taus, m_sector=m_sector)
+        with _stage(stages, "propagate"):
+            res_half = propagate(geom, half, grid=_grid_for(geom, opts, math.sqrt(2.0)), taus=taus, m_sector=m_sector)
         energies_half = _eigen_energies(res_half, half, n_levels)
         payload["energies_halved_step"] = energies_half
         payload["energies_extrapolated"] = richardson_pair(energies, energies_half)
-    for tau in amplitude_taus:
-        path = os.path.join(out_dir, f"amplitude_tau_{tau:g}.csv")
-        write_amplitude_csv(result.grid, result.amplitudes[tau], tau, path)
+    with _stage(stages, "write"):
+        for tau in amplitude_taus:
+            path = os.path.join(out_dir, f"amplitude_tau_{tau:g}.csv")
+            write_amplitude_csv(result.grid, result.amplitudes[tau], tau, path)
     return payload
 
 
-def _run_propagate(config: RunConfig, out_dir: str, seed: int) -> dict:
-    return {"command": "propagate", **_run_spectrum_command(config, out_dir)}
+def _run_propagate(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
+    return {"command": "propagate", **_run_spectrum_command(config, out_dir, stages)}
 
 
-def _run_compare(config: RunConfig, out_dir: str, seed: int) -> dict:
+def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     import numpy as np
 
     from . import catalog
@@ -353,7 +370,7 @@ def _run_compare(config: RunConfig, out_dir: str, seed: int) -> dict:
     cfg_probe = RunConfig(config.geometry, config.geometry_params, config.command, opts, config.raw)
     ladders = {}
     for measure in MEASURES:
-        ladders[measure] = _run_spectrum_command(cfg_probe, out_dir, measure=measure)
+        ladders[measure] = _run_spectrum_command(cfg_probe, out_dir, stages, measure=measure)
     key = "energies_extrapolated" if "energies_extrapolated" in ladders["qep"] else "energies"
     e_qep = ladders["qep"][key]
     e_naive = ladders["naive-dewitt"][key]
@@ -382,20 +399,28 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
-    """Execute a validated config, writing results.json + manifest.json."""
+    """Execute a validated config, writing results.json + manifest.json.
+
+    The manifest's ``stages_s`` holds the perf_counter seconds spent in
+    ``propagate`` (kernel build and composition, spectrum commands) and in
+    ``write`` (results.json and the command's CSV files).
+    """
     from .io import dump_json
 
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
-    results = _RUNNERS[config.command](config, str(out_dir), seed)
+    stages = {}
+    results = _RUNNERS[config.command](config, str(out_dir), seed, stages)
     results["seed"] = int(seed)
-    dump_json(results, os.path.join(out_dir, "results.json"))
+    with _stage(stages, "write"):
+        dump_json(results, os.path.join(out_dir, "results.json"))
     canonical = json.dumps(config.raw, sort_keys=True).encode()
     manifest = {
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "command": config.command,
         "versions": _versions(),
         "wall_time_s": round(time.time() - started, 3),
+        "stages_s": {name: round(seconds, 4) for name, seconds in stages.items()},
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
@@ -468,8 +493,8 @@ def format_report(results: dict) -> str:
 
 
 def _eigen_health(ladders) -> list:
-    return [f"{r['measure']}: min eigenvalue {r['min_eigenvalue']:.3e}, {r['clipped_eigenvalues']} negative clipped"
-            for r in ladders if "min_eigenvalue" in r]
+    return [f"{r['measure']}: min eigenvalue {r['min_eigenvalue']:.3e}, "
+            f"{r['clipped_eigenvalues']} negative beyond rounding" for r in ladders if "min_eigenvalue" in r]
 
 
 def report(out_dir) -> str:

@@ -6,7 +6,13 @@ Schemas (column order is part of the contract):
 * variation CSV:  ``t,dq1..dqD,db1..dbD``
 * contour CSV:    ``q1,q2`` closed vertex list
 * amplitude CSV:  first row ``tau,<grid values...>``, then one row per grid
-  point: ``q_b,<kernel row>``
+  point: ``q_b,<kernel row>``; the kernel block is exactly symmetric
+
+Every CSV value is the shortest round-trip ``repr`` of a float, fields are
+comma separated and rows end in CRLF, the bytes ``csv.writer`` produces for
+such rows.  All four writers go through :func:`_write_table`, which formats
+each distinct float once, so a symmetric kernel costs about half the
+formatting of its entry count.
 
 JSON payloads are written with sorted keys and a fixed float notation so a
 given result is byte-stable across runs.
@@ -49,14 +55,27 @@ def load_json(path):
         return json.load(fh)
 
 
+def _write_table(path, table, header=None) -> None:
+    """Write a 2-d float table as CSV rows of ``repr`` text, after an optional text header row.
+
+    Each distinct float is formatted once: ``np.unique`` runs on the int64 bit
+    patterns, which keeps ``-0.0`` apart from ``0.0``, and the strings are
+    scattered back through the inverse index.
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    rows = text[inverse].reshape(table.shape).tolist()
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     d = traj.q.shape[1]
     header = ["t"] + [f"q{i + 1}" for i in range(d)] + [f"qdot{i + 1}" for i in range(d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, q, v in zip(traj.t, traj.q, traj.v):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in q] + [repr(float(x)) for x in v])
+    _write_table(path, np.column_stack([traj.t, traj.q, traj.v]), header)
 
 
 def read_trajectory_csv(path):
@@ -71,11 +90,7 @@ def read_trajectory_csv(path):
 def write_variation_csv(record: VariationRecord, path) -> None:
     d = record.dq.shape[1]
     header = ["t"] + [f"dq{i + 1}" for i in range(d)] + [f"db{i + 1}" for i in range(d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, dq, db in zip(record.t, record.dq, record.db):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in dq] + [repr(float(x)) for x in db])
+    _write_table(path, np.column_stack([record.t, record.dq, record.db]), header)
 
 
 def read_contour_csv(path) -> Contour:
@@ -88,16 +103,8 @@ def read_contour_csv(path) -> Contour:
 
 
 def write_contour_csv(contour: Contour, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q1", "q2"])
-        for q in contour.points:
-            writer.writerow([repr(float(q[0])), repr(float(q[1]))])
+    _write_table(path, contour.points, ["q1", "q2"])
 
 
 def write_amplitude_csv(grid: np.ndarray, matrix: np.ndarray, tau: float, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([repr(float(tau))] + [repr(float(x)) for x in grid])
-        for qb, row in zip(grid, matrix):
-            writer.writerow([repr(float(qb))] + [repr(float(x)) for x in row])
+    _write_table(path, np.column_stack([np.r_[tau, grid], np.vstack([grid, matrix])]))

@@ -17,6 +17,8 @@ symmetric up to the truncation order and is symmetrized numerically before
 the eigendecomposition (the recorded asymmetry is a diagnostic, 0.0 by
 construction on the sphere at order >= 3 and the chart asymmetry at order 2);
 its levels are E = -hbar ln(lambda) / eps, from the eigenvalues kept unclipped.
+A stored finite-time kernel W^(-1/2) V diag(lambda^k) V^T W^(-1/2), with the
+negative eigenvalues clipped to 0, is composed as H H^T and is exactly symmetric.
 
 Supported endpoint topologies:
 
@@ -66,7 +68,7 @@ class PropagatorResult:
     grid: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray  # of the symmetrized B, unclipped, descending
-    amplitudes: dict = field(default_factory=dict)  # tau -> symmetric kernel matrix
+    amplitudes: dict = field(default_factory=dict)  # tau -> exactly symmetric kernel matrix
     asymmetry: float = 0.0
     extras: dict = field(default_factory=dict)
 
@@ -317,6 +319,17 @@ def _tau_indices(taus, config: SliceConfig) -> list[int]:
     return ks
 
 
+def negative_beyond_rounding(eigenvalues) -> int:
+    """Count of eigenvalues below -n eps max|lambda|, the rounding floor of an n x n symmetric eigensolve.
+
+    Every negative eigenvalue is clipped to 0 in traces and kernels; only these
+    are negative by more than the eigensolver's backward error.
+    """
+    ev = np.asarray(eigenvalues, dtype=float)
+    floor = ev.size * np.finfo(float).eps * np.max(np.abs(ev), initial=0.0)
+    return int(np.count_nonzero(ev < -floor))
+
+
 def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, store):
     asym = float(np.max(np.abs(b_mat - b_mat.T)) / max(np.max(np.abs(b_mat)), 1e-300))
     b_sym = 0.5 * (b_mat + b_mat.T)
@@ -327,8 +340,10 @@ def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, 
     amplitudes = {}
     inv_root_w = 1.0 / np.sqrt(weights)
     for tau, k in store.items():
-        mat = (evecs * evals**k) @ evecs.T
-        amplitudes[tau] = inv_root_w[:, None] * mat * inv_root_w[None, :]
+        # W^(-1/2) V diag(lambda^k) V^T W^(-1/2) as H H^T: numpy runs a product
+        # with its own transpose as one syrk plus a mirror, so it is exactly symmetric
+        half = inv_root_w[:, None] * evecs * evals ** (0.5 * k)
+        amplitudes[tau] = half @ half.T
     return trace, amplitudes, asym, raw[::-1]
 
 

@@ -1,8 +1,9 @@
 # Transfer-matrix propagators: flat-line Gaussian reproduction, circle traces
 # against the exact mode sum, sphere sector machinery, measure comparison,
 # spectrum extraction, the analytic real-time flat kernel, the assembled
-# slice kernel against the per-point action and measure formulas, and the
-# symmetry-reduced sphere kernel against its full-period reference.
+# slice kernel against the per-point action and measure formulas, the
+# symmetry-reduced sphere kernel against its full-period reference, the stored
+# amplitudes' exact symmetry, and the rounding floor of the negative-eigenvalue count.
 
 import functools
 import itertools
@@ -25,6 +26,7 @@ from torsiongeo.propagator import (
     _line_nodes,
     _slice_kernel,
     flat_line_kernel,
+    negative_beyond_rounding,
     propagate,
 )
 from torsiongeo.slicing import SliceConfig, delta_jacobian_action, short_time_action
@@ -520,3 +522,62 @@ def test_sphere_asymmetry_vanishes_beyond_the_bare_chart(order, measure):
         assert res.asymmetry > 0.1
     else:
         assert res.asymmetry == 0.0
+
+
+# -- stored amplitudes and the eigenvalue diagnostics ---------------------------
+
+
+def _parent_amplitude(b_mat, weights, k):
+    """The kernel as composed before it was stored as H H^T: V diag(lambda^k) V^T, then weighted on both sides."""
+    evals, evecs = np.linalg.eigh(0.5 * (b_mat + b_mat.T))
+    evals = np.clip(evals, 0.0, None)
+    inv_root_w = 1.0 / np.sqrt(weights)
+    return inv_root_w[:, None] * ((evecs * evals**k) @ evecs.T) * inv_root_w[None, :]
+
+
+def _amplitude_case(topology, m):
+    if topology == "line":
+        geom, cfg, grid = flat_line(), SliceConfig(n_slices=16, eps=1 / 64), (-4.0, 4.0, 512)
+        nodes, du = _line_nodes(grid)
+        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=None)
+    elif topology == "circle":
+        geom, cfg, grid = catalog.make("circle", a=1.0), SliceConfig(n_slices=16, eps=0.0625), 256
+        nodes, du = _line_nodes((0.0, 2 * np.pi, grid))
+        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=2 * np.pi)
+    else:
+        geom, cfg, grid = catalog.make("sphere", a=1.0), SliceConfig(n_slices=8, eps=0.05), 120
+        b_mat, weights, _ = _build_sphere(geom, cfg, grid, m)
+    return geom, cfg, grid, b_mat, weights
+
+
+@pytest.mark.parametrize("topology, m", [("line", 0), ("circle", 0), ("sphere", 0), ("sphere", 1)])
+def test_stored_amplitudes_are_exactly_symmetric(topology, m):
+    geom, cfg, grid, b_mat, weights = _amplitude_case(topology, m)
+    store = [cfg.eps, 4 * cfg.eps, cfg.total_time]
+    res = propagate(geom, cfg, grid=grid, m_sector=m, store_taus=store)
+    assert sorted(res.amplitudes) == sorted(store)
+    for tau, amp in res.amplitudes.items():
+        assert np.array_equal(amp, amp.T)
+        want = _parent_amplitude(b_mat, weights, int(round(tau / cfg.eps)))
+        assert np.max(np.abs(amp - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("measure, count", [("qep", 6), ("naive-dewitt", 7)])
+def test_negative_eigenvalue_count_ignores_last_bit_noise(measure, count):
+    # the golden compare-measures sphere: about 70 eigenvalues are negative by
+    # rounding alone, and their number moves with the kernel's last bits
+    b_mat, _, _ = _build_sphere(catalog.make("sphere", a=1.0), SliceConfig(n_slices=80, eps=0.05, measure=measure),
+                                176, 0)
+    assert negative_beyond_rounding(np.linalg.eigvalsh(0.5 * (b_mat + b_mat.T))) == count
+    rng = np.random.default_rng(20261018)
+    for _ in range(5):
+        bumped = b_mat * (1.0 + np.finfo(float).eps * rng.uniform(-1.0, 1.0, b_mat.shape))
+        assert negative_beyond_rounding(np.linalg.eigvalsh(0.5 * (bumped + bumped.T))) == count
+
+
+def test_negative_beyond_rounding_floor():
+    n, eps = 4, np.finfo(float).eps
+    floor = n * eps * 2.0
+    assert negative_beyond_rounding([2.0, 1.0, -0.9 * floor, -floor]) == 0
+    assert negative_beyond_rounding([2.0, 1.0, -1.1 * floor, -1.0]) == 2
+    assert negative_beyond_rounding([]) == 0
