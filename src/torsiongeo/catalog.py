@@ -44,78 +44,86 @@ _TOY_PATTERN = np.array(
 )
 
 
+def _constant(value: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator of a constant tensor, broadcast over the batch axes of the points (a single
+    point gets the array itself: RK4 calls this per stage, and broadcast_to costs microseconds)."""
+    return lambda q: value if np.ndim(q) == 1 else np.broadcast_to(value, np.shape(q)[:-1] + value.shape)
+
+
+def _zeros(q: np.ndarray, *shape: int) -> np.ndarray:
+    return np.zeros(np.shape(q)[:-1] + shape)
+
+
 def angle_gradient(q: np.ndarray) -> np.ndarray:
     """Gradient of the polar angle atan2(q2, q1); single-valued off the origin."""
-    u, v = q
+    u, v = q[..., 0], q[..., 1]
     rho2 = u * u + v * v
-    return np.array([-v / rho2, u / rho2])
+    return np.stack([-v / rho2, u / rho2], axis=-1)
 
 
 def angle_hessian(q: np.ndarray) -> np.ndarray:
-    u, v = q
+    u, v = q[..., 0], q[..., 1]
     rho4 = (u * u + v * v) ** 2
-    return np.array([[2 * u * v, v * v - u * u], [v * v - u * u, -2 * u * v]]) / rho4
+    out = _zeros(q, 2, 2)
+    out[..., 0, 0] = 2 * u * v
+    out[..., 0, 1] = out[..., 1, 0] = v * v - u * u
+    out[..., 1, 1] = -2 * u * v
+    return out / rho4[..., None, None]
 
 
 def angle_third(q: np.ndarray) -> np.ndarray:
-    u, v = q
+    u, v = q[..., 0], q[..., 1]
     rho6 = (u * u + v * v) ** 3
     f111 = 2 * v * (v * v - 3 * u * u) / rho6
     f112 = 2 * u * (u * u - 3 * v * v) / rho6
-    out = np.empty((2, 2, 2))
-    out[0, 0, 0] = f111
-    out[0, 0, 1] = out[0, 1, 0] = out[1, 0, 0] = f112
-    out[0, 1, 1] = out[1, 0, 1] = out[1, 1, 0] = -f111
-    out[1, 1, 1] = -f112
+    out = _zeros(q, 2, 2, 2)
+    out[..., 0, 0, 0] = f111
+    out[..., 0, 0, 1] = out[..., 0, 1, 0] = out[..., 1, 0, 0] = f112
+    out[..., 0, 1, 1] = out[..., 1, 0, 1] = out[..., 1, 1, 0] = -f111
+    out[..., 1, 1, 1] = -f112
     return out
 
 
 def flat_cartesian(d: int = 2) -> Geometry:
     d = int(d)
-    eye = np.eye(d)
-    zeros1 = np.zeros((d, d, d))
-    zeros2 = np.zeros((d, d, d, d))
-    field = TriadField(d, lambda q: eye, lambda q: zeros1, lambda q: zeros2, holonomic=True, name="flat-cartesian")
-    geom = Geometry(field)
-    geom.name = "flat-cartesian"
-    geom.params = {"d": d}
-    geom.topology = "line" if d == 1 else None
-    geom.torsion_free = True
-    geom.sample_box = [(-2.0, 2.0)] * d
-    return geom
+    field = TriadField(d, _constant(np.eye(d)), _constant(np.zeros((d,) * 3)), _constant(np.zeros((d,) * 4)),
+                       holonomic=True, name="flat-cartesian")
+    return Geometry(field, name="flat-cartesian", params={"d": d}, topology="line" if d == 1 else None,
+                    torsion_free=True, sample_box=[(-2.0, 2.0)] * d)
 
 
 def polar() -> Geometry:
     def evaluate(q):
-        r, phi = q
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([[c, -r * s], [s, r * c]])
+        r, phi = q[..., 0], q[..., 1]
+        c, s = np.cos(phi), np.sin(phi)
+        e = _zeros(q, 2, 2)
+        e[..., 0, 0], e[..., 0, 1], e[..., 1, 0], e[..., 1, 1] = c, -r * s, s, r * c
+        return e
 
     def d_evaluate(q):
-        r, phi = q
-        c, s = math.cos(phi), math.sin(phi)
-        de = np.zeros((2, 2, 2))
-        de[:, :, 0] = [[0.0, -s], [0.0, c]]
-        de[:, :, 1] = [[-s, -r * c], [c, -r * s]]
+        r, phi = q[..., 0], q[..., 1]
+        c, s = np.cos(phi), np.sin(phi)
+        de = _zeros(q, 2, 2, 2)
+        de[..., 0, 1, 0] = de[..., 0, 0, 1] = -s
+        de[..., 1, 1, 0] = de[..., 1, 0, 1] = c
+        de[..., 0, 1, 1] = -r * c
+        de[..., 1, 1, 1] = -r * s
         return de
 
     def dd_evaluate(q):
-        r, phi = q
-        c, s = math.cos(phi), math.sin(phi)
-        dde = np.zeros((2, 2, 2, 2))
-        m_rphi = np.array([[0.0, -c], [0.0, -s]])
-        dde[:, :, 0, 1] = m_rphi
-        dde[:, :, 1, 0] = m_rphi
-        dde[:, :, 1, 1] = [[-c, r * s], [-s, -r * c]]
+        r, phi = q[..., 0], q[..., 1]
+        c, s = np.cos(phi), np.sin(phi)
+        dde = _zeros(q, 2, 2, 2, 2)
+        dde[..., 0, 1, 0, 1] = dde[..., 0, 1, 1, 0] = -c
+        dde[..., 1, 1, 0, 1] = dde[..., 1, 1, 1, 0] = -s
+        dde[..., 0, 0, 1, 1] = -c
+        dde[..., 0, 1, 1, 1] = r * s
+        dde[..., 1, 0, 1, 1] = -s
+        dde[..., 1, 1, 1, 1] = -r * c
         return dde
 
     field = TriadField(2, evaluate, d_evaluate, dd_evaluate, holonomic=True, name="polar")
-    geom = Geometry(field)
-    geom.name = "polar"
-    geom.params = {}
-    geom.torsion_free = True
-    geom.sample_box = [(0.5, 3.0), (0.0, TWO_PI)]
-    return geom
+    return Geometry(field, name="polar", torsion_free=True, sample_box=[(0.5, 3.0), (0.0, TWO_PI)])
 
 
 def sphere(a: float = 1.0) -> Geometry:
@@ -124,45 +132,35 @@ def sphere(a: float = 1.0) -> Geometry:
     a2 = a * a
 
     def metric(q):
-        s = math.sin(q[0])
-        return np.array([[a2, 0.0], [0.0, a2 * s * s]])
+        s = np.sin(q[..., 0])
+        g = _zeros(q, 2, 2)
+        g[..., 0, 0] = a2
+        g[..., 1, 1] = a2 * s * s
+        return g
 
     def d_metric(q):
-        th = q[0]
-        dg = np.zeros((2, 2, 2))
-        dg[1, 1, 0] = 2 * a2 * math.sin(th) * math.cos(th)
+        th = q[..., 0]
+        dg = _zeros(q, 2, 2, 2)
+        dg[..., 1, 1, 0] = 2 * a2 * np.sin(th) * np.cos(th)
         return dg
 
     def dd_metric(q):
-        th = q[0]
-        ddg = np.zeros((2, 2, 2, 2))
-        ddg[1, 1, 0, 0] = 2 * a2 * math.cos(2 * th)
+        ddg = _zeros(q, 2, 2, 2, 2)
+        ddg[..., 1, 1, 0, 0] = 2 * a2 * np.cos(2 * q[..., 0])
         return ddg
 
     field = MetricField(2, metric, d_metric, dd_metric, diagonal=True, name="sphere")
-    geom = Geometry(field)
-    geom.name = "sphere"
-    geom.params = {"a": float(a)}
-    geom.topology = "sphere"
-    geom.torsion_free = True
-    geom.sample_box = [(0.3, math.pi - 0.3), (0.0, TWO_PI)]
-    return geom
+    return Geometry(field, name="sphere", params={"a": float(a)}, topology="sphere", torsion_free=True,
+                    sample_box=[(0.3, math.pi - 0.3), (0.0, TWO_PI)])
 
 
 def circle(a: float = 1.0) -> Geometry:
     if a <= 0:
         raise ValidationError("circle: radius a must be positive")
-    mat = np.array([[float(a)]])
-    z1 = np.zeros((1, 1, 1))
-    z2 = np.zeros((1, 1, 1, 1))
-    field = TriadField(1, lambda q: mat, lambda q: z1, lambda q: z2, holonomic=True, name="circle")
-    geom = Geometry(field)
-    geom.name = "circle"
-    geom.params = {"a": float(a)}
-    geom.topology = "circle"
-    geom.torsion_free = True
-    geom.sample_box = [(0.0, TWO_PI)]
-    return geom
+    field = TriadField(1, _constant(np.array([[float(a)]])), _constant(np.zeros((1, 1, 1))),
+                       _constant(np.zeros((1, 1, 1, 1))), holonomic=True, name="circle")
+    return Geometry(field, name="circle", params={"a": float(a)}, topology="circle", torsion_free=True,
+                    sample_box=[(0.0, TWO_PI)])
 
 
 def dislocation(epsilon: float = 0.01) -> Geometry:
@@ -170,25 +168,26 @@ def dislocation(epsilon: float = 0.01) -> Geometry:
 
     def evaluate(q):
         grad = angle_gradient(q)
-        return np.array([[1.0, 0.0], [coeff * grad[0], 1.0 + coeff * grad[1]]])
+        e = _zeros(q, 2, 2)
+        e[..., 0, 0] = 1.0
+        e[..., 1, 0] = coeff * grad[..., 0]
+        e[..., 1, 1] = 1.0 + coeff * grad[..., 1]
+        return e
 
     def d_evaluate(q):
-        de = np.zeros((2, 2, 2))
-        de[1] = coeff * angle_hessian(q)
+        de = _zeros(q, 2, 2, 2)
+        de[..., 1, :, :] = coeff * angle_hessian(q)
         return de
 
     def dd_evaluate(q):
-        dde = np.zeros((2, 2, 2, 2))
-        dde[1] = coeff * angle_third(q)
+        dde = _zeros(q, 2, 2, 2, 2)
+        dde[..., 1, :, :, :] = coeff * angle_third(q)
         return dde
 
     field = TriadField(2, evaluate, d_evaluate, dd_evaluate, holonomic=False, name="dislocation")
-    geom = Geometry(field)
-    geom.name = "dislocation"
-    geom.params = {"epsilon": float(epsilon)}
-    geom.torsion_free = True  # pointwise, away from the origin
-    geom.sample_box = [(0.4, 2.4), (0.4, 2.4)]
-    return geom
+    # torsion-free pointwise, away from the origin
+    return Geometry(field, name="dislocation", params={"epsilon": float(epsilon)}, torsion_free=True,
+                    sample_box=[(0.4, 2.4), (0.4, 2.4)])
 
 
 def disclination(omega: float = 0.05, *, omega_bound: float = 0.1) -> Geometry:
@@ -197,50 +196,40 @@ def disclination(omega: float = 0.05, *, omega_bound: float = 0.1) -> Geometry:
     om = float(omega)
     eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def w_of(q):
-        return np.array([q[1], -q[0]])
+    # eps_pair[m, n, s, t] = eps2[m, s] eps2[n, t] + eps2[m, t] eps2[n, s]
+    eps_pair = np.einsum("ms,nt->mnst", eps2, eps2) + np.einsum("mt,ns->mnst", eps2, eps2)
+    delta = np.eye(2)
+
+    def parts(q):
+        """|q|^2, w w^T with w = (q2, -q1), and sym[..., m, n, s] = eps2[m, s] w[n] + w[m] eps2[n, s]."""
+        w = np.stack([q[..., 1], -q[..., 0]], axis=-1)
+        rho2 = np.einsum("...k,...k->...", q, q)[..., None, None]
+        ew = eps2[:, None, :] * w[..., None, :, None]  # [m, n, s] = eps2[m, s] w[n]
+        return rho2, w[..., :, None] * w[..., None, :], ew + np.swapaxes(ew, -3, -2)
 
     def metric(q):
-        w = w_of(q)
-        rho2 = float(q @ q)
-        return np.eye(2) - (2 * om / rho2) * np.outer(w, w)
+        rho2, ww, _ = parts(q)
+        return np.eye(2) - (2 * om / rho2) * ww
 
     def d_metric(q):
-        w = w_of(q)
-        rho2 = float(q @ q)
-        ww = np.outer(w, w)
-        dg = np.zeros((2, 2, 2))
-        for s in range(2):
-            es = eps2[:, s]
-            dg[:, :, s] = -2 * om * (
-                (np.outer(es, w) + np.outer(w, es)) / rho2 - 2 * q[s] * ww / rho2**2
-            )
-        return dg
+        rho2, ww, sym = parts(q)
+        r2 = rho2[..., None]
+        return -2 * om * (sym / r2 - 2 * q[..., None, None, :] * ww[..., None] / r2**2)
 
     def dd_metric(q):
-        w = w_of(q)
-        rho2 = float(q @ q)
-        ww = np.outer(w, w)
-        ddg = np.zeros((2, 2, 2, 2))
-        for s in range(2):
-            es = eps2[:, s]
-            for t in range(2):
-                et = eps2[:, t]
-                term = (np.outer(es, et) + np.outer(et, es)) / rho2
-                term -= 2 * q[t] * (np.outer(es, w) + np.outer(w, es)) / rho2**2
-                term -= 2 * (1.0 if s == t else 0.0) * ww / rho2**2
-                term -= 2 * q[s] * (np.outer(et, w) + np.outer(w, et)) / rho2**2
-                term += 8 * q[s] * q[t] * ww / rho2**3
-                ddg[:, :, s, t] = -2 * om * term
-        return ddg
+        rho2, ww, sym = parts(q)
+        r2, ww4 = rho2[..., None, None], ww[..., None, None]
+        qs, qt = q[..., None, None, :, None], q[..., None, None, None, :]
+        term = eps_pair / r2
+        term = term - 2 * qt * sym[..., None] / r2**2
+        term = term - 2 * delta * ww4 / r2**2
+        term = term - 2 * qs * sym[..., None, :] / r2**2
+        term = term + 8 * qs * qt * ww4 / r2**3
+        return -2 * om * term
 
     field = MetricField(2, metric, d_metric, dd_metric, diagonal=False, name="disclination")
-    geom = Geometry(field)
-    geom.name = "disclination"
-    geom.params = {"omega": om}
-    geom.torsion_free = True
-    geom.sample_box = [(0.4, 2.4), (0.4, 2.4)]
-    return geom
+    return Geometry(field, name="disclination", params={"omega": om}, torsion_free=True,
+                    sample_box=[(0.4, 2.4), (0.4, 2.4)])
 
 
 def torsion_toy(s0: float = 0.3) -> Geometry:
@@ -248,18 +237,16 @@ def torsion_toy(s0: float = 0.3) -> Geometry:
         raise ValidationError("torsion-toy: |s0| must be below 1 to keep the triad invertible")
     t = float(s0) * _TOY_PATTERN
 
-    def evaluate(q):
-        return np.eye(2) + t @ np.asarray(q, dtype=float)
+    eye = np.eye(2)
 
-    d_const = t.copy()
-    dd_const = np.zeros((2, 2, 2, 2))
-    field = TriadField(2, evaluate, lambda q: d_const, lambda q: dd_const, holonomic=False, name="torsion-toy")
-    geom = Geometry(field)
-    geom.name = "torsion-toy"
-    geom.params = {"s0": float(s0)}
-    geom.torsion_free = False
-    geom.sample_box = [(-0.5, 0.5), (-0.5, 0.5)]
-    return geom
+    def evaluate(q):
+        # e^i_mu = delta + t[i, mu, nu] q^nu; einsum rounds a point and a stack alike
+        return eye + np.einsum("...n,imn->...im", q, t)
+
+    field = TriadField(2, evaluate, _constant(t), _constant(np.zeros((2, 2, 2, 2))), holonomic=False,
+                       name="torsion-toy")
+    return Geometry(field, name="torsion-toy", params={"s0": float(s0)}, torsion_free=False,
+                    sample_box=[(-0.5, 0.5), (-0.5, 0.5)])
 
 
 _REGISTRY: Dict[str, tuple[Callable[..., Geometry], dict]] = {

@@ -36,7 +36,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ParseError, SpectrumUnresolved, TorsionGeoError, ValidationError
+from .errors import ConfigError, NonFiniteResult, ParseError, SpectrumUnresolved, TorsionGeoError, ValidationError
 
 COMMANDS = ("geom", "traj", "defect", "propagate", "compare-measures")
 
@@ -112,10 +112,17 @@ def load_config(path) -> RunConfig:
     options = {k: raw[k] for k in _COMMAND_KEYS[command] if k in raw}
     _validate_options(command, options)
     try:
-        catalog.make(geometry, **geometry_params)
+        geom = catalog.make(geometry, **geometry_params)
     except ValidationError as exc:
         raise ValidationError(str(exc)) from exc
+    if "points" in options:
+        _require(all(isinstance(p, list) and len(p) == geom.dim and all(_is_number(x) for x in p)
+                     for p in options["points"]), "points", f"must be a list of {geom.dim}-component numeric points")
     return RunConfig(geometry, geometry_params, command, options, raw)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _validate_options(command: str, options: dict) -> None:
@@ -180,27 +187,22 @@ def _run_geom(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     geom = catalog.make(config.geometry, **config.geometry_params)
     opts = config.options
     if "points" in opts:
-        points = [np.asarray(p, dtype=float) for p in opts["points"]]
+        points = np.array(opts["points"], dtype=float)
     else:
-        rng = np.random.default_rng(seed)
-        points = list(geom.random_points(int(opts.get("n_points", 5)), rng))
-    rows = []
-    for q in points:
-        pt = geom.at(q)
-        row = {
-            "point": q,
-            "metric": pt.metric,
-            "sqrt_det": pt.sqrt_metric,
-            "christoffel": pt.christoffel,
-            "scalar_riemann": pt.scalar_riemann,
-        }
+        points = geom.random_points(int(opts.get("n_points", 5)), np.random.default_rng(seed))
+    # one stacked bundle; overflow shows up as non-finite entries, reported below
+    with np.errstate(all="ignore"):
+        pt = geom.batch(points)
+        columns = {"point": points, "metric": pt.metric, "sqrt_det": pt.sqrt_metric,
+                   "christoffel": pt.christoffel, "scalar_riemann": pt.scalar_riemann}
         if not geom.metric_only:
-            row["triad"] = pt.triad
-            row["affine"] = pt.affine
-            row["torsion"] = pt.torsion
-            row["contortion"] = pt.contortion
-            row["scalar_affine"] = pt.scalar
-        rows.append(row)
+            columns.update(triad=pt.triad, affine=pt.affine, torsion=pt.torsion, contortion=pt.contortion,
+                           scalar_affine=pt.scalar)
+    for key, values in columns.items():
+        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+        if not finite.all():
+            raise NonFiniteResult(f"geom: {key} is not finite at point {points[~finite][0].tolist()}")
+    rows = [{key: values[k] for key, values in columns.items()} for k in range(len(points))]
     return {"command": "geom", "geometry": config.geometry, "points": rows}
 
 

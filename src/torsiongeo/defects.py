@@ -124,7 +124,7 @@ def burgers_vector(defect: DefectGeometry, contour: Contour) -> np.ndarray:
     if defect.kind != "dislocation":
         raise ValidationError("burgers_vector needs a dislocation defect")
     pts = contour.points
-    triads = np.stack([defect.geometry.at(p).triad for p in pts])  # (K+1, 2, 2)
+    triads = defect.geometry.batch(pts).triad  # (K+1, 2, 2)
     dq = np.diff(pts, axis=0)  # (K, 2)
     avg = 0.5 * (triads[:-1] + triads[1:])
     return np.einsum("kim,km->i", avg, dq)

@@ -51,10 +51,7 @@ class Trajectory:
 
     def kinetic_invariant(self) -> np.ndarray:
         """g_munu qd^mu qd^nu along the path; constant for both line kinds."""
-        vals = np.empty(len(self.t))
-        for k, (qk, vk) in enumerate(zip(self.q, self.v)):
-            vals[k] = vk @ self.geometry.at(qk).metric @ vk
-        return vals
+        return np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)
 
 
 @dataclass
@@ -136,7 +133,7 @@ def integrate_trajectory(
         k4q, k4v = rhs(q + dt * k3q, v + dt * k3v)
         q = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        scale = chart_scale(q)
+        scale = chart_scale(q)  # Geometry.at keeps this bundle for the next step's k1
         if abs(scale) < singular_tol or scale * scale0 < 0.0:
             raise ChartSingularity(f"chart became singular near q={q.tolist()} at t={ts[k + 1]:.6g}")
         qs[k + 1], vs[k + 1] = q, v
@@ -186,16 +183,10 @@ def modified_el_residual(geom: Geometry, traj: Trajectory, mass: float) -> np.nd
 
     Autoparallels zero this residual; geodesics leave the torsion force.
     """
-    n = len(traj.t)
-    dLdq = np.empty((n, geom.dim))
-    p = np.empty((n, geom.dim))
-    torsion_term = np.empty((n, geom.dim))
-    for k in range(n):
-        pt = geom.at(traj.q[k])
-        vk = traj.v[k]
-        dLdq[k] = 0.5 * mass * np.einsum("mns,m,n->s", pt.d_metric, vk, vk)
-        p[k] = mass * pt.metric @ vk
-        torsion_term[k] = 2.0 * np.einsum("lmn,m,n->l", pt.torsion, vk, p[k])
+    pt, v = geom.batch(traj.q), traj.v
+    dLdq = 0.5 * mass * np.einsum("kmns,km,kn->ks", pt.d_metric, v, v)
+    p = mass * np.einsum("kmn,kn->km", pt.metric, v)
+    torsion_term = 2.0 * np.einsum("klmn,km,kn->kl", pt.torsion, v, p)
     dp_dt = _time_derivative(p, traj.dt)
     res = dLdq - dp_dt - torsion_term
     return res[2:-2]
@@ -203,12 +194,8 @@ def modified_el_residual(geom: Geometry, traj: Trajectory, mass: float) -> np.nd
 
 def torsion_force(geom: Geometry, traj: Trajectory, mass: float) -> np.ndarray:
     """The torsion contribution 2 M S_{l m n} qd^m qd^n, evaluated directly."""
-    out = np.empty((len(traj.t), geom.dim))
-    for k in range(len(traj.t)):
-        pt = geom.at(traj.q[k])
-        vk = traj.v[k]
-        out[k] = 2.0 * mass * np.einsum("lmn,m,n->l", pt.torsion_first, vk, vk)
-    return out
+    v = traj.v
+    return 2.0 * mass * np.einsum("klmn,km,kn->kl", geom.batch(traj.q).torsion_first, v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +204,10 @@ def torsion_force(geom: Geometry, traj: Trajectory, mass: float) -> np.ndarray:
 
 
 def _orbit_matrices(geom: Geometry, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    n, d = traj.q.shape
-    G = np.empty((n, d, d))
-    Sigma = np.empty((n, d, d))
-    for k in range(n):
-        pt = geom.at(traj.q[k])
-        vk = traj.v[k]
-        # G^m_l = Gamma_{l n}^m qd^n ; Sigma^m_n = 2 S_{l n}^m qd^l
-        G[k] = np.einsum("lnm,n->ml", pt.affine, vk)
-        Sigma[k] = 2.0 * np.einsum("lnm,l->mn", pt.torsion, vk)
+    pt = geom.batch(traj.q)
+    # G^m_l = Gamma_{l n}^m qd^n ; Sigma^m_n = 2 S_{l n}^m qd^l
+    G = np.einsum("klnm,kn->kml", pt.affine, traj.v)
+    Sigma = 2.0 * np.einsum("klnm,kl->kmn", pt.torsion, traj.v)
     return G, Sigma
 
 
@@ -238,7 +220,8 @@ def _check_variation_grid(traj: Trajectory, dq: np.ndarray) -> np.ndarray:
     return dq
 
 
-def _interp(values: np.ndarray, idx: int, frac: float) -> np.ndarray:
+def _interp(values: np.ndarray, idx, frac: float) -> np.ndarray:
+    """Linear interpolation at fraction ``frac`` of step ``idx`` (an index or an index array)."""
     if frac == 0.0:
         return values[idx]
     return (1.0 - frac) * values[idx] + frac * values[idx + 1]
@@ -282,9 +265,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     return scipy_expm(a)
 
 
-def _step_generator(G: np.ndarray, k: int, dt: float, order: int, lo: float = 0.0) -> np.ndarray:
+def _step_generator(G: np.ndarray, k, dt: float, order: int, lo: float = 0.0) -> np.ndarray:
     """Exponent of the ordered product U(t_{k+1}, t_k + lo dt) over the tail [lo, 1] of step k:
-    the midpoint rule at order 2, the two-node Gauss (fourth-order Magnus) generator at order 4."""
+    the midpoint rule at order 2, the two-node Gauss (fourth-order Magnus) generator at order 4.
+    ``k`` may be an index array, which gives the stack of generators of those steps."""
     span = 1.0 - lo
     h = span * dt
     if order == 2:
@@ -292,6 +276,11 @@ def _step_generator(G: np.ndarray, k: int, dt: float, order: int, lo: float = 0.
     a1 = -_interp(G, k, lo + span * _GAUSS_NODES[0])
     a2 = -_interp(G, k, lo + span * _GAUSS_NODES[1])
     return 0.5 * h * (a1 + a2) + (np.sqrt(3.0) / 12.0) * h**2 * (a2 @ a1 - a1 @ a2)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products a[k] @ x[k]."""
+    return (a @ x[..., None])[..., 0]
 
 
 def variation_closed_form(geom: Geometry, traj: Trajectory, dq, *, order: int = 4) -> np.ndarray:
@@ -303,7 +292,8 @@ def variation_closed_form(geom: Geometry, traj: Trajectory, dq, *, order: int = 
     with U built from per-substep matrix exponentials (scaling-and-squaring).
     ``order=2`` uses the plain midpoint exponential and midpoint quadrature
     (second-order, Richardson-checkable); ``order=4`` uses two-node Gauss
-    generators and Gauss quadrature of the source term.
+    generators and Gauss quadrature of the source term.  The exponentials of
+    every step are taken in one stacked call; only the recurrence is serial.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
@@ -311,21 +301,25 @@ def variation_closed_form(geom: Geometry, traj: Trajectory, dq, *, order: int = 
     G, Sigma = _orbit_matrices(geom, traj)
     n, d = dq.shape
     dt = traj.dt
+    steps = np.arange(n - 1)
+    if order == 2:
+        # full step, and U(t_{k+1}, t_k + dt / 2) for the midpoint source
+        nodes = (0.5,)
+        tails = [-_interp(G, steps, 0.75) * (0.5 * dt)]
+        weight = dt
+    else:
+        # full step, and U(t_{k+1}, t_k + c dt) at both Gauss nodes of the source quadrature
+        nodes = _GAUSS_NODES
+        tails = [_step_generator(G, steps, dt, order, lo=c) for c in nodes]
+        weight = 0.5 * dt
+    exps = expm(np.concatenate([_step_generator(G, steps, dt, order)] + tails)).reshape(-1, n - 1, d, d)
+    src = 0.0
+    for U_tail, c in zip(exps[1:], nodes):
+        src = src + weight * _matvec(U_tail, _matvec(_interp(Sigma, steps, c), _interp(dq, steps, c)))
     db = np.zeros((n, d))
     b = np.zeros(d)
     for k in range(n - 1):
-        U_full = expm(_step_generator(G, k, dt, order))
-        if order == 2:
-            s_mid = _interp(Sigma, k, 0.5) @ _interp(dq, k, 0.5)
-            U_half = expm(-_interp(G, k, 0.75) * (0.5 * dt))
-            src = dt * (U_half @ s_mid)
-        else:
-            src = np.zeros(d)
-            for c in _GAUSS_NODES:
-                # U(t_{k+1}, t_k + c dt): ordered product over the tail of the step
-                tail = _step_generator(G, k, dt, order, lo=c)
-                src += 0.5 * dt * (expm(tail) @ (_interp(Sigma, k, c) @ _interp(dq, k, c)))
-        b = U_full @ b + src
+        b = exps[0, k] @ b + src[k]
         db[k + 1] = b
     return db
 
@@ -339,8 +333,9 @@ def time_ordered_propagator(G: np.ndarray, dt: float, *, order: int = 4) -> np.n
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
     U = np.eye(G.shape[1])
-    for k in range(len(G) - 1):
-        U = expm(_step_generator(G, k, dt, order)) @ U
+    if len(G) > 1:
+        for step in expm(_step_generator(G, np.arange(len(G) - 1), dt, order)):
+            U = step @ U
     return U
 
 

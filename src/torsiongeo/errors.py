@@ -57,6 +57,10 @@ class SpectrumUnresolved(TorsionGeoError):
     """Fewer positive transfer-matrix eigenvalues than requested levels."""
 
 
+class NonFiniteResult(TorsionGeoError):
+    """A computed quantity overflowed or became undefined (inf or NaN)."""
+
+
 class TorsionPresentWarning(UserWarning):
     """Torsion-free closed form applied at a point with nonzero torsion."""
 

@@ -14,6 +14,13 @@ the comma convention (partial-derivative indices appended last):
   with the matrix commutator subtracted; ``curvature_riemann`` is the same
   curl of the Christoffel symbol.
 
+One :class:`PointGeometry` serves both shapes: ``Geometry.at(q)`` takes a
+``(D,)`` point (batch shape ``()``), ``Geometry.batch(points)`` an ``(n, D)``
+stack, whose tensors carry a leading ``n`` axis and scalars are ``(n,)``
+arrays, from one stacked field evaluation.  ``at`` remembers the last point's
+bundle (so the wrappers below, and an RK4 step and the next step's first
+stage, share one); ``batch`` keeps nothing.
+
 Raising and lowering is never implicit; use :func:`raise_last` /
 :func:`lower_last` or the ``*_first`` properties.
 
@@ -37,13 +44,19 @@ Field = Union[TriadField, MetricField]
 
 
 def lower_last(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Lower the last index of ``tensor`` with the metric ``g``."""
-    return np.tensordot(tensor, g, axes=([-1], [0]))
+    """Lower the last index of ``tensor`` with the metric ``g`` (``tensor @ g``; a stack
+    of rank-3 tensors takes its stack of metrics as ``g[..., None, :, :]``)."""
+    return tensor @ g
 
 
 def raise_last(tensor: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-    """Raise the last index of ``tensor`` with the inverse metric."""
-    return np.tensordot(tensor, g_inv, axes=([-1], [0]))
+    """Raise the last index of ``tensor`` with the inverse metric (``tensor @ g_inv``)."""
+    return tensor @ g_inv
+
+
+def _scalar(value):
+    """A Python float at a single point, the (n,) array on a stack."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass
@@ -64,7 +77,9 @@ class TensorValue:
 
 
 class PointGeometry:
-    """Lazy per-point cache of every derived geometric quantity."""
+    """Lazily derived geometric quantities at a point ``q`` (D,) or at every
+    point of a stack ``q`` (n, D); tensors carry the batch axes ``q.shape[:-1]``
+    in front of their own."""
 
     def __init__(self, geometry: "Geometry", q: np.ndarray):
         self.geometry = geometry
@@ -73,6 +88,14 @@ class PointGeometry:
     @property
     def dim(self) -> int:
         return self.geometry.dim
+
+    def _zeros(self, rank: int) -> np.ndarray:
+        return np.zeros(self.q.shape[:-1] + (self.dim,) * rank)
+
+    def _fd(self, quantity: Callable[["PointGeometry"], np.ndarray]) -> np.ndarray:
+        """Central differences of a derived quantity, one bundle per shifted copy of the stack."""
+        geom = self.geometry
+        return _central_diff(lambda p: quantity(PointGeometry(geom, p)), self.q, geom.conn_fd_step)
 
     # -- triad level -------------------------------------------------------
 
@@ -83,7 +106,7 @@ class PointGeometry:
     @cached_property
     def triad_inverse(self) -> np.ndarray:
         # einv[i, mu] = e_i^mu, so that sum_i einv[i, mu] e[i, nu] = delta.
-        return np.linalg.inv(self.triad).T
+        return np.swapaxes(np.linalg.inv(self.triad), -1, -2)
 
     @cached_property
     def d_triad(self) -> np.ndarray:
@@ -96,7 +119,7 @@ class PointGeometry:
     @cached_property
     def d_triad_inverse(self) -> np.ndarray:
         # partial_l e_i^m = -e_j^m e^j_{r,l} e_i^r
-        return -np.einsum("jm,jrl,ir->iml", self.triad_inverse, self.d_triad, self.triad_inverse)
+        return -np.einsum("...jm,...jrl,...ir->...iml", self.triad_inverse, self.d_triad, self.triad_inverse)
 
     # -- metric level ------------------------------------------------------
 
@@ -105,56 +128,51 @@ class PointGeometry:
         if self.geometry.metric_only:
             return self.geometry.field.metric(self.q)
         e = self.triad
-        return e.T @ e
+        return np.swapaxes(e, -1, -2) @ e
 
     @cached_property
     def metric_inverse(self) -> np.ndarray:
         return np.linalg.inv(self.metric)
 
     @cached_property
-    def det_metric(self) -> float:
-        return float(np.linalg.det(self.metric))
+    def det_metric(self):
+        return _scalar(np.linalg.det(self.metric))
 
     @cached_property
-    def sqrt_metric(self) -> float:
-        return float(np.sqrt(self.det_metric))
+    def sqrt_metric(self):
+        return _scalar(np.sqrt(self.det_metric))
 
     @cached_property
     def d_metric(self) -> np.ndarray:
         if self.geometry.metric_only:
             return self.geometry.field.d_metric(self.q)
-        e, de = self.triad, self.d_triad
-        return np.einsum("ims,in->mns", de, e) + np.einsum("im,ins->mns", e, de)
+        a = np.einsum("...ims,...in->...mns", self.d_triad, self.triad)  # e^i_{m,s} e^i_n
+        return a + np.swapaxes(a, -3, -2)
 
     @cached_property
     def dd_metric(self) -> np.ndarray:
         if self.geometry.metric_only:
             return self.geometry.field.dd_metric(self.q)
-        e, de, dde = self.triad, self.d_triad, self.dd_triad
-        return (
-            np.einsum("imst,in->mnst", dde, e)
-            + np.einsum("ims,int->mnst", de, de)
-            + np.einsum("imt,ins->mnst", de, de)
-            + np.einsum("im,inst->mnst", e, dde)
-        )
+        # e^i_{m,st} e^i_n + e^i_{m,s} e^i_{n,t}, plus the second with s <-> t and the first with m <-> n
+        a = np.einsum("...imst,...in->...mnst", self.dd_triad, self.triad)
+        b = np.einsum("...ims,...int->...mnst", self.d_triad, self.d_triad)
+        return a + b + np.swapaxes(b, -2, -1) + np.swapaxes(a, -4, -3)
 
     @cached_property
     def d_metric_inverse(self) -> np.ndarray:
         gi, dg = self.metric_inverse, self.d_metric
-        return -np.einsum("ma,abs,bn->mns", gi, dg, gi)
+        return -np.einsum("...ma,...abs,...bn->...mns", gi, dg, gi)
 
     # -- connections -------------------------------------------------------
 
     @cached_property
     def christoffel_first(self) -> np.ndarray:
         dg = self.d_metric
-        return 0.5 * (
-            np.einsum("bca->abc", dg) + np.einsum("acb->abc", dg) - np.einsum("abc->abc", dg)
-        )
+        return 0.5 * (np.einsum("...bca->...abc", dg) + np.einsum("...acb->...abc", dg) - dg)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return raise_last(self.christoffel_first, self.metric_inverse)
+        return raise_last(self.christoffel_first, self.metric_inverse[..., None, :, :])
 
     @cached_property
     def affine(self) -> np.ndarray:
@@ -162,43 +180,43 @@ class PointGeometry:
         metric-only geometries (torsion-free by construction)."""
         if self.geometry.metric_only:
             return self.christoffel
-        return np.einsum("ic,iba->abc", self.triad_inverse, self.d_triad)
+        return np.einsum("...ic,...iba->...abc", self.triad_inverse, self.d_triad)
 
     @cached_property
     def affine_from_inverse(self) -> np.ndarray:
         """Alternative form Gamma_{ab}^c = -e^i_b partial_a e_i^c."""
         if self.geometry.metric_only:
             return self.christoffel
-        return -np.einsum("ib,ica->abc", self.triad, self.d_triad_inverse)
+        return -np.einsum("...ib,...ica->...abc", self.triad, self.d_triad_inverse)
 
     @cached_property
     def affine_first(self) -> np.ndarray:
-        return lower_last(self.affine, self.metric)
+        return lower_last(self.affine, self.metric[..., None, :, :])
 
     @cached_property
     def torsion(self) -> np.ndarray:
         if self.geometry.metric_only:
-            return np.zeros((self.dim,) * 3)
+            return self._zeros(3)
         c = self.affine
-        return 0.5 * (c - np.swapaxes(c, 0, 1))
+        return 0.5 * (c - np.swapaxes(c, -3, -2))
 
     @cached_property
     def torsion_first(self) -> np.ndarray:
-        return lower_last(self.torsion, self.metric)
+        return lower_last(self.torsion, self.metric[..., None, :, :])
 
     @cached_property
     def torsion_trace(self) -> np.ndarray:
         """S_a = S_{ab}^b."""
-        return np.einsum("abb->a", self.torsion)
+        return np.einsum("...abb->...a", self.torsion)
 
     @cached_property
     def contortion_first(self) -> np.ndarray:
         s = self.torsion_first
-        return s - np.einsum("bca->abc", s) + np.einsum("cab->abc", s)
+        return s - np.einsum("...bca->...abc", s) + np.einsum("...cab->...abc", s)
 
     @cached_property
     def contortion(self) -> np.ndarray:
-        return raise_last(self.contortion_first, self.metric_inverse)
+        return raise_last(self.contortion_first, self.metric_inverse[..., None, :, :])
 
     # -- connection derivatives --------------------------------------------
 
@@ -209,37 +227,35 @@ class PointGeometry:
             return self.d_christoffel
         if self.geometry.field.analytic:
             dei, de, dde = self.d_triad_inverse, self.d_triad, self.dd_triad
-            return np.einsum("ics,iba->abcs", dei, de) + np.einsum(
-                "ic,ibas->abcs", self.triad_inverse, dde
+            return np.einsum("...ics,...iba->...abcs", dei, de) + np.einsum(
+                "...ic,...ibas->...abcs", self.triad_inverse, dde
             )
-        return self.geometry._fd_of(lambda p: self.geometry.at(p, cache=False).affine, self.q)
+        return self._fd(lambda pt: pt.affine)
 
     @cached_property
     def d_christoffel(self) -> np.ndarray:
         if self.geometry.metric_only and not self.geometry.field.analytic:
-            return self.geometry._fd_of(lambda p: self.geometry.at(p, cache=False).christoffel, self.q)
+            return self._fd(lambda pt: pt.christoffel)
         ddg = self.dd_metric
-        d_first = 0.5 * (
-            np.einsum("bcas->abcs", ddg) + np.einsum("acbs->abcs", ddg) - np.einsum("abcs->abcs", ddg)
-        )
-        return np.einsum("cds,abd->abcs", self.d_metric_inverse, self.christoffel_first) + np.einsum(
-            "cd,abds->abcs", self.metric_inverse, d_first
+        d_first = 0.5 * (np.einsum("...bcas->...abcs", ddg) + np.einsum("...acbs->...abcs", ddg) - ddg)
+        return np.einsum("...cds,...abd->...abcs", self.d_metric_inverse, self.christoffel_first) + np.einsum(
+            "...cd,...abds->...abcs", self.metric_inverse, d_first
         )
 
     @cached_property
     def d_contortion(self) -> np.ndarray:
         if self.geometry.metric_only:
-            return np.zeros((self.dim,) * 4)
+            return self._zeros(4)
         if not self.geometry.field.analytic:
-            return self.geometry._fd_of(lambda p: self.geometry.at(p, cache=False).contortion, self.q)
+            return self._fd(lambda pt: pt.contortion)
         dc = self.d_affine
-        ds = 0.5 * (dc - np.swapaxes(dc, 0, 1))
-        ds_first = np.einsum("abds,dc->abcs", ds, self.metric) + np.einsum(
-            "abd,dcs->abcs", self.torsion, self.d_metric
+        ds = 0.5 * (dc - np.swapaxes(dc, -4, -3))
+        ds_first = np.einsum("...abds,...dc->...abcs", ds, self.metric) + np.einsum(
+            "...abd,...dcs->...abcs", self.torsion, self.d_metric
         )
-        dk_first = ds_first - np.einsum("bcas->abcs", ds_first) + np.einsum("cabs->abcs", ds_first)
-        return np.einsum("cds,abd->abcs", self.d_metric_inverse, self.contortion_first) + np.einsum(
-            "cd,abds->abcs", self.metric_inverse, dk_first
+        dk_first = ds_first - np.einsum("...bcas->...abcs", ds_first) + np.einsum("...cabs->...abcs", ds_first)
+        return np.einsum("...cds,...abd->...abcs", self.d_metric_inverse, self.contortion_first) + np.einsum(
+            "...cd,...abds->...abcs", self.metric_inverse, dk_first
         )
 
     # -- curvature ---------------------------------------------------------
@@ -256,80 +272,75 @@ class PointGeometry:
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return np.einsum("mnlm->nl", self.curvature)
+        return np.einsum("...mnlm->...nl", self.curvature)
 
     @cached_property
     def ricci_riemann(self) -> np.ndarray:
-        return np.einsum("mnlm->nl", self.curvature_riemann)
+        return np.einsum("...mnlm->...nl", self.curvature_riemann)
 
     @cached_property
-    def scalar(self) -> float:
-        return float(np.einsum("nl,nl->", self.metric_inverse, self.ricci))
+    def scalar(self):
+        return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci))
 
     @cached_property
-    def scalar_riemann(self) -> float:
-        return float(np.einsum("nl,nl->", self.metric_inverse, self.ricci_riemann))
+    def scalar_riemann(self):
+        return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci_riemann))
 
     @cached_property
     def einstein(self) -> np.ndarray:
         """G_munu = Rbar_munu - g_munu Rbar / 2 (diagnostic tensor only)."""
-        return self.ricci_riemann - 0.5 * self.metric * self.scalar_riemann
+        return self.ricci_riemann - 0.5 * self.metric * np.asarray(self.scalar_riemann)[..., None, None]
 
 
 def _curvature_from(conn: np.ndarray, d_conn: np.ndarray) -> np.ndarray:
-    curl = np.einsum("nlkm->mnlk", d_conn) - np.einsum("mlkn->mnlk", d_conn)
-    comm = np.einsum("mls,nsk->mnlk", conn, conn) - np.einsum("nls,msk->mnlk", conn, conn)
+    curl = np.einsum("...nlkm->...mnlk", d_conn) - np.einsum("...mlkn->...mnlk", d_conn)
+    comm = np.einsum("...mls,...nsk->...mnlk", conn, conn) - np.einsum("...nls,...msk->...mnlk", conn, conn)
     return curl - comm
 
 
 class Geometry:
     """
-    Cached evaluator bundle over a triad or metric field.
-
-    Parameters
-    ----------
-    field : TriadField or MetricField
-    cache_size : int
-        Number of distinct points whose :class:`PointGeometry` is retained
-        (simple FIFO; set 0 to disable).  The cache is only safe for
-        concurrent *readers*; disable it when points are evaluated from
-        several threads at once.
-    conn_fd_step : float
-        Step for finite differences of connections when the underlying field
-        has no analytic derivatives.
+    Evaluator bundle over a triad or metric field, with its catalog metadata:
+    ``name`` (default: the field's), factory ``params``, the propagation
+    ``topology`` (line, circle, sphere or None), ``torsion_free`` (default:
+    for metric fields) and the ``sample_box`` of :meth:`random_points`.
+    ``conn_fd_step`` is the step for finite differences of connections when
+    the field has no analytic derivatives.
     """
 
-    def __init__(self, field: Field, *, cache_size: int = 256, conn_fd_step: float = 1e-4):
+    def __init__(self, field: Field, *, name: str | None = None, params: dict | None = None,
+                 topology: str | None = None, torsion_free: bool | None = None,
+                 sample_box: list | None = None, conn_fd_step: float = 1e-4):
         self.field = field
         self.dim = field.dim
         self.metric_only = isinstance(field, MetricField)
-        self.cache_size = int(cache_size)
         self.conn_fd_step = float(conn_fd_step)
-        self._cache: dict = {}
-        # Catalog metadata, set by torsiongeo.catalog when applicable.
-        self.name = getattr(field, "name", "geometry")
-        self.params: dict = {}
-        self.topology: str | None = None
-        self.torsion_free = self.metric_only
-        self.sample_box: list | None = None
+        self.name = name if name is not None else getattr(field, "name", "geometry")
+        self.params = dict(params or {})
+        self.topology = topology
+        self.torsion_free = self.metric_only if torsion_free is None else bool(torsion_free)
+        self.sample_box = sample_box
+        self._last = None  # (bytes of q, PointGeometry) of the last point passed to at()
 
-    def at(self, q, cache: bool = True) -> PointGeometry:
+    def at(self, q) -> PointGeometry:
+        """The bundle at one point ``q`` of shape (D,); the last point's bundle is reused."""
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
             raise ValueError(f"{self.name}: point must have shape ({self.dim},), got {q.shape}")
-        if not cache or self.cache_size <= 0:
-            return PointGeometry(self, q)
         key = q.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = PointGeometry(self, q)
-            if len(self._cache) >= self.cache_size:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[key] = hit
-        return hit
+        last = self._last  # read and replaced as one tuple: a concurrent caller still gets its own point
+        if last is not None and last[0] == key:
+            return last[1]
+        pt = PointGeometry(self, q.copy())
+        self._last = (key, pt)
+        return pt
 
-    def _fd_of(self, func: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
-        return _central_diff(func, q, self.conn_fd_step)
+    def batch(self, points) -> PointGeometry:
+        """The bundle at every row of ``points`` (n, D), evaluated as one stack."""
+        points = np.array(points, dtype=float)  # a copy: the bundle is evaluated lazily
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"{self.name}: points must have shape (n, {self.dim}), got {points.shape}")
+        return PointGeometry(self, points)
 
     def random_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw points from the catalog sample box (set for catalog entries)."""
@@ -428,16 +439,10 @@ def covariant_derivative(
     # Result layout: derivative index first, then the field's own indices.
     out = np.moveaxis(partial, -1, 0)
     for slot, pos in enumerate(variance):
-        axis = slot + 1
-        if pos == "upper":
-            # + Gamma_{m s}^{n} T^{... s ...}
-            corr = np.tensordot(conn, value, axes=([1], [slot]))  # [m, n, rest]
-            corr = np.moveaxis(corr, 1, axis)
-        elif pos == "lower":
-            # - Gamma_{m n}^{s} T_{... s ...}
-            corr = -np.tensordot(conn, value, axes=([2], [slot]))  # [m, n, rest]
-            corr = np.moveaxis(corr, 1, axis)
-        else:
+        if pos not in ("upper", "lower"):
             raise ValueError("variance entries must be 'upper' or 'lower'")
-        out = out + corr
+        # upper: + Gamma_{m s}^{n} T^{... s ...}; lower: - Gamma_{m n}^{s} T_{... s ...}; both [m, n, rest]
+        corr = np.tensordot(conn, value, axes=([1], [slot])) if pos == "upper" else -np.tensordot(
+            conn, value, axes=([2], [slot]))
+        out = out + np.moveaxis(corr, 1, slot + 1)
     return TensorValue(("lower",) + tuple(variance), out, q)

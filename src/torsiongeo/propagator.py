@@ -98,32 +98,23 @@ class _CoefficientTable:
     """
 
     def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig):
-        d = geom.dim
-        n = len(points)
-        self.g = np.empty((n, d, d))
-        self.sqrt_g = np.empty(n)
-        self.t3 = np.zeros((n, d, d, d))
+        n, d = points.shape
+        pt = geom.batch(points)
+        self.g = pt.metric
+        self.sqrt_g = pt.sqrt_metric
+        self.t3 = -pt.affine_first if config.order >= 3 and config.scheme != "midpoint" else np.zeros((n, d, d, d))
         self.t4 = np.zeros((n, d, d, d, d))
-        self.dj_lin = np.zeros((n, d))
-        self.dj_quad = np.zeros((n, d, d))
-        cubic = config.order >= 3 and config.scheme != "midpoint"
-        quartic = config.order >= 4
-        for j, q in enumerate(points):
-            pt = geom.at(q)
-            self.g[j] = pt.metric
-            self.sqrt_g[j] = pt.sqrt_metric
-            if cubic:
-                self.t3[j] = -pt.affine_first
-            if quartic:
-                t4a = np.einsum("kl,mnsl->mnsk", pt.metric, _h_tensor(pt)) / 3.0
-                if config.scheme == "midpoint":
-                    self.t4[j] = 0.25 * t4a
-                else:
-                    self.t4[j] = t4a + 0.25 * np.einsum("mnt,skt->mnsk", pt.affine_first, pt.affine)
-            if config.measure == "qep":
-                delta = delta_jacobian_action(geom, q)
-                self.dj_lin[j] = delta.linear
-                self.dj_quad[j] = delta.quadratic
+        if config.order >= 4:
+            t4a = np.einsum("jkl,jmnsl->jmnsk", pt.metric, _h_tensor(pt)) / 3.0
+            if config.scheme == "midpoint":
+                self.t4 = 0.25 * t4a
+            else:
+                self.t4 = t4a + 0.25 * np.einsum("jmnt,jskt->jmnsk", pt.affine_first, pt.affine)
+        if config.measure == "qep":
+            delta = delta_jacobian_action(geom, points)
+            self.dj_lin, self.dj_quad = delta.linear, delta.quadratic
+        else:
+            self.dj_lin, self.dj_quad = np.zeros((n, d)), np.zeros((n, d, d))
 
     def terms(self):
         """The slice-kernel tables in the argument order of :func:`_slice_kernel`."""
@@ -270,7 +261,7 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     g_phi = a * a * sin_t**2
     quartic = pref / a**2 if config.order >= 4 else 0.0
     qep = config.measure == "qep" and config.order >= 3
-    ricci = np.array([geom.at(np.array([th, 0.0])).scalar_riemann if qep else 0.0 for th in theta])
+    ricci = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann if qep else np.zeros(n_theta)
 
     n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
     dzeta = 2 * math.pi / n_phi

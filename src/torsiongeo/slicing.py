@@ -94,27 +94,27 @@ class ActionTerms:
 
 
 def _sym_pair(conn: np.ndarray) -> np.ndarray:
-    return 0.5 * (conn + np.swapaxes(conn, 0, 1))
+    return 0.5 * (conn + np.swapaxes(conn, -3, -2))
 
 
 def _h_tensor(pt: PointGeometry) -> np.ndarray:
     """H[m, n, s, l] = d_s Gamma_{mn}^l + Gamma_{mn}^t Gamma_{{s t}}^l, the
-    cubic coefficient of the difference map (inner index pair symmetrized)."""
+    cubic coefficient of the difference map (inner index pair symmetrized); batch axes lead."""
     conn = pt.affine
     d_conn = pt.d_affine
     sym = _sym_pair(conn)
-    return np.einsum("mnls->mnsl", d_conn) + np.einsum("mnt,stl->mnsl", conn, sym)
+    return np.einsum("...mnls->...mnsl", d_conn) + np.einsum("...mnt,...stl->...mnsl", conn, sym)
 
 
 def _sym3_first(h: np.ndarray) -> np.ndarray:
     """Symmetrize H over its first three (lower) indices."""
     return (
         h
-        + np.einsum("nmsl->mnsl", h)
-        + np.einsum("msnl->mnsl", h)
-        + np.einsum("smnl->mnsl", h)
-        + np.einsum("nsml->mnsl", h)
-        + np.einsum("snml->mnsl", h)
+        + np.einsum("...nmsl->...mnsl", h)
+        + np.einsum("...msnl->...mnsl", h)
+        + np.einsum("...smnl->...mnsl", h)
+        + np.einsum("...nsml->...mnsl", h)
+        + np.einsum("...snml->...mnsl", h)
     ) / 6.0
 
 
@@ -253,7 +253,8 @@ class JacobianSeries:
 
 def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool = True) -> JacobianSeries:
     """
-    Measure exponent of one slice at postpoint ``q``.
+    Measure exponent of one slice at postpoint ``q``, a point (D,) or a stack
+    of them (n, D); on a stack the coefficients carry a leading n axis.
 
     ``naive-affine`` and ``naive-metric`` are the position-measure Jacobian
     computed from the affine-connection trace and from the Christoffel trace
@@ -267,15 +268,15 @@ def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool 
     if route not in JACOBIAN_ROUTES:
         raise ValueError(f"route must be one of {JACOBIAN_ROUTES}")
     q = np.asarray(q, dtype=float)
-    pt = geom.at(q)
+    pt = geom.at(q) if q.ndim == 1 else geom.batch(q)
     if route == "naive-affine":
         conn, d_conn = pt.affine, pt.d_affine
     elif route == "naive-metric":
         conn, d_conn = pt.christoffel, pt.d_christoffel
     if route in ("naive-affine", "naive-metric"):
-        linear = -np.einsum("abb->a", conn)
-        tr = np.einsum("abbs->as", d_conn)  # d_s Gamma_{a b}^b
-        quadratic = 0.25 * (tr + tr.T)
+        linear = -np.einsum("...abb->...a", conn)
+        tr = np.einsum("...abbs->...as", d_conn)  # d_s Gamma_{a b}^b
+        quadratic = 0.25 * (tr + np.swapaxes(tr, -1, -2))
         return JacobianSeries(route, q, linear, quadratic)
 
     h = _h_tensor(pt)
@@ -284,10 +285,10 @@ def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool 
         h = _sym3_first(h)
     else:
         gam = pt.affine
-    linear = -np.einsum("lnl->n", gam)
-    tr_b2 = np.einsum("rnl,lsr->ns", gam, gam)
-    quadratic = 0.5 * np.einsum("lnsl->ns", h) - 0.5 * tr_b2
-    quadratic = 0.5 * (quadratic + quadratic.T)
+    linear = -np.einsum("...lnl->...n", gam)
+    tr_b2 = np.einsum("...rnl,...lsr->...ns", gam, gam)
+    quadratic = 0.5 * np.einsum("...lnsl->...ns", h) - 0.5 * tr_b2
+    quadratic = 0.5 * (quadratic + np.swapaxes(quadratic, -1, -2))
     return JacobianSeries(route, q, linear, quadratic)
 
 

@@ -9,17 +9,24 @@ directly; it can serve every Riemann-side operation, but torsion-side
 operations need a genuine triad and will raise ``TriadUnavailable`` unless the
 metric is diagonal (in which case the diagonal square root is used).
 
-Array index conventions used throughout the package:
+Evaluator contract: every evaluator takes points of shape ``(..., D)`` and
+returns arrays with the same leading (batch) axes, ``(..., D, D)``,
+``(..., D, D, D)`` or ``(..., D, D, D, D)``.  A single point of shape ``(D,)``
+has batch shape ``()`` and gets the per-point arrays; a stack of n points
+``(n, D)`` is evaluated in one call.  Every field checks the returned shape,
+and its ``|det e|`` and positive-definiteness guards run over the whole stack.
+Index conventions, after the batch axes:
 
-* ``triad(q)[i, mu]``          -> e^i_mu
-* ``d_triad(q)[i, mu, nu]``    -> e^i_{mu,nu}  (partial-derivative index last)
-* ``dd_triad(q)[i, mu, nu, la]`` -> e^i_{mu,nu la}, symmetric in (nu, la)
-* ``metric(q)[mu, nu]``        -> g_munu
-* ``d_metric(q)[mu, nu, si]``  -> g_{munu,si}
-* ``dd_metric(q)[mu, nu, si, ta]`` -> g_{munu,si ta}
+* ``triad(q)[..., i, mu]``          -> e^i_mu
+* ``d_triad(q)[..., i, mu, nu]``    -> e^i_{mu,nu}  (partial-derivative index last)
+* ``dd_triad(q)[..., i, mu, nu, la]`` -> e^i_{mu,nu la}, symmetric in (nu, la)
+* ``metric(q)[..., mu, nu]``        -> g_munu
+* ``d_metric(q)[..., mu, nu, si]``  -> g_{munu,si}
+* ``dd_metric(q)[..., mu, nu, si, ta]`` -> g_{munu,si ta}
 
 Derivatives not supplied analytically are formed by central finite
-differences with step ``h = fd_step * (1 + |q|)``.
+differences with the per-point step ``h = fd_step * (1 + |q|)``; each shifted
+copy of the whole stack is one evaluator call.
 """
 
 from __future__ import annotations
@@ -35,57 +42,69 @@ DEFAULT_FD_STEP = 1e-5
 DET_THRESHOLD = 1e-12
 
 
-def _fd_scale(q: np.ndarray, step: float) -> float:
-    return step * (1.0 + float(np.linalg.norm(q)))
+def _per_point(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Append unit axes to per-point ``values`` so they broadcast over ``ndim``-d outputs."""
+    return np.reshape(values, np.shape(values) + (1,) * (ndim - np.ndim(values)))
 
 
 def _central_diff(func: Callable[[np.ndarray], np.ndarray], q: np.ndarray, step: float) -> np.ndarray:
-    """Central first differences of ``func``; derivative axis appended last."""
+    """Central first differences of ``func`` at points ``q`` (..., D); derivative axis appended last."""
     q = np.asarray(q, dtype=float)
-    h = _fd_scale(q, step)
-    base = np.asarray(func(q), dtype=float)
-    out = np.empty(base.shape + (q.size,))
-    for nu in range(q.size):
-        qp = q.copy()
-        qm = q.copy()
-        qp[nu] += h
-        qm[nu] -= h
-        out[..., nu] = (np.asarray(func(qp)) - np.asarray(func(qm))) / (2.0 * h)
-    return out
+    h = step * (1.0 + np.linalg.norm(q, axis=-1))
+    shift = h[..., None, None] * np.eye(q.shape[-1])  # [..., nu, :] = h e_nu
+    d = np.stack([np.asarray(func(q + e)) - np.asarray(func(q - e)) for e in np.moveaxis(shift, -2, 0)], axis=-1)
+    return d / _per_point(2.0 * h, d.ndim)
 
 
 def _central_diff2(func: Callable[[np.ndarray], np.ndarray], q: np.ndarray, step: float) -> np.ndarray:
-    """Central second differences; the two derivative axes appended last."""
+    """Central second differences at points ``q`` (..., D); the two derivative axes appended last."""
     q = np.asarray(q, dtype=float)
-    h = _fd_scale(q, step)
+    h = step * (1.0 + np.linalg.norm(q, axis=-1))
+    e = np.moveaxis(h[..., None, None] * np.eye(q.shape[-1]), -2, 0)  # e[nu] = h e_nu at every point
+
+    def f(shift):
+        return np.asarray(func(q + shift), dtype=float)
+
     base = np.asarray(func(q), dtype=float)
-    D = q.size
+    h2 = _per_point(h**2, base.ndim)
+    D = q.shape[-1]
     out = np.empty(base.shape + (D, D))
     for nu in range(D):
         for la in range(nu, D):
             if nu == la:
-                qp = q.copy()
-                qm = q.copy()
-                qp[nu] += h
-                qm[nu] -= h
-                val = (np.asarray(func(qp)) - 2.0 * base + np.asarray(func(qm))) / h**2
+                val = (f(e[nu]) - 2.0 * base + f(-e[nu])) / h2
             else:
-                qpp = q.copy()
-                qpm = q.copy()
-                qmp = q.copy()
-                qmm = q.copy()
-                qpp[[nu, la]] += h
-                qmm[[nu, la]] -= h
-                qpm[nu] += h
-                qpm[la] -= h
-                qmp[nu] -= h
-                qmp[la] += h
-                val = (
-                    np.asarray(func(qpp)) - np.asarray(func(qpm)) - np.asarray(func(qmp)) + np.asarray(func(qmm))
-                ) / (4.0 * h**2)
+                val = (f(e[nu] + e[la]) - f(e[nu] - e[la]) - f(e[la] - e[nu]) + f(-e[nu] - e[la])) / (4.0 * h2)
             out[..., nu, la] = val
             out[..., la, nu] = val
     return out
+
+
+def _checked(values, q: np.ndarray, dim: int, rank: int, name: str) -> np.ndarray:
+    """``values`` as a float array, which must have shape ``q.shape[:-1] + (dim,) * rank``."""
+    values = np.asarray(values, dtype=float)
+    expected = q.shape[:-1] + (dim,) * rank
+    if values.shape != expected:
+        raise ValueError(f"{name}: evaluator returned shape {values.shape}, expected {expected}")
+    return values
+
+
+def _derivative(evals: tuple, order: int, q, dim: int, step: float, name: str) -> np.ndarray:
+    """Derivative of the given ``order`` of ``evals[0]`` at ``q``: the analytic ``evals[order]``
+    when supplied, else central differences of the highest supplied lower order."""
+    q = np.asarray(q, dtype=float)
+    if evals[order] is not None:
+        return _checked(evals[order](q), q, dim, 2 + order, name)
+    if order == 2 and evals[1] is not None:
+        return _central_diff(evals[1], q, step)
+    return (_central_diff if order == 1 else _central_diff2)(evals[0], q, step)
+
+
+def _first(q: np.ndarray, bad: np.ndarray) -> Optional[list]:
+    """The first point of ``q`` (..., D) flagged by ``bad`` (...), or None."""
+    if bad.ndim == 0:  # a single point: skip the reduction machinery
+        return q.tolist() if bad else None
+    return q[bad][0].tolist() if bad.any() else None
 
 
 class TriadField:
@@ -97,7 +116,7 @@ class TriadField:
     dim : int
         Chart dimension D.
     eval : callable
-        ``q -> (D, D) array`` with ``[i, mu]`` layout.
+        points ``(..., D) -> (..., D, D)`` array with ``[..., i, mu]`` layout.
     d_eval, dd_eval : callable, optional
         Analytic first/second partials (layouts as in the module docstring).
         When omitted, central finite differences of ``eval`` are used.
@@ -144,26 +163,17 @@ class TriadField:
 
     def triad(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        e = np.asarray(self._eval(q), dtype=float)
-        if e.shape != (self.dim, self.dim):
-            raise ValueError(f"triad evaluator returned shape {e.shape}, expected {(self.dim, self.dim)}")
-        if abs(np.linalg.det(e)) < self.det_threshold:
-            raise SingularTriad(f"{self.name}: |det e| below {self.det_threshold} at q={q.tolist()}")
+        e = _checked(self._eval(q), q, self.dim, 2, self.name)
+        bad = _first(q, np.abs(np.linalg.det(e)) < self.det_threshold)
+        if bad is not None:
+            raise SingularTriad(f"{self.name}: |det e| below {self.det_threshold} at q={bad}")
         return e
 
     def d_triad(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self._d_eval is not None:
-            return np.asarray(self._d_eval(q), dtype=float)
-        return _central_diff(self._eval, q, self.fd_step)
+        return _derivative((self._eval, self._d_eval, self._dd_eval), 1, q, self.dim, self.fd_step, self.name)
 
     def dd_triad(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self._dd_eval is not None:
-            return np.asarray(self._dd_eval(q), dtype=float)
-        if self._d_eval is not None:
-            return _central_diff(self._d_eval, q, self.fd_step)
-        return _central_diff2(self._eval, q, self.fd_step)
+        return _derivative((self._eval, self._d_eval, self._dd_eval), 2, q, self.dim, self.fd_step, self.name)
 
 
 class MetricField:
@@ -205,64 +215,52 @@ class MetricField:
 
     def metric(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        g = np.asarray(self._metric(q), dtype=float)
-        if np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= 0.0:
-            raise MetricNotPositiveDefinite(f"{self.name}: metric not positive definite at q={q.tolist()}")
+        g = _checked(self._metric(q), q, self.dim, 2, self.name)
+        bad = _first(q, np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2))).min(axis=-1) <= 0.0)
+        if bad is not None:
+            raise MetricNotPositiveDefinite(f"{self.name}: metric not positive definite at q={bad}")
         return g
 
     def d_metric(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self._d_metric is not None:
-            return np.asarray(self._d_metric(q), dtype=float)
-        return _central_diff(self._metric, q, self.fd_step)
+        return _derivative((self._metric, self._d_metric, self._dd_metric), 1, q, self.dim, self.fd_step, self.name)
 
     def dd_metric(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self._dd_metric is not None:
-            return np.asarray(self._dd_metric(q), dtype=float)
-        if self._d_metric is not None:
-            return _central_diff(self._d_metric, q, self.fd_step)
-        return _central_diff2(self._metric, q, self.fd_step)
+        return _derivative((self._metric, self._d_metric, self._dd_metric), 2, q, self.dim, self.fd_step, self.name)
 
-    # Diagonal square-root triad, for flat-index operations on diagonal metrics.
+    def _root(self, q) -> np.ndarray:
+        """e^i_i = sqrt(g_ii) at every point, (..., D); the triad's derivatives sit on its (i, i) diagonal."""
+        g = self.metric(q)
+        self._require_diagonal(g, q)
+        return np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
 
     def triad(self, q) -> np.ndarray:
-        g = self.metric(q)
-        self._require_diagonal(g)
-        return np.diag(np.sqrt(np.diag(g)))
+        return self._root(q)[..., None] * np.eye(self.dim)
 
     def d_triad(self, q) -> np.ndarray:
-        g = self.metric(q)
-        self._require_diagonal(g)
-        dg = self.d_metric(q)
-        root = np.sqrt(np.diag(g))
-        out = np.zeros((self.dim, self.dim, self.dim))
-        for i in range(self.dim):
-            out[i, i, :] = dg[i, i, :] / (2.0 * root[i])
+        root = self._root(q)
+        idx = np.arange(self.dim)
+        dg = self.d_metric(q)[..., idx, idx, :]  # g_{ii,s}
+        out = np.zeros(dg.shape[:-2] + (self.dim,) * 3)
+        out[..., idx, idx, :] = dg / (2.0 * root[..., None])
         return out
 
     def dd_triad(self, q) -> np.ndarray:
-        g = self.metric(q)
-        self._require_diagonal(g)
-        dg = self.d_metric(q)
-        ddg = self.dd_metric(q)
-        root = np.sqrt(np.diag(g))
-        out = np.zeros((self.dim, self.dim, self.dim, self.dim))
-        for i in range(self.dim):
-            out[i, i, :, :] = ddg[i, i, :, :] / (2.0 * root[i]) - np.outer(dg[i, i, :], dg[i, i, :]) / (
-                4.0 * root[i] ** 3
-            )
+        root = self._root(q)[..., None, None]
+        idx = np.arange(self.dim)
+        dg = self.d_metric(q)[..., idx, idx, :]
+        ddg = self.dd_metric(q)[..., idx, idx, :, :]
+        out = np.zeros(dg.shape[:-2] + (self.dim,) * 4)
+        out[..., idx, idx, :, :] = ddg / (2.0 * root) - (dg[..., :, None] * dg[..., None, :]) / (4.0 * root**3)
         return out
 
-    def _require_diagonal(self, g: np.ndarray) -> None:
+    def _require_diagonal(self, g: np.ndarray, q: np.ndarray) -> None:
         if not self.diagonal:
-            raise TriadUnavailable(
-                f"{self.name}: geometry was given as a (non-diagonal) metric; torsion-side "
-                "operations need an explicit triad"
-            )
-        off = g - np.diag(np.diag(g))
-        if np.max(np.abs(off)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise TriadUnavailable(f"{self.name}: metric not diagonal at this point; no square-root triad")
+            raise TriadUnavailable(f"{self.name}: geometry was given as a (non-diagonal) metric; "
+                                   "torsion-side operations need an explicit triad")
+        off = np.abs(np.where(np.eye(self.dim, dtype=bool), 0.0, g)).max(axis=(-2, -1))
+        bad = _first(np.asarray(q, dtype=float), off > 1e-12 * np.maximum(1.0, np.abs(g).max(axis=(-2, -1))))
+        if bad is not None:
+            raise TriadUnavailable(f"{self.name}: metric not diagonal at q={bad}; no square-root triad")
 
 
 def triad_grid_from_csv(path, *, fd_step: float = 1e-4, name: Optional[str] = None) -> TriadField:
@@ -305,14 +303,11 @@ def triad_grid_from_csv(path, *, fd_step: float = 1e-4, name: Optional[str] = No
     # Sort rows lexicographically by (q1, ..., qD) so values reshape onto the grid.
     order = np.lexsort(tuple(data[:, k] for k in reversed(range(dim))))
     data = data[order]
-    interps = []
-    for col in range(dim, dim + dim * dim):
-        grid_vals = data[:, col].reshape(shape)
-        interps.append(RegularGridInterpolator(axes, grid_vals, method="cubic"))
+    # one interpolator of all D * D components, evaluated on the whole point stack
+    interp = RegularGridInterpolator(axes, data[:, dim:].reshape(shape + (dim * dim,)), method="cubic")
 
     def evaluate(q: np.ndarray) -> np.ndarray:
-        vals = [f(q).item() for f in interps]
-        return np.array(vals).reshape(dim, dim)
+        return interp(q).reshape(q.shape[:-1] + (dim, dim))
 
     return TriadField(dim, evaluate, fd_step=fd_step, name=name or f"grid:{path}")
 
@@ -325,9 +320,9 @@ def sample_triad_to_csv(field: TriadField, axes: Sequence[np.ndarray], path) -> 
     header = [f"q{k + 1}" for k in range(dim)] + [f"e_{i + 1}_{m + 1}" for i in range(dim) for m in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
+    triads = field.triad(points).reshape(len(points), -1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for q in points:
-            e = field.triad(q)
-            writer.writerow([repr(float(v)) for v in q] + [repr(float(v)) for v in e.ravel()])
+        for q, e in zip(points, triads):
+            writer.writerow([repr(float(v)) for v in q] + [repr(float(v)) for v in e])

@@ -307,6 +307,25 @@ def test_geom_command_random_points(tmp_path):
     assert "torsion" in results["points"][0]
 
 
+@pytest.mark.parametrize("points", [[[0, "a"]], [[0.5]]], ids=["non-numeric", "wrong-dimension"])
+def test_geom_malformed_points_are_config_errors(tmp_path, capsys, points):
+    cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "points": points})
+    assert main(["geom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "'points'" in capsys.readouterr().err
+
+
+def test_geom_overflowing_point_exits_1_quietly(tmp_path):
+    cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "points": [[1e300, 1e300]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsiongeo.cli", "geom", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 1
+    assert "not finite" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 # -- energies from the transfer matrix ------------------------------------------
 
 

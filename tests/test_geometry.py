@@ -320,3 +320,41 @@ def test_point_shape_is_checked_before_the_cache():
         with pytest.raises(ValueError, match="shape"):
             geom.at(bad)
     assert geom.at(np.array([1.0, 0.3])) is pt
+
+
+def test_at_remembers_only_the_last_point():
+    geom = catalog.make("polar")
+    first = geom.at([1.0, 0.3])
+    assert geom.at(np.array([1.0, 0.3])) is first
+    second = geom.at([1.2, 0.3])
+    assert second is not first
+    assert geom.at([1.0, 0.3]) is not first
+
+
+def test_batch_takes_a_stack_of_points():
+    geom = catalog.make("polar")
+    pts = np.array([[1.0, 0.3], [2.0, 1.1], [0.7, 4.0]])
+    stacked = geom.batch(pts)
+    assert stacked.metric.shape == (3, 2, 2)
+    assert stacked.sqrt_metric.shape == (3,)
+    assert np.array_equal(stacked.affine[1], geom.at(pts[1]).affine)
+    for bad in ([1.0, 0.3], np.zeros((3, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            geom.batch(bad)
+
+
+def test_evaluator_shape_is_checked_against_the_stack():
+    # a per-point closed form that ignores the batch axis is caught, not broadcast
+    field = TriadField(1, lambda q: np.array([[1.0 + q[..., 0].sum()]]), name="scalar-only")
+    Geometry(field).at([0.5]).triad
+    with pytest.raises(ValueError, match="shape"):
+        Geometry(field).batch(np.zeros((4, 1))).triad
+
+
+def test_catalog_metadata_is_passed_to_the_constructor():
+    geom = Geometry(TriadField(1, lambda q: np.ones(np.shape(q) + (1,))), name="unit", params={"k": 1},
+                    topology="line", torsion_free=True, sample_box=[(0.0, 1.0)])
+    assert (geom.name, geom.params, geom.topology, geom.torsion_free) == ("unit", {"k": 1}, "line", True)
+    assert geom.random_points(3, np.random.default_rng(0)).shape == (3, 1)
+    assert catalog.make("sphere").topology == "sphere"
+    assert catalog.make("flat-cartesian", d=1).params == {"d": 1}

@@ -167,13 +167,13 @@ def bumpy_line_geometry():
     """1-d line with a gently varying metric, for scheme consistency checks."""
 
     def evaluate(q):
-        return np.array([[1.0 + 0.25 * np.sin(q[0])]])
+        return (1.0 + 0.25 * np.sin(q[..., 0]))[..., None, None]
 
     def d_evaluate(q):
-        return np.array([[[0.25 * np.cos(q[0])]]])
+        return (0.25 * np.cos(q[..., 0]))[..., None, None, None]
 
     def dd_evaluate(q):
-        return np.array([[[[-0.25 * np.sin(q[0])]]]])
+        return (-0.25 * np.sin(q[..., 0]))[..., None, None, None, None]
 
     field = TriadField(1, evaluate, d_evaluate, dd_evaluate, holonomic=True, name="bumpy-line")
     geom = Geometry(field)
