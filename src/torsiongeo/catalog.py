@@ -24,6 +24,7 @@ once picks up exactly ``(0, epsilon)``: the multivalued angle contributes
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Dict
 
 import numpy as np
@@ -85,6 +86,8 @@ def angle_third(q: np.ndarray) -> np.ndarray:
 
 
 def flat_cartesian(d: int = 2) -> Geometry:
+    if not float(d).is_integer() or d < 1:
+        raise ValidationError(f"flat-cartesian: dimension d must be a positive integer, got {d!r}")
     d = int(d)
     field = TriadField(d, _constant(np.eye(d)), _constant(np.zeros((d,) * 3)), _constant(np.zeros((d,) * 4)),
                        holonomic=True, name="flat-cartesian")
@@ -274,15 +277,12 @@ def parameter_names(name: str) -> list[str]:
 
 
 def make(name: str, **params) -> Geometry:
-    """Instantiate a catalog geometry by name; unknown parameters are rejected."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
-        raise ValidationError(f"unknown geometry '{name}'; known: {', '.join(names())}")
-    factory, defaults = _REGISTRY[canonical]
-    unknown = set(params) - set(defaults)
+    """Instantiate a catalog geometry by name; unknown and non-finite parameters are rejected."""
+    unknown = set(params) - set(parameter_names(name))
     if unknown:
         raise ValidationError(f"geometry '{name}' does not take parameter(s) {sorted(unknown)}")
-    merged = {**defaults, **params}
-    if canonical == "flat-cartesian":
-        merged["d"] = int(merged["d"])
-    return factory(**merged)
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= np.finfo(float).max:
+            raise ValidationError(f"geometry '{name}': parameter {key} must be a finite number, got {value!r}")
+    factory, defaults = _REGISTRY[_ALIASES.get(name, name)]
+    return factory(**{**defaults, **params})

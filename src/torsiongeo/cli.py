@@ -13,8 +13,8 @@ or autoparallel), ``defect`` (Burgers vector / Frank deficit of a contour),
 Energies are the eigen-energies -hbar ln(lambda) / eps, with multiplicity, of the
 transfer matrix ``propagate`` diagonalized; the trace fit is only an oracle.
 
-The config is one flat JSON object; unknown keys are rejected and every
-validation error names the offending key.  Outputs are ``results.json``
+The config is one flat JSON object whose keys and rules are the ``KEYS`` table;
+every validation error names the offending key.  Outputs are ``results.json``
 (byte-stable for a fixed config), ``manifest.json`` (config hash, versions,
 wall time, per-stage seconds; the only file with a timestamp), and
 command-specific CSV files.
@@ -34,51 +34,121 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, NonFiniteResult, ParseError, SpectrumUnresolved, TorsionGeoError, ValidationError
 
 COMMANDS = ("geom", "traj", "defect", "propagate", "compare-measures")
+SPECTRUM = ("propagate", "compare-measures")
+# the geometries (by name or topology) a command runs on; absent: any
+_RUNS_ON = {"defect": ("dislocation", "disclination"), **dict.fromkeys(SPECTRUM, ("line", "circle", "sphere"))}
+REQUIRED = "required"
+_SLICE_FIELDS = {"N": "n_slices", **{key: key for key in ("eps", "mass", "hbar", "scheme", "order", "measure")}}
 
-_GEOMETRY_PARAMS = {"a", "epsilon", "omega", "s0", "d"}
-_SLICE_KEYS = {
-    "N": int,
-    "eps": float,
-    "mass": float,
-    "hbar": float,
-    "scheme": str,
-    "order": int,
-    "measure": str,
-}
-_COMMAND_KEYS = {
-    "geom": {"points", "n_points"},
-    "traj": {"kind", "q0", "v0", "duration", "dt"},
-    "defect": {"contour_radius", "contour_segments", "contour_center", "contour_turns", "contour_csv"},
-    "propagate": set(_SLICE_KEYS)
-    | {"grid_points", "grid_range", "tau_min", "tau_values", "m_sector", "extract", "n_levels", "richardson", "amplitude_taus"},
-    "compare-measures": (set(_SLICE_KEYS) - {"measure"})
-    | {"grid_points", "tau_min", "tau_values", "m_sector", "n_levels", "richardson"},
-}
 
-_KINDS = ("geodesic", "autoparallel")
+def _finite(value) -> bool:
+    """A JSON number, not a bool, within the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _positive(value, run=None) -> bool:
+    return _finite(value) and value > 0
+
+
+def _count(lo: int):
+    return lambda value, run: type(value) is int and value >= lo
+
+
+def _vector(length=None):
+    """A list of finite numbers, ``length`` long (default: the geometry's dimension)."""
+    return lambda value, run: (isinstance(value, list) and len(value) == (length or run.geom.dim)
+                               and all(map(_finite, value)))
+
+
+def _multiples(times, step) -> bool:
+    """Each time is a positive whole multiple of ``step`` (see ``slicing.whole_steps``)."""
+    from .slicing import whole_steps
+
+    return all(_positive(t) and whole_steps(t, step) for t in times)
+
+
+def _default_taus(run) -> list:
+    """Every multiple of eps from tau_min (default: the larger of eps and N eps / 10) to N eps."""
+    cfg, tau_min = run.slices, run.options["tau_min"]
+    lo = tau_min if tau_min is not None else max(cfg.eps, 0.1 * cfg.total_time)
+    k_lo = max(1, int(math.ceil(lo / cfg.eps - 1e-9)))
+    return [k * cfg.eps for k in range(k_lo, cfg.n_slices + 1)]
+
+
+class Key(NamedTuple):
+    """One config key; ``ok(value, run)`` tells whether a given value meets ``rule``."""
+
+    ok: Callable | None  # None: a slice key, checked by SliceConfig
+    rule: str  # {D} stands for the geometry's dimension
+    default: object  # a value, a function of the RunConfig, REQUIRED, or None (unset)
+    commands: tuple
+    topologies: tuple = ()  # the only topologies it applies to; empty: all
+    excludes: tuple = ()  # keys it cannot be given together with
+
+
+# Every config key but ``geometry``, ``command`` and the geometry's own
+# parameters, in resolution order: a check or default reads only keys above it.
+KEYS = {
+    "points": Key(lambda v, run: isinstance(v, list) and len(v) > 0 and all(_vector()(p, run) for p in v),
+                  "a nonempty list of {D}-component finite numeric points", None, ("geom",)),
+    "n_points": Key(_count(1), "an integer >= 1", 5, ("geom",), excludes=("points",)),
+    "kind": Key(lambda v, run: v in ("geodesic", "autoparallel"), "geodesic or autoparallel", REQUIRED, ("traj",)),
+    "q0": Key(_vector(), "a list of {D} finite numbers", REQUIRED, ("traj",)),
+    "v0": Key(_vector(), "a list of {D} finite numbers", REQUIRED, ("traj",)),
+    "duration": Key(_positive, "a positive finite number", 1.0, ("traj",)),
+    "dt": Key(lambda v, run: _positive(v) and _multiples([run.options["duration"]], v),
+              "positive, dividing duration into whole steps", 1e-3, ("traj",)),
+    "contour_radius": Key(_positive, "a positive finite number", 1.0, ("defect",)),
+    "contour_segments": Key(_count(3), "an integer >= 3", 4096, ("defect",)),
+    "contour_center": Key(_vector(2), "a list of 2 finite numbers", (0.0, 0.0), ("defect",)),
+    "contour_turns": Key(_count(1), "an integer >= 1", 1, ("defect",)),
+    "contour_csv": Key(lambda v, run: isinstance(v, str) and os.path.isfile(v), "the path of an existing file", None,
+                       ("defect",), excludes=("contour_radius", "contour_segments", "contour_center", "contour_turns")),
+    "N": Key(None, "an integer >= 1", 32, SPECTRUM),
+    "eps": Key(None, "a positive finite number; N * eps finite", 0.05, SPECTRUM),
+    "mass": Key(None, "a positive finite number", 1.0, SPECTRUM),
+    "hbar": Key(None, "a positive finite number", 1.0, SPECTRUM),
+    "scheme": Key(None, "postpoint, prepoint or midpoint", "postpoint", SPECTRUM),
+    "order": Key(None, "2, 3 or 4", 4, SPECTRUM),
+    "measure": Key(None, "qep or naive-dewitt", "qep", ("propagate",)),
+    "grid_points": Key(_count(1), "an integer >= 1", None, SPECTRUM),  # None: the propagator default
+    "grid_range": Key(lambda v, run: _vector(2)(v, run) and v[0] < v[1], "[lo, hi], finite, lo < hi", None,
+                      ("propagate",), topologies=("line",)),
+    "tau_min": Key(lambda v, run: _positive(v) and v / run.slices.eps - 1e-9 <= run.slices.n_slices,
+                   "positive, at most N * eps", None, SPECTRUM),
+    "tau_values": Key(lambda v, run: isinstance(v, list) and len(v) > 0 and _multiples(v, run.slices.eps),
+                      "a nonempty list of positive multiples of eps", _default_taus, SPECTRUM, excludes=("tau_min",)),
+    "m_sector": Key(_count(0), "an integer >= 0", 0, SPECTRUM, topologies=("sphere",)),
+    "extract": Key(lambda v, run: isinstance(v, bool), "true or false", True, ("propagate",)),
+    "n_levels": Key(_count(1), "an integer >= 1", 4, SPECTRUM),
+    "richardson": Key(lambda v, run: isinstance(v, bool) and (not v or run.options.get("extract", True)),
+                      "true or false; true needs extract", lambda run: run.command == "compare-measures", SPECTRUM),
+    "amplitude_taus": Key(lambda v, run: isinstance(v, list) and _multiples(v, run.slices.eps),
+                          "a list of positive multiples of eps", (), ("propagate",)),
+}
 
 
 @dataclass
 class RunConfig:
+    """A validated config: ``options`` holds every key of the command, given or default;
+    ``geom`` is the built geometry and ``slices`` the SliceConfig of a spectrum command."""
+
     geometry: str
-    geometry_params: dict
     command: str
     options: dict
     raw: dict = field(repr=False, default_factory=dict)
-
-
-def _require(condition: bool, key: str, message: str) -> None:
-    if not condition:
-        raise ValidationError(f"config key '{key}': {message}")
+    geom: object = field(repr=False, default=None)
+    slices: object = None
 
 
 def load_config(path) -> RunConfig:
-    """Parse and fully validate a run config; apply defaults later, at use."""
+    """Parse, validate and resolve a run config; every fault raises a ConfigError naming its key."""
     from . import catalog
 
     try:
@@ -91,77 +161,54 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"config {path}: top level must be a JSON object")
 
-    _require("geometry" in raw, "geometry", "is required")
-    _require("command" in raw, "command", "is required")
-    command = raw["command"]
-    _require(command in COMMANDS, "command", f"must be one of {list(COMMANDS)}")
-    geometry = raw["geometry"]
+    name, command = raw.get("geometry"), raw.get("command")
+    if command not in COMMANDS:
+        raise ValidationError(f"config key 'command': must be one of {list(COMMANDS)}")
     try:
-        geo_param_names = set(catalog.parameter_names(geometry))
+        param_names = catalog.parameter_names(str(name))
     except ValidationError:
-        raise ValidationError(f"config key 'geometry': unknown geometry '{geometry}'")
-
-    allowed = {"geometry", "command"} | geo_param_names | _COMMAND_KEYS[command]
-    unknown = set(raw) - allowed
+        raise ValidationError(f"config key 'geometry': unknown geometry {name!r}") from None
+    keys = {key: spec for key, spec in KEYS.items() if command in spec.commands}
+    unknown = set(raw) - {"geometry", "command", *param_names, *keys}
     if unknown:
         raise ValidationError(f"config key(s) {sorted(unknown)}: unknown for command '{command}'")
 
-    geometry_params = {k: raw[k] for k in geo_param_names if k in raw}
-    for key, value in geometry_params.items():
-        _require(isinstance(value, (int, float)), key, "must be numeric")
-    options = {k: raw[k] for k in _COMMAND_KEYS[command] if k in raw}
-    _validate_options(command, options)
+    geometry_params = {k: raw[k] for k in param_names if k in raw}
     try:
-        geom = catalog.make(geometry, **geometry_params)
-    except ValidationError as exc:
-        raise ValidationError(str(exc)) from exc
-    if "points" in options:
-        _require(all(isinstance(p, list) and len(p) == geom.dim and all(_is_number(x) for x in p)
-                     for p in options["points"]), "points", f"must be a list of {geom.dim}-component numeric points")
-    return RunConfig(geometry, geometry_params, command, options, raw)
+        geom = catalog.make(name, **geometry_params)
+    except ValidationError as exc:  # every catalog geometry has at most one parameter
+        raise ValidationError(f"config key '{', '.join(geometry_params)}': {exc}") from exc
+    runs_on = _RUNS_ON.get(command)
+    if runs_on and geom.name not in runs_on and geom.topology not in runs_on:
+        raise ValidationError(f"config key 'geometry': {command} runs only on {', '.join(runs_on)} geometries")
 
+    run = RunConfig(name, command, {}, raw, geom)
+    if command in SPECTRUM:
+        from .slicing import SliceConfig
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate_options(command: str, options: dict) -> None:
-    from .slicing import MEASURES, SCHEMES
-
-    if "scheme" in options:
-        _require(options["scheme"] in SCHEMES, "scheme", f"must be one of {list(SCHEMES)}")
-    if "measure" in options:
-        _require(options["measure"] in MEASURES, "measure", f"must be one of {list(MEASURES)}")
-    if "order" in options:
-        _require(options["order"] in (2, 3, 4), "order", "must be 2, 3 or 4")
-    if "kind" in options:
-        _require(options["kind"] in _KINDS, "kind", f"must be one of {list(_KINDS)}")
-    for key in ("N", "grid_points", "n_points", "contour_segments", "n_levels", "m_sector", "contour_turns"):
-        if key in options:
-            _require(isinstance(options[key], int) and options[key] >= (0 if key == "m_sector" else 1), key,
-                     "must be a positive integer" if key != "m_sector" else "must be a nonnegative integer")
-    for key in ("eps", "dt", "duration", "mass", "hbar", "contour_radius", "tau_min"):
-        if key in options:
-            _require(isinstance(options[key], (int, float)) and options[key] > 0, key, "must be positive")
-    for key in ("q0", "v0", "contour_center"):
-        if key in options:
-            _require(isinstance(options[key], list) and all(isinstance(x, (int, float)) for x in options[key]),
-                     key, "must be a list of numbers")
-    for key in ("tau_values", "amplitude_taus"):
-        if key in options:
-            _require(isinstance(options[key], list) and all(isinstance(x, (int, float)) and x > 0 for x in options[key]),
-                     key, "must be a list of positive numbers")
-            from .propagator import _tau_indices
-
-            try:
-                _tau_indices(options[key], _slice_config(options))
-            except ValueError as exc:
-                raise ValidationError(f"config key '{key}': {exc}") from exc
-    if "points" in options:
-        _require(isinstance(options["points"], list) and options["points"], "points", "must be a nonempty list")
-    for key in ("extract", "richardson"):
-        if key in options:
-            _require(isinstance(options[key], bool), key, "must be true or false")
+        try:
+            run.slices = SliceConfig(**{attr: raw.get(key, keys[key].default)
+                                        for key, attr in _SLICE_FIELDS.items() if key in keys})
+        except ValueError as exc:  # its message starts with the field at fault
+            key = next(k for k, f in _SLICE_FIELDS.items() if str(exc).startswith(f))
+            raise ValidationError(f"config key '{key}': {exc}") from exc
+    for key, spec in keys.items():
+        if key in _SLICE_FIELDS:
+            value = getattr(run.slices, _SLICE_FIELDS[key])
+        elif key in raw:
+            value, clash = raw[key], [k for k in spec.excludes if k in raw]
+            if spec.topologies and geom.topology not in spec.topologies:
+                raise ValidationError(f"config key '{key}': applies only to {' or '.join(spec.topologies)} geometries")
+            if clash:
+                raise ValidationError(f"config key '{key}': cannot be given together with '{clash[0]}'")
+            if not spec.ok(value, run):
+                raise ValidationError(f"config key '{key}': must be {spec.rule.format(D=geom.dim)}")
+        elif spec.default == REQUIRED:
+            raise ValidationError(f"config key '{key}': is required for {command}")
+        else:
+            value = spec.default(run) if callable(spec.default) else spec.default
+        run.options[key] = value
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +229,9 @@ def _stage(stages: dict, name: str):
 def _run_geom(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     import numpy as np
 
-    from . import catalog
-
-    geom = catalog.make(config.geometry, **config.geometry_params)
-    opts = config.options
-    if "points" in opts:
-        points = np.array(opts["points"], dtype=float)
-    else:
-        points = geom.random_points(int(opts.get("n_points", 5)), np.random.default_rng(seed))
+    geom, opts = config.geom, config.options
+    points = (np.array(opts["points"], dtype=float) if opts["points"] is not None
+              else geom.random_points(opts["n_points"], np.random.default_rng(seed)))
     # one stacked bundle; overflow shows up as non-finite entries, reported below
     with np.errstate(all="ignore"):
         pt = geom.batch(points)
@@ -209,16 +251,11 @@ def _run_geom(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
 def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     import numpy as np
 
-    from . import catalog
     from .dynamics import evaluate_action, integrate_trajectory
     from .io import write_trajectory_csv
 
-    geom = catalog.make(config.geometry, **config.geometry_params)
-    opts = config.options
-    for key in ("kind", "q0", "v0"):
-        _require(key in opts, key, "is required for traj")
-    duration = float(opts.get("duration", 1.0))
-    dt = float(opts.get("dt", 1e-3))
+    geom, opts = config.geom, config.options
+    duration, dt = float(opts["duration"]), float(opts["dt"])
     traj = integrate_trajectory(geom, opts["kind"], opts["q0"], opts["v0"], duration, dt)
     with _stage(stages, "write"):
         write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
@@ -237,32 +274,20 @@ def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     }
 
 
-def _make_contour(opts: dict):
-    from .defects import Contour
+def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
+    from .defects import Contour, DefectGeometry, burgers_vector, frank_rotation_deficit
     from .io import read_contour_csv
 
-    if "contour_csv" in opts:
-        return read_contour_csv(opts["contour_csv"])
-    return Contour.circle(
-        float(opts.get("contour_radius", 1.0)),
-        int(opts.get("contour_segments", 4096)),
-        center=tuple(opts.get("contour_center", (0.0, 0.0))),
-        turns=int(opts.get("contour_turns", 1)),
-    )
-
-
-def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
-    from .defects import DefectGeometry, burgers_vector, frank_rotation_deficit
-
-    if config.geometry not in ("dislocation", "disclination"):
-        raise ValidationError("config key 'geometry': defect command needs dislocation or disclination")
-    contour = _make_contour(config.options)
-    if config.geometry == "dislocation":
-        defect = DefectGeometry.dislocation(**config.geometry_params)
+    opts = config.options
+    contour = (read_contour_csv(opts["contour_csv"]) if opts["contour_csv"] is not None
+               else Contour.circle(float(opts["contour_radius"]), opts["contour_segments"],
+                                   center=tuple(opts["contour_center"]), turns=opts["contour_turns"]))
+    # the catalog geometry already built; its one parameter is the defect's
+    defect = DefectGeometry(config.geom.name, *config.geom.params.values(), config.geom)
+    if defect.kind == "dislocation":
         value = [float(x) for x in burgers_vector(defect, contour)]
         payload = {"b": value, "value": value}
     else:
-        defect = DefectGeometry.disclination(**config.geometry_params)
         deficit = float(frank_rotation_deficit(defect, contour))
         payload = {"deficit": deficit, "value": deficit}
     return {
@@ -274,26 +299,6 @@ def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dic
     }
 
 
-def _slice_config(opts: dict, measure=None):
-    from .slicing import SliceConfig
-
-    return SliceConfig(
-        n_slices=int(opts.get("N", 32)),
-        eps=float(opts.get("eps", 0.05)),
-        mass=float(opts.get("mass", 1.0)),
-        hbar=float(opts.get("hbar", 1.0)),
-        scheme=opts.get("scheme", "postpoint"),
-        order=int(opts.get("order", 4)),
-        measure=measure if measure is not None else opts.get("measure", "qep"),
-    )
-
-
-def _default_taus(cfg, tau_min=None) -> list:
-    lo = tau_min if tau_min is not None else max(cfg.eps, 0.1 * cfg.total_time)
-    k_lo = max(1, int(math.ceil(lo / cfg.eps - 1e-9)))
-    return [k * cfg.eps for k in range(k_lo, cfg.n_slices + 1)]
-
-
 def _eigen_energies(result, cfg, n_levels: int) -> list:
     """The n_levels lowest levels -hbar ln(lambda) / eps of the transfer matrix, ascending, with multiplicity."""
     positive = result.eigenvalues[result.eigenvalues > 0.0]
@@ -302,34 +307,27 @@ def _eigen_energies(result, cfg, n_levels: int) -> list:
     return [-cfg.hbar * math.log(lam) / cfg.eps + 0.0 for lam in positive[:n_levels]]  # + 0.0 turns -0.0 into 0.0
 
 
-def _grid_for(geom, opts, factor: float = 1.0):
-    if geom.topology == "line":
-        rng = opts.get("grid_range", [-8.0, 8.0])
-        return (float(rng[0]), float(rng[1]), int(math.ceil(int(opts.get("grid_points", 1024)) * factor)))
-    base = int(opts.get("grid_points", 192 if geom.topology == "sphere" else 256))
-    return int(math.ceil(base * factor))
+def _grid_for(config: RunConfig, factor: float = 1.0):
+    """The propagator grid, refined by ``factor``; absent grid keys take the propagator defaults."""
+    from .propagator import DEFAULT_NODES, LINE_RANGE
+
+    opts, topology = config.options, config.geom.topology
+    n = int(math.ceil((opts["grid_points"] or DEFAULT_NODES[topology]) * factor))
+    return (*map(float, opts.get("grid_range") or LINE_RANGE), n) if topology == "line" else n
 
 
-def _run_spectrum_command(config: RunConfig, out_dir: str, stages: dict, measure=None) -> dict:
-    from . import catalog
+def _run_spectrum_command(config: RunConfig, out_dir: str, stages: dict, cfg, opts: dict) -> dict:
     from .io import write_amplitude_csv
     from .propagator import negative_beyond_rounding, propagate
     from .spectrum import richardson_pair
 
-    geom = catalog.make(config.geometry, **config.geometry_params)
-    opts = config.options
-    cfg = _slice_config(opts, measure=measure)
-    taus = [float(t) for t in opts["tau_values"]] if "tau_values" in opts else _default_taus(
-        cfg, opts.get("tau_min")
-    )
-    n_levels = int(opts.get("n_levels", 4))
-    extract = bool(opts.get("extract", True))
-    m_sector = int(opts.get("m_sector", 0))
-    amplitude_taus = [float(t) for t in opts.get("amplitude_taus", [])]
+    geom = config.geom
+    taus = [float(t) for t in opts["tau_values"]]
+    amplitude_taus = [float(t) for t in opts["amplitude_taus"]]
     with _stage(stages, "propagate"):
-        result = propagate(geom, cfg, grid=_grid_for(geom, opts), taus=taus, m_sector=m_sector,
+        result = propagate(geom, cfg, grid=_grid_for(config), taus=taus, m_sector=opts["m_sector"],
                            store_taus=amplitude_taus)
-    energies = _eigen_energies(result, cfg, n_levels) if extract else []
+    energies = _eigen_energies(result, cfg, opts["n_levels"]) if opts["extract"] else []
     payload = {
         "geometry": config.geometry,
         "measure": cfg.measure,
@@ -343,11 +341,12 @@ def _run_spectrum_command(config: RunConfig, out_dir: str, stages: dict, measure
         "min_eigenvalue": float(result.eigenvalues[-1]),
         "clipped_eigenvalues": negative_beyond_rounding(result.eigenvalues),
     }
-    if bool(opts.get("richardson", False)) and extract:
-        half = _slice_config({**opts, "N": 2 * cfg.n_slices, "eps": 0.5 * cfg.eps}, measure=cfg.measure)
+    if opts["richardson"]:
+        half = replace(cfg, n_slices=2 * cfg.n_slices, eps=0.5 * cfg.eps)
         with _stage(stages, "propagate"):
-            res_half = propagate(geom, half, grid=_grid_for(geom, opts, math.sqrt(2.0)), taus=taus, m_sector=m_sector)
-        energies_half = _eigen_energies(res_half, half, n_levels)
+            res_half = propagate(geom, half, grid=_grid_for(config, math.sqrt(2.0)), taus=taus,
+                                 m_sector=opts["m_sector"])
+        energies_half = _eigen_energies(res_half, half, opts["n_levels"])
         payload["energies_halved_step"] = energies_half
         payload["energies_extrapolated"] = richardson_pair(energies, energies_half)
     with _stage(stages, "write"):
@@ -358,29 +357,22 @@ def _run_spectrum_command(config: RunConfig, out_dir: str, stages: dict, measure
 
 
 def _run_propagate(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
-    return {"command": "propagate", **_run_spectrum_command(config, out_dir, stages)}
+    return {"command": "propagate", **_run_spectrum_command(config, out_dir, stages, config.slices, config.options)}
 
 
 def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     import numpy as np
 
-    from . import catalog
     from .slicing import MEASURES, effective_potential
 
-    opts = dict(config.options)
-    opts.setdefault("richardson", True)
-    cfg_probe = RunConfig(config.geometry, config.geometry_params, config.command, opts, config.raw)
-    ladders = {}
-    for measure in MEASURES:
-        ladders[measure] = _run_spectrum_command(cfg_probe, out_dir, stages, measure=measure)
+    cfg = config.slices
+    opts = {**config.options, "extract": True, "amplitude_taus": ()}  # compare-measures takes neither key
+    ladders = {m: _run_spectrum_command(config, out_dir, stages, replace(cfg, measure=m), opts) for m in MEASURES}
     key = "energies_extrapolated" if "energies_extrapolated" in ladders["qep"] else "energies"
     e_qep = ladders["qep"][key]
     e_naive = ladders["naive-dewitt"][key]
-    geom = catalog.make(config.geometry, **config.geometry_params)
-    q_ref = geom.random_points(1, np.random.default_rng(0))[0]
-    mass = float(opts.get("mass", 1.0))
-    hbar = float(opts.get("hbar", 1.0))
-    reference = -effective_potential(geom, q_ref, mass, hbar)
+    q_ref = config.geom.random_points(1, np.random.default_rng(0))[0]
+    reference = -effective_potential(config.geom, q_ref, cfg.mass, cfg.hbar)
     return {
         "command": "compare-measures",
         "geometry": config.geometry,
@@ -551,7 +543,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TorsionGeoError, ValueError) as exc:
+    except (TorsionGeoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -96,10 +96,6 @@ class DefectGeometry:
     def dislocation(cls, epsilon: float = 0.01) -> "DefectGeometry":
         return cls("dislocation", float(epsilon), _dislocation_geometry(epsilon))
 
-    @classmethod
-    def disclination(cls, omega: float = 0.05, *, omega_bound: float = 0.1) -> "DefectGeometry":
-        return cls("disclination", float(omega), _disclination_geometry(omega, omega_bound=omega_bound))
-
     def rotation_field_along(self, contour: Contour) -> np.ndarray:
         """Local rotation angle (antisymmetric part of the displacement
         gradient) branch-continued along the contour; disclination only."""
@@ -112,7 +108,7 @@ def disclination_geometry(omega: float, *, omega_bound: float = 0.1) -> DefectGe
     """Wedge disclination with a missing sector of angle 2 pi omega (to
     leading order in omega): single-valued metric, zero torsion, curvature
     concentrated at the origin."""
-    return DefectGeometry.disclination(omega, omega_bound=omega_bound)
+    return DefectGeometry("disclination", float(omega), _disclination_geometry(omega, omega_bound=omega_bound))
 
 
 def burgers_vector(defect: DefectGeometry, contour: Contour) -> np.ndarray:

@@ -106,6 +106,8 @@ def integrate_trajectory(
     if dt <= 0 or duration <= 0:
         raise ValueError("duration and dt must be positive")
     n_steps = int(round(duration / dt))
+    if n_steps < 1:
+        raise ValueError(f"duration={duration} rounds to zero steps of dt={dt}")
     q = np.asarray(q0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     ts = dt * np.arange(n_steps + 1)

@@ -46,12 +46,14 @@ import numpy as np
 
 from .errors import GridResolutionInsufficient
 from .geometry import Geometry
-from .slicing import SliceConfig, _h_tensor, delta_jacobian_action
+from .slicing import SliceConfig, _h_tensor, delta_jacobian_action, whole_steps
 
 EXPONENT_CUT = 30.0  # quadratic exponent beyond which corrections are dropped
 TAIL_SIGMA = 7.5  # kernel support half-width in units of the slice width
 MIN_POINTS_PER_SIGMA = 8.0
 BLOCK_ENTRIES = 1 << 16  # (row, column, image or zeta) kernel entries assembled per block
+DEFAULT_NODES = {"line": 1024, "circle": 256, "sphere": 192}  # grid nodes when no grid is given
+LINE_RANGE = (-8.0, 8.0)  # chart interval of the default line grid
 
 
 @dataclass
@@ -301,12 +303,9 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
 
 
 def _tau_indices(taus, config: SliceConfig) -> list[int]:
-    ks = []
-    for tau in taus:
-        k = int(round(tau / config.eps))
-        if abs(k * config.eps - tau) > 1e-9 * config.eps or k < 1:
-            raise ValueError(f"tau={tau} is not a positive multiple of eps={config.eps}")
-        ks.append(k)
+    ks = [whole_steps(tau, config.eps) for tau in taus]
+    if not all(ks):
+        raise ValueError(f"tau={taus[ks.index(0)]} is not a positive multiple of eps={config.eps}")
     return ks
 
 
@@ -365,14 +364,14 @@ def propagate(
     store = dict(zip(map(float, store_taus), _tau_indices(store_taus, config)))
 
     if geom.topology == "sphere":
-        n_theta = int(grid) if grid is not None else 192
+        n_theta = int(grid) if grid is not None else DEFAULT_NODES["sphere"]
         b_mat, weights, nodes = _build_sphere(geom, config, n_theta, m_sector)
     elif geom.topology == "circle":
-        n_pts = int(grid) if grid is not None else 256
+        n_pts = int(grid) if grid is not None else DEFAULT_NODES["circle"]
         nodes, du = _line_nodes((0.0, 2 * np.pi, n_pts))
         b_mat, weights = _build_1d(geom, config, nodes, du, period=2 * np.pi)
     else:
-        grid = grid if grid is not None else (-8.0, 8.0, 1024)
+        grid = grid if grid is not None else (*LINE_RANGE, DEFAULT_NODES["line"])
         nodes, du = _line_nodes(grid)
         b_mat, weights = _build_1d(geom, config, nodes, du, period=None)
 

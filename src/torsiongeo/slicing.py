@@ -32,6 +32,7 @@ All Euclidean conventions: exponents are real, <dq dq> = eps hbar g^inv / M.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -43,11 +44,13 @@ from .geometry import Geometry, PointGeometry
 
 SCHEMES = ("postpoint", "prepoint", "midpoint")
 MEASURES = ("qep", "naive-dewitt")
+_NUMBER = {int: numbers.Integral, float: numbers.Real}
 
 
 @dataclass
 class SliceConfig:
-    """Time-slicing parameters shared by the propagator stack."""
+    """Time-slicing parameters shared by the propagator stack; construction checks every
+    field, and each ``ValueError`` message starts with the name of the field at fault."""
 
     n_slices: int
     eps: float
@@ -58,15 +61,16 @@ class SliceConfig:
     measure: str = "qep"
 
     def __post_init__(self):
-        if self.n_slices < 1:
-            raise ValueError("n_slices must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
+        for name, kind in (("n_slices", int), ("eps", float), ("mass", float), ("hbar", float)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _NUMBER[kind]) or not 0 < value <= np.finfo(float).max:
+                raise ValueError(f"{name} must be a positive finite {'integer' if kind is int else 'number'}")
+            setattr(self, name, kind(value))
+        if not np.isfinite(self.n_slices * self.eps):
+            raise ValueError("eps * n_slices overflows")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.order not in (2, 3, 4):
+        if not isinstance(self.order, numbers.Integral) or self.order not in (2, 3, 4):
             raise ValueError("order must be 2, 3 or 4")
         if self.measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}")
@@ -74,6 +78,12 @@ class SliceConfig:
     @property
     def total_time(self) -> float:
         return self.n_slices * self.eps
+
+
+def whole_steps(total: float, step: float) -> int:
+    """The k >= 1 with k * step == total to within 1e-9 step, or 0 when there is none."""
+    k = round(min(total / step, 2.0**63))  # a ratio beyond 2**63 is no whole number of steps
+    return k if k >= 1 and abs(k * step - total) <= 1e-9 * step else 0
 
 
 @dataclass

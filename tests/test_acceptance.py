@@ -11,7 +11,7 @@ import pytest
 
 from torsiongeo import catalog
 from torsiongeo.cli import load_config, main
-from torsiongeo.defects import Contour, DefectGeometry, burgers_vector, frank_rotation_deficit
+from torsiongeo.defects import Contour, DefectGeometry, burgers_vector, disclination_geometry, frank_rotation_deficit
 from torsiongeo.dynamics import (
     bump_variation,
     integrate_trajectory,
@@ -192,7 +192,7 @@ def test_c07_burgers_and_frank():
     assert b[1] == pytest.approx(0.01, rel=1e-6)
     b_out = burgers_vector(defect, Contour.circle(0.3, 4096, center=(2.0, 1.0)))
     assert np.linalg.norm(b_out) < 1e-9
-    deficit = frank_rotation_deficit(DefectGeometry.disclination(0.05), Contour.circle(1.0, 8192))
+    deficit = frank_rotation_deficit(disclination_geometry(0.05), Contour.circle(1.0, 8192))
     assert deficit == pytest.approx(-2 * np.pi * 0.05, rel=1e-6)
     elapsed = time.time() - started
     assert elapsed < 2.0

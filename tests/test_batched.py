@@ -41,6 +41,14 @@ TRIAD_SIDE = ("triad", "triad_inverse", "d_triad", "dd_triad", "d_triad_inverse"
 PROPERTY = settings(max_examples=20, deadline=None)
 
 
+def covariant_curl_of_contortion(pt):
+    """Dbar_m K_{nl}^k - Dbar_n K_{ml}^k on a stack, Dbar the Levi-Civita derivative (cf. test_geometry)."""
+    k, dk, gbar = pt.contortion, pt.d_contortion, pt.christoffel
+    dbar = (np.einsum("...nlkm->...mnlk", dk) + np.einsum("...msk,...nls->...mnlk", gbar, k)
+            - np.einsum("...mns,...slk->...mnlk", gbar, k) - np.einsum("...mls,...nsk->...mnlk", gbar, k))
+    return dbar - np.swapaxes(dbar, -4, -3)
+
+
 def points_in(geom: Geometry):
     """Stacks of 1-6 points drawn from the geometry's sample box."""
     coords = [st.floats(lo, hi, allow_nan=False) for lo, hi in geom.sample_box]
@@ -76,6 +84,11 @@ def test_c01_identities_at_drawn_points(name, data):
     assert np.max(np.abs(k1 + np.swapaxes(k1, -2, -1))) < 1e-12
     assert np.max(np.abs(pt.affine - pt.christoffel - pt.contortion)) < tol
     assert np.max(np.abs(pt.affine - pt.affine_from_inverse)) < tol
+    # R = Rbar + covariant curl of K - [K, K]
+    k = pt.contortion
+    commutator = np.einsum("...mls,...nsk->...mnlk", k, k) - np.einsum("...nls,...msk->...mnlk", k, k)
+    rhs = pt.curvature_riemann + covariant_curl_of_contortion(pt) - commutator
+    assert np.max(np.abs(pt.curvature - rhs)) < (1e-5 if name == "toy-fd" else 1e-8)
 
 
 def deformed_loop(radius: float, amplitude: float, k: int, phase: float, vertices: int = 10_000) -> Contour:

@@ -73,6 +73,13 @@ def test_exit_codes(tmp_path):
     assert main(["traj", "--config", str(good), "--out", str(tmp_path / "o3")]) == 0
 
 
+def test_unusable_out_dir_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"geometry": "dislocation", "command": "defect", "contour_segments": 64})
+    (tmp_path / "taken").write_text("")
+    assert main(["defect", "--config", str(cfg), "--out", str(tmp_path / "taken")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_command_mismatch_is_config_error(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     assert main(["defect", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

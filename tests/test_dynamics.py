@@ -93,6 +93,12 @@ def test_chart_singularity_at_polar_origin():
         integrate_trajectory(geom, "autoparallel", [1.0, 0.0], [-1.5, 0.0], 1.0, 1e-3)
 
 
+def test_zero_step_run_is_rejected():
+    # round(duration / dt) = 0 used to return a one-sample orbit that evaluate_action could not integrate
+    with pytest.raises(ValueError, match="dt"):
+        integrate_trajectory(catalog.make("polar"), "geodesic", [1.0, 0.0], [0.1, 0.4], 1.0, 5.0)
+
+
 def test_step_too_large_guard():
     geom = catalog.make("polar")
     with pytest.raises(StepTooLarge):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torsiongeo import catalog
+from torsiongeo.errors import ValidationError
 from torsiongeo.geometry import (
     Geometry,
     TensorValue,
@@ -358,3 +359,12 @@ def test_catalog_metadata_is_passed_to_the_constructor():
     assert geom.random_points(3, np.random.default_rng(0)).shape == (3, 1)
     assert catalog.make("sphere").topology == "sphere"
     assert catalog.make("flat-cartesian", d=1).params == {"d": 1}
+
+
+@pytest.mark.parametrize("name, params", [("flat-cartesian", {"d": 2.5}), ("flat-cartesian", {"d": True}),
+                                          ("flat-cartesian", {"d": 0}), ("sphere", {"a": float("nan")}),
+                                          ("circle", {"a": float("inf")}), ("torsion-toy", {"s0": "0.1"})])
+def test_catalog_make_rejects_malformed_parameters(name, params):
+    # d used to be truncated with int(), and a NaN radius passed the a > 0 check
+    with pytest.raises(ValidationError, match=next(iter(params))):
+        catalog.make(name, **params)

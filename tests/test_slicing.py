@@ -295,14 +295,15 @@ def test_slice_expectation_monte_carlo():
 
 
 def test_slice_config_validation():
-    with pytest.raises(ValueError):
-        SliceConfig(n_slices=0, eps=0.1)
-    with pytest.raises(ValueError):
-        SliceConfig(n_slices=4, eps=0.1, scheme="weyl")
-    with pytest.raises(ValueError):
-        SliceConfig(n_slices=4, eps=0.1, order=5)
-    with pytest.raises(ValueError):
-        SliceConfig(n_slices=4, eps=0.1, measure="lattice")
+    # each message starts with the field at fault; the CLI maps it to the config key
+    bad = [{"n_slices": 0}, {"scheme": "weyl"}, {"order": 5}, {"measure": "lattice"}, {"n_slices": True},
+           {"n_slices": 4.0}, {"eps": float("nan")}, {"eps": float("inf")}, {"eps": 1e308}, {"mass": True},
+           {"hbar": -1.0}, {"order": 4.0}]
+    for kw in bad:
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))}"):
+            SliceConfig(**{"n_slices": 4, "eps": 0.1, **kw})
+    cfg = SliceConfig(n_slices=np.int64(4), eps=np.float32(0.25), mass=1)
+    assert (type(cfg.n_slices), type(cfg.eps), type(cfg.mass)) == (int, float, float)
 
 
 def test_shooting_reports_no_convergence():
