@@ -34,6 +34,7 @@ from .geometry import Geometry
 from .triads import MetricField, TriadField
 
 TWO_PI = 2.0 * math.pi
+OMEGA_BOUND = 0.1  # largest |omega| of a disclination: the metric is a leading-order expansion in omega
 
 # Fixed deformation pattern of the torsion toy; asymmetry in the lower pair
 # of e^i_{mu,nu} = s0 * t[i, mu, nu] is what generates the torsion.
@@ -193,9 +194,9 @@ def dislocation(epsilon: float = 0.01) -> Geometry:
                     sample_box=[(0.4, 2.4), (0.4, 2.4)])
 
 
-def disclination(omega: float = 0.05, *, omega_bound: float = 0.1) -> Geometry:
-    if abs(omega) > omega_bound:
-        raise ValidationError(f"disclination: |omega| must not exceed {omega_bound}")
+def disclination(omega: float = 0.05) -> Geometry:
+    if abs(omega) > OMEGA_BOUND:
+        raise ValidationError(f"disclination: |omega| must not exceed {OMEGA_BOUND}")
     om = float(omega)
     eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

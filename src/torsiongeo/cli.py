@@ -73,6 +73,17 @@ def _multiples(times, step) -> bool:
     return all(_positive(t) and whole_steps(t, step) for t in times)
 
 
+def _contour_file(path) -> bool:
+    """The file reads as a contour (``io.read_contour_csv``, which runs ``Contour``'s own checks)."""
+    from .io import read_contour_csv
+
+    try:
+        read_contour_csv(path)
+    except (OSError, ValueError, TorsionGeoError):
+        return False
+    return True
+
+
 def _default_taus(run) -> list:
     """Every multiple of eps from tau_min (default: the larger of eps and N eps / 10) to N eps."""
     cfg, tau_min = run.slices, run.options["tau_min"]
@@ -108,7 +119,9 @@ KEYS = {
     "contour_segments": Key(_count(3), "an integer >= 3", 4096, ("defect",)),
     "contour_center": Key(_vector(2), "a list of 2 finite numbers", (0.0, 0.0), ("defect",)),
     "contour_turns": Key(_count(1), "an integer >= 1", 1, ("defect",)),
-    "contour_csv": Key(lambda v, run: isinstance(v, str) and os.path.isfile(v), "the path of an existing file", None,
+    "contour_csv": Key(lambda v, run: isinstance(v, str) and _contour_file(v),
+                       "the path of a contour CSV: q1,q2 rows of finite numbers, at least 4, closed, distinct "
+                       "consecutive vertices, none at the origin", None,
                        ("defect",), excludes=("contour_radius", "contour_segments", "contour_center", "contour_turns")),
     "N": Key(None, "an integer >= 1", 32, SPECTRUM),
     "eps": Key(None, "a positive finite number; N * eps finite", 0.05, SPECTRUM),
@@ -232,18 +245,12 @@ def _run_geom(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     geom, opts = config.geom, config.options
     points = (np.array(opts["points"], dtype=float) if opts["points"] is not None
               else geom.random_points(opts["n_points"], np.random.default_rng(seed)))
-    # one stacked bundle; overflow shows up as non-finite entries, reported below
-    with np.errstate(all="ignore"):
-        pt = geom.batch(points)
-        columns = {"point": points, "metric": pt.metric, "sqrt_det": pt.sqrt_metric,
-                   "christoffel": pt.christoffel, "scalar_riemann": pt.scalar_riemann}
-        if not geom.metric_only:
-            columns.update(triad=pt.triad, affine=pt.affine, torsion=pt.torsion, contortion=pt.contortion,
-                           scalar_affine=pt.scalar)
-    for key, values in columns.items():
-        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
-        if not finite.all():
-            raise NonFiniteResult(f"geom: {key} is not finite at point {points[~finite][0].tolist()}")
+    pt = geom.batch(points)  # one stacked bundle
+    columns = {"point": points, "metric": pt.metric, "sqrt_det": pt.sqrt_metric,
+               "christoffel": pt.christoffel, "scalar_riemann": pt.scalar_riemann}
+    if not geom.metric_only:
+        columns.update(triad=pt.triad, affine=pt.affine, torsion=pt.torsion, contortion=pt.contortion,
+                       scalar_affine=pt.scalar)
     rows = [{key: values[k] for key, values in columns.items()} for k in range(len(points))]
     return {"command": "geom", "geometry": config.geometry, "points": rows}
 
@@ -397,17 +404,25 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
 
     The manifest's ``stages_s`` holds the perf_counter seconds spent in
     ``propagate`` (kernel build and composition, spectrum commands) and in
-    ``write`` (results.json and the command's CSV files).
+    ``write`` (results.json and the command's CSV files).  A payload holding
+    a non-finite number raises ``NonFiniteResult`` before results.json is written.
     """
-    from .io import dump_json
+    import numpy as np
+
+    from .io import dump_json, jsonable
 
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     stages = {}
-    results = _RUNNERS[config.command](config, str(out_dir), seed, stages)
+    with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite value, refused below
+        results = _RUNNERS[config.command](config, str(out_dir), seed, stages)
     results["seed"] = int(seed)
+    payload = jsonable(results)
+    bad = next(_non_finite(payload, "results"), None)
+    if bad is not None:
+        raise NonFiniteResult(f"{config.command}: {bad} is not finite")
     with _stage(stages, "write"):
-        dump_json(results, os.path.join(out_dir, "results.json"))
+        dump_json(payload, os.path.join(out_dir, "results.json"))
     canonical = json.dumps(config.raw, sort_keys=True).encode()
     manifest = {
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
@@ -419,6 +434,18 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     }
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
     return results
+
+
+def _non_finite(obj, path: str):
+    """The paths of the inf and NaN numbers in a jsonable payload, in order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _non_finite(value, f"{path}[{k}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield path
 
 
 def _versions() -> dict:

@@ -29,6 +29,7 @@ from .geometry import Geometry
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_SEGMENTS = 4096
+ORIGIN_TOL = 1e-9  # closest a contour vertex may come to the origin
 
 
 @dataclass
@@ -36,17 +37,16 @@ class Contour:
     """A closed polyline in the plane, with winding metadata about the origin."""
 
     points: np.ndarray  # (K+1, 2), closed: points[-1] == points[0]
-    origin_tol: float = 1e-9
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
-            raise ValueError("contour needs an (n, 2) array with at least 4 rows")
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4 or not np.isfinite(pts).all():
+            raise ValueError("contour needs an (n, 2) array of finite numbers with at least 4 rows")
         if not np.allclose(pts[0], pts[-1], atol=1e-12):
             raise ValueError("contour must close on itself (first row == last row)")
         if np.any(np.all(np.abs(np.diff(pts[:-1], axis=0)) < 1e-15, axis=1)):
             raise ValueError("consecutive contour points must be distinct")
-        if np.min(np.hypot(pts[:, 0], pts[:, 1])) < self.origin_tol:
+        if np.min(np.hypot(pts[:, 0], pts[:, 1])) < ORIGIN_TOL:
             raise OriginOnContour("contour vertex at (or too near) the origin")
         self.points = pts
 
@@ -104,11 +104,11 @@ class DefectGeometry:
         return -self.parameter * multivalued_angle_along(contour)
 
 
-def disclination_geometry(omega: float, *, omega_bound: float = 0.1) -> DefectGeometry:
+def disclination_geometry(omega: float) -> DefectGeometry:
     """Wedge disclination with a missing sector of angle 2 pi omega (to
     leading order in omega): single-valued metric, zero torsion, curvature
     concentrated at the origin."""
-    return DefectGeometry("disclination", float(omega), _disclination_geometry(omega, omega_bound=omega_bound))
+    return DefectGeometry("disclination", float(omega), _disclination_geometry(omega))
 
 
 def burgers_vector(defect: DefectGeometry, contour: Contour) -> np.ndarray:
@@ -126,27 +126,25 @@ def burgers_vector(defect: DefectGeometry, contour: Contour) -> np.ndarray:
     return np.einsum("kim,km->i", avg, dq)
 
 
-def burgers_vector_chart(defect: DefectGeometry, contour: Contour, *, substeps: int = 1) -> np.ndarray:
+def burgers_vector_chart(defect: DefectGeometry, contour: Contour) -> np.ndarray:
     """
     Chart-index Burgers vector: the closure failure of the q-space image of a
     closed flat-space contour, obtained by integrating dq^mu = e_i^mu dx^i
-    along the contour with RK4.  To leading order in the defect strength this
-    is minus the flat-index Burgers vector.
+    along the contour with one RK4 step per segment.  To leading order in the
+    defect strength this is minus the flat-index Burgers vector.
     """
     if defect.kind != "dislocation":
         raise ValidationError("burgers_vector_chart needs a dislocation defect")
     geom = defect.geometry
     x_pts = contour.points
     q = x_pts[0].copy()
-    for k in range(len(x_pts) - 1):
-        seg = (x_pts[k + 1] - x_pts[k]) / substeps
-        for _ in range(substeps):
-            # dq/ds = e_i^mu dx^i/ds along the straight segment
-            k1 = geom.at(q).triad_inverse.T @ seg
-            k2 = geom.at(q + 0.5 * k1).triad_inverse.T @ seg
-            k3 = geom.at(q + 0.5 * k2).triad_inverse.T @ seg
-            k4 = geom.at(q + k3).triad_inverse.T @ seg
-            q = q + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    for seg in np.diff(x_pts, axis=0):
+        # dq/ds = e_i^mu dx^i/ds along the straight segment
+        k1 = geom.at(q).triad_inverse.T @ seg
+        k2 = geom.at(q + 0.5 * k1).triad_inverse.T @ seg
+        k3 = geom.at(q + 0.5 * k2).triad_inverse.T @ seg
+        k4 = geom.at(q + k3).triad_inverse.T @ seg
+        q = q + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     return q - x_pts[0]
 
 

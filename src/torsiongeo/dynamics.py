@@ -29,6 +29,8 @@ import numpy as np
 from .errors import ChartSingularity, GridMismatch, GridTooCoarse, SingularTriad, StepTooLarge
 from .geometry import Geometry
 
+SINGULAR_TOL = 1e-8  # |det e| (or the least metric eigenvalue) at which a path has reached a chart singularity
+
 
 @dataclass
 class Trajectory:
@@ -65,16 +67,6 @@ class VariationRecord:
     Sigma: np.ndarray  # (n, D, D)
 
 
-@dataclass
-class ParticleParams:
-    mass: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
-
-
 def _acceleration(geom: Geometry, kind: str, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     pt = geom.at(q)
     conn = pt.christoffel if kind == "geodesic" else pt.affine
@@ -90,13 +82,12 @@ def integrate_trajectory(
     dt: float,
     *,
     invariant_tol: Optional[float] = None,
-    singular_tol: float = 1e-8,
 ) -> Trajectory:
     """
     RK4-integrate a geodesic or autoparallel from (q0, v0) over ``duration``.
 
     Raises ``ChartSingularity`` when the path reaches a singular chart point
-    (triad determinant below ``singular_tol`` or changing sign between steps;
+    (triad determinant below ``SINGULAR_TOL`` or changing sign between steps;
     degenerate metric for metric-only geometries) and ``StepTooLarge`` when
     the kinetic invariant drifts by more than ten times the tolerance
     (default ``max(1e-6, 1e3 dt^4)`` relative).
@@ -136,7 +127,7 @@ def integrate_trajectory(
         q = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         scale = chart_scale(q)  # Geometry.at keeps this bundle for the next step's k1
-        if abs(scale) < singular_tol or scale * scale0 < 0.0:
+        if abs(scale) < SINGULAR_TOL or scale * scale0 < 0.0:
             raise ChartSingularity(f"chart became singular near q={q.tolist()} at t={ts[k + 1]:.6g}")
         qs[k + 1], vs[k + 1] = q, v
 
@@ -144,7 +135,7 @@ def integrate_trajectory(
     tol = invariant_tol if invariant_tol is not None else max(1e-6, 1e3 * dt**4)
     inv = traj.kinetic_invariant()
     drift = np.max(np.abs(inv - inv[0])) / max(abs(inv[0]), 1e-300)
-    if drift > 10.0 * tol:
+    if not drift <= 10.0 * tol:  # a NaN drift (an overflowed invariant) fails too
         raise StepTooLarge(f"kinetic invariant drifted by {drift:.3e} (relative); reduce dt")
     return traj
 

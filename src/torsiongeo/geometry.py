@@ -42,6 +42,9 @@ from .triads import MetricField, TriadField, _central_diff
 
 Field = Union[TriadField, MetricField]
 
+CONN_FD_STEP = 1e-4  # relative step of connection finite differences for fields without analytic derivatives
+COVARIANT_FD_STEP = 1e-6  # relative step of the partial derivative in covariant_derivative
+
 
 def lower_last(tensor: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Lower the last index of ``tensor`` with the metric ``g`` (``tensor @ g``; a stack
@@ -95,7 +98,7 @@ class PointGeometry:
     def _fd(self, quantity: Callable[["PointGeometry"], np.ndarray]) -> np.ndarray:
         """Central differences of a derived quantity, one bundle per shifted copy of the stack."""
         geom = self.geometry
-        return _central_diff(lambda p: quantity(PointGeometry(geom, p)), self.q, geom.conn_fd_step)
+        return _central_diff(lambda p: quantity(PointGeometry(geom, p)), self.q, CONN_FD_STEP)
 
     # -- triad level -------------------------------------------------------
 
@@ -304,17 +307,14 @@ class Geometry:
     ``name`` (default: the field's), factory ``params``, the propagation
     ``topology`` (line, circle, sphere or None), ``torsion_free`` (default:
     for metric fields) and the ``sample_box`` of :meth:`random_points`.
-    ``conn_fd_step`` is the step for finite differences of connections when
-    the field has no analytic derivatives.
     """
 
     def __init__(self, field: Field, *, name: str | None = None, params: dict | None = None,
                  topology: str | None = None, torsion_free: bool | None = None,
-                 sample_box: list | None = None, conn_fd_step: float = 1e-4):
+                 sample_box: list | None = None):
         self.field = field
         self.dim = field.dim
         self.metric_only = isinstance(field, MetricField)
-        self.conn_fd_step = float(conn_fd_step)
         self.name = name if name is not None else getattr(field, "name", "geometry")
         self.params = dict(params or {})
         self.topology = topology
@@ -356,22 +356,18 @@ class Geometry:
 # ---------------------------------------------------------------------------
 
 
-def _as_geometry(obj) -> Geometry:
-    return obj if isinstance(obj, Geometry) else Geometry(obj)
-
-
-def reciprocal_triad(field, q) -> np.ndarray:
+def reciprocal_triad(geom: Geometry, q) -> np.ndarray:
     """Reciprocal D-ad e_i^mu at q, satisfying e_i^mu e^i_nu = delta^mu_nu."""
-    return _as_geometry(field).at(q).triad_inverse
+    return geom.at(q).triad_inverse
 
 
-def induced_metric(field, q) -> dict:
+def induced_metric(geom: Geometry, q) -> dict:
     """Metric data {g, g_inv, det, sqrt_det} induced by the triad at q."""
-    pt = _as_geometry(field).at(q)
+    pt = geom.at(q)
     return {"g": pt.metric, "g_inv": pt.metric_inverse, "det": pt.det_metric, "sqrt_det": pt.sqrt_metric}
 
 
-def connection_bundle(field, q) -> dict:
+def connection_bundle(geom: Geometry, q) -> dict:
     """
     Connections and torsion content at q.
 
@@ -379,7 +375,7 @@ def connection_bundle(field, q) -> dict:
     the derivative of the reciprocal triad), the Christoffel symbol, torsion,
     its vector trace, and the contortion tensor.
     """
-    pt = _as_geometry(field).at(q)
+    pt = geom.at(q)
     return {
         "affine": pt.affine,
         "affine_alt": pt.affine_from_inverse,
@@ -391,9 +387,9 @@ def connection_bundle(field, q) -> dict:
     }
 
 
-def curvature_bundle(field, q) -> dict:
+def curvature_bundle(geom: Geometry, q) -> dict:
     """Curvature tensors, Ricci contractions, scalars and Einstein tensor at q."""
-    pt = _as_geometry(field).at(q)
+    pt = geom.at(q)
     return {
         "curvature": pt.curvature,
         "curvature_riemann": pt.curvature_riemann,
@@ -412,7 +408,6 @@ def covariant_derivative(
     *,
     variance: Sequence[str] = ("upper",),
     mode: str = "riemann",
-    step: float = 1e-6,
 ) -> TensorValue:
     """
     Covariant derivative of a tensor field at q.
@@ -421,7 +416,7 @@ def covariant_derivative(
     affine connection.  Upper indices receive ``+Gamma`` terms, lower indices
     ``-Gamma`` terms; a rank-0 (scalar) field returns the plain gradient.
     The partial derivative of ``field`` is formed by central differences with
-    relative step ``step``.
+    relative step ``COVARIANT_FD_STEP``.
     """
     if not callable(field):
         raise DerivativeUnavailable("field must be callable to be differentiated")
@@ -435,7 +430,7 @@ def covariant_derivative(
     if rank != len(variance):
         raise ValueError("variance must list one position per tensor index")
 
-    partial = _central_diff(field, q, step)  # derivative axis last
+    partial = _central_diff(field, q, COVARIANT_FD_STEP)  # derivative axis last
     # Result layout: derivative index first, then the field's own indices.
     out = np.moveaxis(partial, -1, 0)
     for slot, pos in enumerate(variance):

@@ -10,9 +10,9 @@ Schemas (column order is part of the contract):
 
 Every CSV value is the shortest round-trip ``repr`` of a float, fields are
 comma separated and rows end in CRLF, the bytes ``csv.writer`` produces for
-such rows.  All four writers go through :func:`_write_table`, which formats
-each distinct float once, so a symmetric kernel costs about half the
-formatting of its entry count.
+such rows.  All four writers, and ``triads.sample_triad_to_csv``, go through
+:func:`_write_table`, which formats each distinct float once, so a symmetric
+kernel costs about half the formatting of its entry count.
 
 JSON payloads are written with sorted keys and a fixed float notation so a
 given result is byte-stable across runs.

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridResolutionInsufficient
+from .errors import GridResolutionInsufficient, TorsionGeoError
 from .geometry import Geometry
 from .slicing import SliceConfig, _h_tensor, delta_jacobian_action, whole_steps
 
@@ -54,25 +54,21 @@ MIN_POINTS_PER_SIGMA = 8.0
 BLOCK_ENTRIES = 1 << 16  # (row, column, image or zeta) kernel entries assembled per block
 DEFAULT_NODES = {"line": 1024, "circle": 256, "sphere": 192}  # grid nodes when no grid is given
 LINE_RANGE = (-8.0, 8.0)  # chart interval of the default line grid
+# Most winding images a periodic kernel sums (kernel width up to about 68 periods).  A wrapped
+# kernel wider than about 1.4 periods is already uniform to rounding; the bound caps memory and time.
+MAX_WINDING_IMAGES = 1025
 
 
 @dataclass
 class PropagatorResult:
     """Composed kernels, traces over requested times, and diagnostics."""
 
-    geometry: str
-    measure: str
-    scheme: str
-    n_slices: int
-    eps: float
-    taus: np.ndarray
     trace: np.ndarray
     grid: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray  # of the symmetrized B, unclipped, descending
     amplitudes: dict = field(default_factory=dict)  # tau -> exactly symmetric kernel matrix
     asymmetry: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0, contour: str = "euclidean"):
@@ -194,6 +190,9 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
 
     if period is not None:
         w_max = int(math.ceil((TAIL_SIGMA * float(np.max(sigma_u)) + period / 2) / period))
+        if 2 * w_max + 1 > MAX_WINDING_IMAGES:
+            raise TorsionGeoError(f"kernel width {np.max(sigma_u):.3g} needs {2 * w_max + 1} winding images of "
+                                  f"period {period:.3g}, more than {MAX_WINDING_IMAGES}; reduce eps")
         shifts = (np.arange(-w_max, w_max + 1) * period)[:, None]
     else:
         shifts = np.zeros((1, 1))
@@ -376,18 +375,5 @@ def propagate(
         b_mat, weights = _build_1d(geom, config, nodes, du, period=None)
 
     trace, amplitudes, asym, eigenvalues = _compose(b_mat, weights, config, taus, store)
-    return PropagatorResult(
-        geometry=geom.name,
-        measure=config.measure,
-        scheme=config.scheme,
-        n_slices=config.n_slices,
-        eps=config.eps,
-        taus=np.asarray(taus, dtype=float),
-        trace=trace,
-        grid=nodes,
-        weights=weights,
-        eigenvalues=eigenvalues,
-        amplitudes=amplitudes,
-        asymmetry=asym,
-        extras={"m_sector": m_sector if geom.topology == "sphere" else None},
-    )
+    return PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
+                            amplitudes=amplitudes, asymmetry=asym)

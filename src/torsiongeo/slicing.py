@@ -229,13 +229,13 @@ def shoot_autoparallel(
     raise NoConvergence(f"autoparallel shooting did not converge from {q_from.tolist()} to {q_to.tolist()}")
 
 
-def classical_orbit_action(geom: Geometry, q_from, q_to, eps: float, mass: float, **shoot_kwargs) -> float:
+def classical_orbit_action(geom: Geometry, q_from, q_to, eps: float, mass: float) -> float:
     """
     Action of the short connecting autoparallel over duration ``eps``: the
     Lagrangian is conserved along it, so the action is M eps g(qd, qd) / 2
     evaluated at the postpoint.
     """
-    _, v_end = shoot_autoparallel(geom, q_from, q_to, eps, **shoot_kwargs)
+    _, v_end = shoot_autoparallel(geom, q_from, q_to, eps)
     g = geom.at(np.asarray(q_to, dtype=float)).metric
     return float(0.5 * mass * eps * (v_end @ g @ v_end))
 
@@ -251,7 +251,6 @@ JACOBIAN_ROUTES = ("naive-affine", "naive-metric", "qep")
 class JacobianSeries:
     """Real Euclidean measure exponent j(dq) = linear . dq + dq . quadratic . dq."""
 
-    route: str
     point: np.ndarray
     linear: np.ndarray
     quadratic: np.ndarray
@@ -287,7 +286,7 @@ def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool 
         linear = -np.einsum("...abb->...a", conn)
         tr = np.einsum("...abbs->...as", d_conn)  # d_s Gamma_{a b}^b
         quadratic = 0.25 * (tr + np.swapaxes(tr, -1, -2))
-        return JacobianSeries(route, q, linear, quadratic)
+        return JacobianSeries(q, linear, quadratic)
 
     h = _h_tensor(pt)
     if symmetrized:
@@ -299,7 +298,7 @@ def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool 
     tr_b2 = np.einsum("...rnl,...lsr->...ns", gam, gam)
     quadratic = 0.5 * np.einsum("...lnsl->...ns", h) - 0.5 * tr_b2
     quadratic = 0.5 * (quadratic + np.swapaxes(quadratic, -1, -2))
-    return JacobianSeries(route, q, linear, quadratic)
+    return JacobianSeries(q, linear, quadratic)
 
 
 def delta_jacobian_action(geom: Geometry, q) -> JacobianSeries:
@@ -311,7 +310,7 @@ def delta_jacobian_action(geom: Geometry, q) -> JacobianSeries:
     """
     qep = jacobian_action(geom, q, route="qep")
     naive = jacobian_action(geom, q, route="naive-affine")
-    return JacobianSeries("delta", qep.point, qep.linear - naive.linear, qep.quadratic - naive.quadratic)
+    return JacobianSeries(qep.point, qep.linear - naive.linear, qep.quadratic - naive.quadratic)
 
 
 def effective_potential(geom: Geometry, q, mass: float, hbar: float) -> float:

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import IllConditionedFit
 
+E_MIN = -2.0  # lowest trial energy of the NNLS grid
+AMPLITUDE_FLOOR = 1e-4  # clusters below this fraction of the largest amplitude are dropped
+
 
 @dataclass
 class EnergyLevel:
@@ -42,10 +45,8 @@ def extract_spectrum(
     *,
     hbar: float = 1.0,
     n_levels: int = 4,
-    e_min: float = -2.0,
     e_max: float | None = None,
     n_trial: int = 2400,
-    amplitude_floor: float = 1e-4,
     residual_threshold: float = 1e-3,
 ) -> SpectrumFit:
     """
@@ -72,7 +73,7 @@ def extract_spectrum(
     n_levels = min(int(n_levels), taus.size // 2)
 
     # Stage 1: nonnegative least squares on a dense trial grid, relative rows.
-    trial = np.linspace(e_min, e_max, int(n_trial))
+    trial = np.linspace(E_MIN, e_max, int(n_trial))
     design = np.exp(-np.outer(taus, trial) / hbar) / values[:, None]
     amps, _ = nnls(design, np.ones_like(values))
 
@@ -80,7 +81,7 @@ def extract_spectrum(
     if not clusters:
         raise IllConditionedFit("no decaying components found")
     clusters.sort(key=lambda ea: ea[0])
-    floor = amplitude_floor * max(a for _, a in clusters)
+    floor = AMPLITUDE_FLOOR * max(a for _, a in clusters)
     clusters = [(e, a) for e, a in clusters if a >= floor][: int(n_levels)]
 
     # Stage 2: joint local refinement with nonnegative amplitudes.
@@ -95,7 +96,7 @@ def extract_spectrum(
     def resid(x):
         return (model(x).sum(axis=1) - values) / values
 
-    lo = np.concatenate([np.full(len(e0), e_min), np.zeros(len(e0))])
+    lo = np.concatenate([np.full(len(e0), E_MIN), np.zeros(len(e0))])
     hi = np.concatenate([np.full(len(e0), e_max), np.full(len(e0), np.inf)])
     sol = least_squares(resid, x0, bounds=(lo, hi), xtol=1e-14, ftol=1e-14, gtol=1e-14)
     es, amps = sol.x[: len(e0)], sol.x[len(e0):] ** 2

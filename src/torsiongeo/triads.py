@@ -25,7 +25,8 @@ Index conventions, after the batch axes:
 * ``dd_metric(q)[..., mu, nu, si, ta]`` -> g_{munu,si ta}
 
 Derivatives not supplied analytically are formed by central finite
-differences with the per-point step ``h = fd_step * (1 + |q|)``; each shifted
+differences with the per-point step ``h = fd_step * (1 + |q|)`` (``fd_step``
+is a TriadField argument; metric fields use ``DEFAULT_FD_STEP``); each shifted
 copy of the whole stack is one evaluator call.
 """
 
@@ -39,6 +40,7 @@ import numpy as np
 from .errors import MetricNotPositiveDefinite, SingularTriad, TriadUnavailable
 
 DEFAULT_FD_STEP = 1e-5
+GRID_FD_STEP = 1e-4  # fields interpolated from a CSV grid
 DET_THRESHOLD = 1e-12
 
 
@@ -139,7 +141,6 @@ class TriadField:
         holonomic: bool = False,
         fd_step: float = DEFAULT_FD_STEP,
         name: str = "triad",
-        det_threshold: float = DET_THRESHOLD,
     ):
         if dim < 1:
             raise ValueError("dim must be a positive integer")
@@ -150,23 +151,18 @@ class TriadField:
         self.holonomic = bool(holonomic)
         self.fd_step = float(fd_step)
         self.name = name
-        self.det_threshold = float(det_threshold)
 
     @property
     def analytic(self) -> bool:
         """True when both derivative orders are supplied analytically."""
         return self._d_eval is not None and self._dd_eval is not None
 
-    @property
-    def derivative_mode(self) -> str:
-        return "analytic" if self.analytic else "central-fd"
-
     def triad(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         e = _checked(self._eval(q), q, self.dim, 2, self.name)
-        bad = _first(q, np.abs(np.linalg.det(e)) < self.det_threshold)
+        bad = _first(q, np.abs(np.linalg.det(e)) < DET_THRESHOLD)
         if bad is not None:
-            raise SingularTriad(f"{self.name}: |det e| below {self.det_threshold} at q={bad}")
+            raise SingularTriad(f"{self.name}: |det e| below {DET_THRESHOLD} at q={bad}")
         return e
 
     def d_triad(self, q) -> np.ndarray:
@@ -193,7 +189,6 @@ class MetricField:
         dd_metric: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         *,
         diagonal: bool = False,
-        fd_step: float = DEFAULT_FD_STEP,
         name: str = "metric",
     ):
         self.dim = int(dim)
@@ -201,17 +196,12 @@ class MetricField:
         self._d_metric = d_metric
         self._dd_metric = dd_metric
         self.diagonal = bool(diagonal)
-        self.fd_step = float(fd_step)
         self.name = name
         self.holonomic = False
 
     @property
     def analytic(self) -> bool:
         return self._d_metric is not None and self._dd_metric is not None
-
-    @property
-    def derivative_mode(self) -> str:
-        return "analytic" if self.analytic else "central-fd"
 
     def metric(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -222,10 +212,10 @@ class MetricField:
         return g
 
     def d_metric(self, q) -> np.ndarray:
-        return _derivative((self._metric, self._d_metric, self._dd_metric), 1, q, self.dim, self.fd_step, self.name)
+        return _derivative((self._metric, self._d_metric, self._dd_metric), 1, q, self.dim, DEFAULT_FD_STEP, self.name)
 
     def dd_metric(self, q) -> np.ndarray:
-        return _derivative((self._metric, self._d_metric, self._dd_metric), 2, q, self.dim, self.fd_step, self.name)
+        return _derivative((self._metric, self._d_metric, self._dd_metric), 2, q, self.dim, DEFAULT_FD_STEP, self.name)
 
     def _root(self, q) -> np.ndarray:
         """e^i_i = sqrt(g_ii) at every point, (..., D); the triad's derivatives sit on its (i, i) diagonal."""
@@ -263,14 +253,15 @@ class MetricField:
             raise TriadUnavailable(f"{self.name}: metric not diagonal at q={bad}; no square-root triad")
 
 
-def triad_grid_from_csv(path, *, fd_step: float = 1e-4, name: Optional[str] = None) -> TriadField:
+def triad_grid_from_csv(path) -> TriadField:
     """
     Load a triad field sampled on a uniform rectilinear grid from CSV.
 
     Expected header: ``q1,...,qD,e_1_1,...,e_D_D`` with the triad entries in
     row-major ``[i, mu]`` order.  Components are interpolated with cubic
     splines (at least four points per axis) and derivatives are taken by
-    finite differences of the interpolant.
+    finite differences of the interpolant, with relative step ``GRID_FD_STEP``.
+    The field is labelled ``grid:<path>``.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -309,20 +300,17 @@ def triad_grid_from_csv(path, *, fd_step: float = 1e-4, name: Optional[str] = No
     def evaluate(q: np.ndarray) -> np.ndarray:
         return interp(q).reshape(q.shape[:-1] + (dim, dim))
 
-    return TriadField(dim, evaluate, fd_step=fd_step, name=name or f"grid:{path}")
+    return TriadField(dim, evaluate, fd_step=GRID_FD_STEP, name=f"grid:{path}")
 
 
 def sample_triad_to_csv(field: TriadField, axes: Sequence[np.ndarray], path) -> None:
     """Write ``field`` sampled on the outer product of ``axes`` in the CSV schema."""
+    from .io import _write_table  # imported here: io -> defects -> catalog imports this module
+
     dim = field.dim
     if len(axes) != dim:
         raise ValueError("one axis per chart dimension required")
     header = [f"q{k + 1}" for k in range(dim)] + [f"e_{i + 1}_{m + 1}" for i in range(dim) for m in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    triads = field.triad(points).reshape(len(points), -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for q, e in zip(points, triads):
-            writer.writerow([repr(float(v)) for v in q] + [repr(float(v)) for v in e])
+    _write_table(path, np.column_stack([points, field.triad(points).reshape(len(points), -1)]), header)

@@ -80,6 +80,28 @@ def test_unusable_out_dir_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_circle_kernel_wider_than_the_image_bound_exits_1(tmp_path, capsys):
+    # eps 1e20 would need about 1e10 winding images; the bound is checked before they are allocated
+    cfg = write_config(tmp_path, {"geometry": "circle", "command": "propagate", "N": 1, "eps": 1e20})
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "winding images" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_overflowing_trajectory_exits_1_quietly(tmp_path):
+    cfg = write_config(tmp_path, {"geometry": "flat-cartesian", "command": "traj", "kind": "geodesic",
+                                  "q0": [0.0, 0.0], "v0": [1e200, 0.0], "duration": 0.01, "dt": 0.001})
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsiongeo.cli", "traj", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_command_mismatch_is_config_error(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     assert main(["defect", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -28,7 +28,16 @@ TRAJ = {"geometry": "polar", "command": "traj", "kind": "geodesic", "q0": [1.0, 
         "duration": 0.05, "dt": 0.01}
 DEFECT = {"geometry": "dislocation", "command": "defect", "contour_segments": 64}
 
-# config, key the error line must name; "contour.csv" exists in the run directory, "missing.csv" does not
+# contour files that exist but do not read as a contour
+BAD_CONTOURS = {
+    "non-numeric.csv": "q1,q2\r\n1,0\r\nzero,1\r\n-1,0\r\n1,0\r\n",
+    "three-rows.csv": "1,0\r\n0,1\r\n1,0\r\n",
+    "through-origin.csv": "1,0\r\n0,0\r\n0,1\r\n1,0\r\n",
+    "nan-vertex.csv": "1,0\r\n0,nan\r\n-1,0\r\n1,0\r\n",
+}
+
+# config, key the error line must name; "contour.csv" and BAD_CONTOURS exist in the run directory,
+# "missing.csv" does not
 PROBES = {
     "eps-overflow": ({**CIRCLE, "eps": 1e308}, "eps"),
     "eps-infinite": ({**CIRCLE, "eps": INF}, "eps"),
@@ -49,6 +58,8 @@ PROBES = {
     "contour_center-short": ({**DEFECT, "contour_center": [0]}, "contour_center"),
     "contour_csv-missing": ({"geometry": "dislocation", "command": "defect", "contour_csv": "missing.csv"},
                             "contour_csv"),
+    **{f"contour_csv-{name[:-4]}": ({"geometry": "dislocation", "command": "defect", "contour_csv": name},
+                                    "contour_csv") for name in BAD_CONTOURS},
     "contour_csv-with-radius": ({"geometry": "dislocation", "command": "defect", "contour_csv": "contour.csv",
                                  "contour_radius": 2.0}, "contour_radius"),
     "propagate-on-plane": ({"geometry": "flat-cartesian", "d": 2, "command": "propagate"}, "geometry"),
@@ -79,6 +90,8 @@ def assert_config_error(err: str, key: str):
 @pytest.mark.parametrize("payload, key", PROBES.values(), ids=list(PROBES))
 def test_config_probe_exits_2_naming_the_key(tmp_path, capsys, payload, key):
     write_contour_csv(Contour.circle(0.8, 64), tmp_path / "contour.csv")
+    for name, text in BAD_CONTOURS.items():
+        (tmp_path / name).write_bytes(text.encode())
     assert run_main(tmp_path, payload) == 2
     assert_config_error(capsys.readouterr().err, key)
     assert not (tmp_path / "out").exists()

@@ -6,7 +6,6 @@ import pytest
 
 from torsiongeo import catalog, dynamics
 from torsiongeo.dynamics import (
-    ParticleParams,
     Trajectory,
     bump_variation,
     evaluate_action,
@@ -276,13 +275,6 @@ def test_merged_magnus_generator_is_bit_identical(monkeypatch):
                     + [time_ordered_propagator(G, traj.dt, order=o) for o in (2, 4)])
     for merged, split in zip(*runs):
         assert np.array_equal(merged, split)
-
-
-def test_particle_params_validation():
-    with pytest.raises(ValueError):
-        ParticleParams(mass=-1.0)
-    with pytest.raises(ValueError):
-        ParticleParams(hbar=0.0)
 
 
 def test_el_residual_needs_enough_samples():
