@@ -73,15 +73,14 @@ def _multiples(times, step) -> bool:
     return all(_positive(t) and whole_steps(t, step) for t in times)
 
 
-def _contour_file(path) -> bool:
-    """The file reads as a contour (``io.read_contour_csv``, which runs ``Contour``'s own checks)."""
+def _contour_file(path):
+    """The contour the file holds (``io.read_contour_csv`` runs ``Contour``'s own checks), or None."""
     from .io import read_contour_csv
 
     try:
-        read_contour_csv(path)
+        return read_contour_csv(path)
     except (OSError, ValueError, TorsionGeoError):
-        return False
-    return True
+        return None
 
 
 def _default_taus(run) -> list:
@@ -93,7 +92,8 @@ def _default_taus(run) -> list:
 
 
 class Key(NamedTuple):
-    """One config key; ``ok(value, run)`` tells whether a given value meets ``rule``."""
+    """One config key; ``ok(value, run)`` tells whether a given value meets ``rule``.
+    A check that has to parse the value returns what it read, which becomes the option."""
 
     ok: Callable | None  # None: a slice key, checked by SliceConfig
     rule: str  # {D} stands for the geometry's dimension
@@ -149,8 +149,9 @@ KEYS = {
 
 @dataclass
 class RunConfig:
-    """A validated config: ``options`` holds every key of the command, given or default;
-    ``geom`` is the built geometry and ``slices`` the SliceConfig of a spectrum command."""
+    """A validated config: ``options`` holds every key of the command, given or default
+    (``contour_csv`` as the Contour its check read); ``geom`` is the built geometry and
+    ``slices`` the SliceConfig of a spectrum command."""
 
     geometry: str
     command: str
@@ -214,8 +215,11 @@ def load_config(path) -> RunConfig:
                 raise ValidationError(f"config key '{key}': applies only to {' or '.join(spec.topologies)} geometries")
             if clash:
                 raise ValidationError(f"config key '{key}': cannot be given together with '{clash[0]}'")
-            if not spec.ok(value, run):
+            verdict = spec.ok(value, run)
+            if not verdict:
                 raise ValidationError(f"config key '{key}': must be {spec.rule.format(D=geom.dim)}")
+            if verdict is not True:
+                value = verdict
         elif spec.default == REQUIRED:
             raise ValidationError(f"config key '{key}': is required for {command}")
         else:
@@ -283,10 +287,9 @@ def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
 
 def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     from .defects import Contour, DefectGeometry, burgers_vector, frank_rotation_deficit
-    from .io import read_contour_csv
 
     opts = config.options
-    contour = (read_contour_csv(opts["contour_csv"]) if opts["contour_csv"] is not None
+    contour = (opts["contour_csv"] if opts["contour_csv"] is not None  # the Contour its key check read
                else Contour.circle(float(opts["contour_radius"]), opts["contour_segments"],
                                    center=tuple(opts["contour_center"]), turns=opts["contour_turns"]))
     # the catalog geometry already built; its one parameter is the defect's
@@ -323,48 +326,53 @@ def _grid_for(config: RunConfig, factor: float = 1.0):
     return (*map(float, opts.get("grid_range") or LINE_RANGE), n) if topology == "line" else n
 
 
-def _run_spectrum_command(config: RunConfig, out_dir: str, stages: dict, cfg, opts: dict) -> dict:
+def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict, measures) -> dict:
+    """The ladder payload of each of ``measures``, from one propagator build per grid for all of them."""
     from .io import write_amplitude_csv
-    from .propagator import negative_beyond_rounding, propagate
-    from .spectrum import richardson_pair
+    from .propagator import negative_beyond_rounding, propagate_measures
 
-    geom = config.geom
+    geom, cfg = config.geom, config.slices
     taus = [float(t) for t in opts["tau_values"]]
     amplitude_taus = [float(t) for t in opts["amplitude_taus"]]
     with _stage(stages, "propagate"):
-        result = propagate(geom, cfg, grid=_grid_for(config), taus=taus, m_sector=opts["m_sector"],
-                           store_taus=amplitude_taus)
-    energies = _eigen_energies(result, cfg, opts["n_levels"]) if opts["extract"] else []
-    payload = {
-        "geometry": config.geometry,
-        "measure": cfg.measure,
-        "scheme": cfg.scheme,
-        "N": cfg.n_slices,
-        "eps": cfg.eps,
-        "tau": list(map(float, taus)),
-        "trace": [float(v) for v in result.trace],
-        "energies": energies,
-        "asymmetry": float(result.asymmetry),
-        "min_eigenvalue": float(result.eigenvalues[-1]),
-        "clipped_eigenvalues": negative_beyond_rounding(result.eigenvalues),
-    }
+        results = propagate_measures(geom, cfg, measures, grid=_grid_for(config), taus=taus,
+                                     m_sector=opts["m_sector"], store_taus=amplitude_taus)
+    ladders = {}
+    for measure, result in results.items():
+        ladders[measure] = {
+            "geometry": config.geometry,
+            "measure": measure,
+            "scheme": cfg.scheme,
+            "N": cfg.n_slices,
+            "eps": cfg.eps,
+            "tau": list(map(float, taus)),
+            "trace": [float(v) for v in result.trace],
+            "energies": _eigen_energies(result, cfg, opts["n_levels"]) if opts["extract"] else [],
+            "asymmetry": float(result.asymmetry),
+            "min_eigenvalue": float(result.eigenvalues[-1]),
+            "clipped_eigenvalues": negative_beyond_rounding(result.eigenvalues),
+        }
     if opts["richardson"]:
+        from .spectrum import richardson_pair
+
         half = replace(cfg, n_slices=2 * cfg.n_slices, eps=0.5 * cfg.eps)
         with _stage(stages, "propagate"):
-            res_half = propagate(geom, half, grid=_grid_for(config, math.sqrt(2.0)), taus=taus,
-                                 m_sector=opts["m_sector"])
-        energies_half = _eigen_energies(res_half, half, opts["n_levels"])
-        payload["energies_halved_step"] = energies_half
-        payload["energies_extrapolated"] = richardson_pair(energies, energies_half)
+            halves = propagate_measures(geom, half, measures, grid=_grid_for(config, math.sqrt(2.0)), taus=taus,
+                                        m_sector=opts["m_sector"])
+        for measure, payload in ladders.items():
+            payload["energies_halved_step"] = _eigen_energies(halves[measure], half, opts["n_levels"])
+            payload["energies_extrapolated"] = richardson_pair(payload["energies"], payload["energies_halved_step"])
     with _stage(stages, "write"):
-        for tau in amplitude_taus:
+        for tau in amplitude_taus:  # a propagate key, so one measure: the config's
+            stored = results[cfg.measure]
             path = os.path.join(out_dir, f"amplitude_tau_{tau:g}.csv")
-            write_amplitude_csv(result.grid, result.amplitudes[tau], tau, path)
-    return payload
+            write_amplitude_csv(stored.grid, stored.amplitudes[tau], tau, path)
+    return ladders
 
 
 def _run_propagate(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
-    return {"command": "propagate", **_run_spectrum_command(config, out_dir, stages, config.slices, config.options)}
+    measure = config.slices.measure
+    return {"command": "propagate", **_spectrum_ladders(config, out_dir, stages, config.options, (measure,))[measure]}
 
 
 def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
@@ -374,7 +382,7 @@ def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> di
 
     cfg = config.slices
     opts = {**config.options, "extract": True, "amplitude_taus": ()}  # compare-measures takes neither key
-    ladders = {m: _run_spectrum_command(config, out_dir, stages, replace(cfg, measure=m), opts) for m in MEASURES}
+    ladders = _spectrum_ladders(config, out_dir, stages, opts, MEASURES)
     key = "energies_extrapolated" if "energies_extrapolated" in ladders["qep"] else "energies"
     e_qep = ladders["qep"][key]
     e_naive = ladders["naive-dewitt"][key]
@@ -449,15 +457,16 @@ def _non_finite(obj, path: str):
 
 
 def _versions() -> dict:
+    """Package versions; scipy's only when the run loaded it, and None otherwise."""
     import numpy
-    import scipy
 
     from . import __version__
 
+    scipy = sys.modules.get("scipy")
     return {
         "torsiongeo": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy.__version__ if scipy is not None else None,
         "python": ".".join(map(str, sys.version_info[:3])),
     }
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChartSingularity, GridMismatch, GridTooCoarse, SingularTriad, StepTooLarge
+from .errors import ChartSingularity, GridMismatch, GridTooCoarse, NonFiniteResult, SingularTriad, StepTooLarge
 from .geometry import Geometry
 
 SINGULAR_TOL = 1e-8  # |det e| (or the least metric eigenvalue) at which a path has reached a chart singularity
@@ -88,9 +88,9 @@ def integrate_trajectory(
 
     Raises ``ChartSingularity`` when the path reaches a singular chart point
     (triad determinant below ``SINGULAR_TOL`` or changing sign between steps;
-    degenerate metric for metric-only geometries) and ``StepTooLarge`` when
-    the kinetic invariant drifts by more than ten times the tolerance
-    (default ``max(1e-6, 1e3 dt^4)`` relative).
+    degenerate metric for metric-only geometries), ``NonFiniteResult`` when the
+    kinetic invariant overflows, and ``StepTooLarge`` when it drifts by more
+    than ten times the tolerance (default ``max(1e-6, 1e3 dt^4)`` relative).
     """
     if kind not in ("geodesic", "autoparallel"):
         raise ValueError("kind must be 'geodesic' or 'autoparallel'")
@@ -134,8 +134,11 @@ def integrate_trajectory(
     traj = Trajectory(kind, ts, qs, vs, geom)
     tol = invariant_tol if invariant_tol is not None else max(1e-6, 1e3 * dt**4)
     inv = traj.kinetic_invariant()
+    finite = np.isfinite(inv)
+    if not finite.all():  # an overflowed orbit, which no smaller dt mends
+        raise NonFiniteResult(f"kinetic invariant is not finite at t={ts[np.argmin(finite)]:.6g}")
     drift = np.max(np.abs(inv - inv[0])) / max(abs(inv[0]), 1e-300)
-    if not drift <= 10.0 * tol:  # a NaN drift (an overflowed invariant) fails too
+    if drift > 10.0 * tol:
         raise StepTooLarge(f"kinetic invariant drifted by {drift:.3e} (relative); reduce dt")
     return traj
 

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .defects import Contour
-from .dynamics import Trajectory, VariationRecord
+if TYPE_CHECKING:  # the writers only read attributes; a command loads neither module unless it runs it
+    from .defects import Contour
+    from .dynamics import Trajectory, VariationRecord
 
 
 def jsonable(obj):
@@ -94,6 +96,8 @@ def write_variation_csv(record: VariationRecord, path) -> None:
 
 
 def read_contour_csv(path) -> Contour:
+    from .defects import Contour
+
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if rows and rows[0] and rows[0][0].strip().lower() == "q1":

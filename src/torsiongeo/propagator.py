@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import GridResolutionInsufficient, TorsionGeoError
 from .geometry import Geometry
-from .slicing import SliceConfig, _h_tensor, delta_jacobian_action, whole_steps
+from .slicing import MEASURES, SliceConfig, _h_tensor, delta_jacobian_action, whole_steps
 
 EXPONENT_CUT = 30.0  # quadratic exponent beyond which corrections are dropped
 TAIL_SIGMA = 7.5  # kernel support half-width in units of the slice width
@@ -89,34 +89,31 @@ def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0, co
 class _CoefficientTable:
     """Action/measure coefficients sampled at reference points along one axis.
 
-    ``g``  (n, D, D); ``t3`` (n, D, D, D); ``t4`` (n, D, D, D, D);
-    ``dj_lin`` (n, D); ``dj_quad`` (n, D, D); ``sqrt_g`` (n,).
-    The cubic and quartic tensors already carry their relative signs: the
-    slice action is pref * (g uu + t3 uuu + t4 uuuu).
+    ``action`` holds g (n, D, D), t3 (n, D, D, D) and t4 (n, D, D, D, D);
+    ``dj[measure]`` holds the measure exponent's linear (n, D) and quadratic
+    (n, D, D) tables, or None for the position measure, whose exponent is 0;
+    ``sqrt_g`` is (n,).  The cubic and quartic tensors already carry their
+    relative signs: the slice action is pref * (g uu + t3 uuu + t4 uuuu).
     """
 
-    def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig):
+    def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig, measures):
         n, d = points.shape
         pt = geom.batch(points)
         self.g = pt.metric
         self.sqrt_g = pt.sqrt_metric
-        self.t3 = -pt.affine_first if config.order >= 3 and config.scheme != "midpoint" else np.zeros((n, d, d, d))
-        self.t4 = np.zeros((n, d, d, d, d))
+        t3 = -pt.affine_first if config.order >= 3 and config.scheme != "midpoint" else np.zeros((n, d, d, d))
+        t4 = np.zeros((n, d, d, d, d))
         if config.order >= 4:
             t4a = np.einsum("jkl,jmnsl->jmnsk", pt.metric, _h_tensor(pt)) / 3.0
             if config.scheme == "midpoint":
-                self.t4 = 0.25 * t4a
+                t4 = 0.25 * t4a
             else:
-                self.t4 = t4a + 0.25 * np.einsum("jmnt,jskt->jmnsk", pt.affine_first, pt.affine)
-        if config.measure == "qep":
+                t4 = t4a + 0.25 * np.einsum("jmnt,jskt->jmnsk", pt.affine_first, pt.affine)
+        self.action = (self.g, t3, t4)
+        self.dj = dict.fromkeys(measures)
+        if "qep" in self.dj:
             delta = delta_jacobian_action(geom, points)
-            self.dj_lin, self.dj_quad = delta.linear, delta.quadratic
-        else:
-            self.dj_lin, self.dj_quad = np.zeros((n, d)), np.zeros((n, d, d))
-
-    def terms(self):
-        """The slice-kernel tables in the argument order of :func:`_slice_kernel`."""
-        return self.g, self.t3, self.t4, self.dj_lin, self.dj_quad
+            self.dj["qep"] = (delta.linear, delta.quadratic)
 
 
 def _interp_table(x_nodes: np.ndarray, table: np.ndarray, x_query: np.ndarray) -> np.ndarray:
@@ -127,35 +124,35 @@ def _interp_table(x_nodes: np.ndarray, table: np.ndarray, x_query: np.ndarray) -
     return (1.0 - w) * table[idx] + w * table[idx + 1]
 
 
-def _trust_region(quad: np.ndarray, corr) -> np.ndarray:
-    """exp(-quad) (1 + c + c^2/2) with c = corr(mask) on mask = quad < EXPONENT_CUT; exp(-quad) elsewhere.
+def _slice_kernel(g, t3, t4, djs, u: np.ndarray, pref: float) -> list:
+    """Euclidean slice kernels (unnormalized) at differences ``u`` of shape (..., D), one per entry of ``djs``.
 
-    ``corr`` gives c at the masked entries only.  The cubic/quartic action terms
-    and the measure exponent are relevant-order corrections: exponentiating them
-    raw would amplify Gaussian tails where the expansion is meaningless, whereas
+    The tables g (..., D, D), t3 (..., D, D, D), t4 (..., D, D, D, D) and each
+    ``djs`` entry, a measure exponent's (linear (..., D), quadratic (..., D, D))
+    pair or None for a zero exponent, broadcast against the leading axes of
+    ``u``: one reference point per row, or one per entry.  Each kernel is
+    exp(-quad) (1 + c + c^2/2) on the trust region quad < EXPONENT_CUT, with c
+    the cubic and quartic action terms plus the measure exponent, and the bare
+    exp(-quad) elsewhere: exponentiating these relevant-order corrections raw
+    would amplify Gaussian tails where the expansion is meaningless, whereas
     1 + c + c^2/2 = ((c+1)^2 + 1)/2 is positive, polynomially bounded, and
     correct through the retained order.
     """
-    out = np.exp(-quad)
-    mask = quad < EXPONENT_CUT
-    c = corr(mask)
-    out[mask] *= 1.0 + c + 0.5 * c**2
-    return out
-
-
-def _slice_kernel(g, t3, t4, dj_lin, dj_quad, u: np.ndarray, pref: float) -> np.ndarray:
-    """Euclidean slice kernel (unnormalized) at differences ``u`` of shape (..., D).
-
-    The tables g (..., D, D), t3 (..., D, D, D), t4 (..., D, D, D, D),
-    dj_lin (..., D) and dj_quad (..., D, D) broadcast against the leading
-    axes of ``u``: one reference point per row, or one per entry.
-    """
     quad = pref * np.einsum("...mn,...m,...n->...", g, u, u)
-    corr = -pref * np.einsum("...mnl,...m,...n,...l->...", t3, u, u, u)
-    corr -= pref * np.einsum("...mnsk,...m,...n,...s,...k->...", t4, u, u, u, u)
-    corr += np.einsum("...m,...m->...", dj_lin, u)
-    corr += np.einsum("...mn,...m,...n->...", dj_quad, u, u)
-    return _trust_region(quad, lambda mask: corr[mask])
+    action = -pref * np.einsum("...mnl,...m,...n,...l->...", t3, u, u, u)
+    action -= pref * np.einsum("...mnsk,...m,...n,...s,...k->...", t4, u, u, u, u)
+    gauss = np.exp(-quad)
+    outside = quad >= EXPONENT_CUT
+    kernels = []
+    for dj in djs:
+        c = action
+        if dj is not None:
+            c = action + np.einsum("...m,...m->...", dj[0], u)
+            c += np.einsum("...mn,...m,...n->...", dj[1], u, u)
+        factor = 1.0 + c + 0.5 * c**2
+        factor[outside] = 1.0
+        kernels.append(gauss * factor)
+    return kernels
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +173,16 @@ def _line_nodes(grid) -> tuple[np.ndarray, float]:
     return lo + du * (np.arange(n) + 0.5), du
 
 
-def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period):
+def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period, measures):
+    """Transfer matrices of the line (``period`` None) or the circle: ``({measure: B}, weights)``.
+
+    Each block of (row, image, column) entries evaluates the action terms once
+    and adds only the measure exponent per measure; the images are summed.
+    """
     n = nodes.size
     pref = config.mass / (2.0 * config.eps * config.hbar)
     sigma_flat = math.sqrt(config.eps * config.hbar / config.mass)
-    table = _CoefficientTable(geom, nodes[:, None], config)
+    table = _CoefficientTable(geom, nodes[:, None], config, measures)
     sigma_u = sigma_flat / np.sqrt(table.g[:, 0, 0])
     if np.min(sigma_u) / du < MIN_POINTS_PER_SIGMA:
         raise GridResolutionInsufficient(
@@ -197,8 +199,7 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
     else:
         shifts = np.zeros((1, 1))
 
-    # each block holds (row, image, column) entries; the winding images are summed
-    kernel = np.empty((n, n))
+    kernels = {measure: np.empty((n, n)) for measure in table.dj}
     for rows in _blocks(n, n * shifts.size):
         here = nodes[rows, None, None]
         u = (here - nodes + shifts)[..., None]
@@ -208,22 +209,27 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
             mid = 0.5 * (here + nodes) - 0.5 * shifts
             if period is not None:
                 mid = mid % period
-            coef = [_interp_table(nodes, t, mid) for t in table.terms()]
+
+            def at(t):
+                return _interp_table(nodes, t, mid)
         else:
-            coef = [t[rows, None, None] for t in table.terms()]
-        kernel[rows] = _slice_kernel(*coef, u, pref).sum(axis=1)
-    if config.scheme == "prepoint":
-        # rows hold the reference point and its outgoing difference; indexing
-        # by (later, earlier) with the sign flip of the difference is the
-        # transpose of that matrix
-        kernel = kernel.T
+            def at(t):
+                return t[rows, None, None]
+        djs = [None if dj is None else tuple(map(at, dj)) for dj in table.dj.values()]
+        for kernel, vals in zip(kernels.values(), _slice_kernel(*map(at, table.action), djs, u, pref)):
+            kernel[rows] = vals.sum(axis=1)
     norm = (2 * np.pi * config.hbar * config.eps / config.mass) ** -0.5
     weights = table.sqrt_g * du
-    return norm * np.sqrt(np.outer(weights, weights)) * kernel, weights
+    scale = norm * np.sqrt(np.outer(weights, weights))
+    # prepoint rows hold the reference point and its outgoing difference;
+    # indexing by (later, earlier) with the sign flip of the difference is the
+    # transpose of that matrix
+    return {measure: scale * (kernel.T if config.scheme == "prepoint" else kernel)
+            for measure, kernel in kernels.items()}, weights
 
 
-def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
-    """Azimuthal-sector transfer matrix on the sphere.
+def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, measures):
+    """Azimuthal-sector transfer matrices on the sphere: ``({measure: B}, weights, theta)``.
 
     At order >= 3 the quadratic-plus-cubic part of the chart expansion is
     resummed into the geometrically exact compact form
@@ -246,7 +252,10 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     weight 2 dzeta.  At order >= 3 the measure term takes the endpoint mean of
     the per-node R (2 / a^2 up to rounding), so the kernel is symmetric and
     only columns >= row are evaluated, then mirrored; order 2 keeps full rows,
-    as its quadratic takes the row's g_phi.
+    as its quadratic takes the row's g_phi.  The measures differ only in the
+    correction factor: each block evaluates the Gaussian core, its trust
+    region and the pair forms once, then the factor and the phase integral
+    per measure.
     """
     a = float(geom.params.get("a", 1.0))
     x_nodes, x_weights = np.polynomial.legendre.leggauss(int(n_theta))
@@ -261,8 +270,9 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     sin_t = np.sin(theta)
     g_phi = a * a * sin_t**2
     quartic = pref / a**2 if config.order >= 4 else 0.0
-    qep = config.measure == "qep" and config.order >= 3
-    ricci = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann if qep else np.zeros(n_theta)
+    ricci = dict.fromkeys(measures, np.zeros(n_theta))
+    if "qep" in ricci and config.order >= 3:
+        ricci["qep"] = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
 
     n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
     dzeta = 2 * math.pi / n_phi
@@ -270,30 +280,50 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int):
     one_minus_cos, phase = 1.0 - np.cos(zeta), np.cos(m * zeta)
     rows, cols = np.divmod(np.arange(n_theta**2), n_theta) if config.order == 2 else np.triu_indices(n_theta)
 
-    # blocks of (node pair, zeta) entries, integrated against the phase
-    kernel = np.empty((n_theta, n_theta))
+    # blocks of (node pair, zeta) entries, integrated against the phase; the
+    # block-sized work buffers are allocated once and reused by every block
+    kernels = {measure: np.empty((n_theta, n_theta)) for measure in ricci}
+    size = min(rows.size, max(1, BLOCK_ENTRIES // zeta.size)) * zeta.size
+    work, outside_work = [np.empty(size) for _ in range(5)], np.empty(size, dtype=bool)
     for block in _blocks(rows.size, zeta.size):
         i, j = rows[block], cols[block]
+        shape = (i.size, zeta.size)
+        q_form, quad, gauss, factor, square = (buf[: i.size * zeta.size].reshape(shape) for buf in work)
         p_form = a * a * (theta[i] - theta[j]) ** 2
-        if config.order == 2:
-            vals = np.exp(-pref * (p_form[:, None] + g_phi[i, None] * zeta**2))
-        else:
-            q_form = 2.0 * a * a * (sin_t[i] * sin_t[j])[:, None] * one_minus_cos
+        if config.order == 2:  # the bare chart quadratic carries no measure term
+            np.multiply(g_phi[i, None], zeta**2, out=quad)
+            np.add(p_form[:, None], quad, out=quad)
+            np.multiply(-pref, quad, out=quad)
+            row = np.exp(quad, out=gauss) @ phase * (2.0 * dzeta)
+            for kernel in kernels.values():
+                kernel[i, j] = row
+            continue
+        # the Gaussian core and its trust region quad < EXPONENT_CUT, shared by every measure
+        np.multiply((2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None], one_minus_cos, out=q_form)
+        np.add(p_form[:, None], q_form, out=quad)
+        np.multiply(pref, quad, out=quad)
+        np.exp(np.negative(quad, out=gauss), out=gauss)
+        outside = np.greater_equal(quad, EXPONENT_CUT, out=outside_work[: gauss.size].reshape(shape))
+        quartic_q = np.multiply(quartic / 12.0, q_form, out=quad)
+        for measure, kernel in kernels.items():
             # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
-            r_mean = (ricci[i] + ricci[j]) / 24.0
+            r_mean = (ricci[measure][i] + ricci[measure][j]) / 24.0
             lin, const = r_mean - quartic * p_form / 6.0, r_mean * p_form
-
-            def corr(mask):
-                count = np.count_nonzero(mask, axis=1)
-                q = q_form[mask]
-                return q * (np.repeat(lin, count) - quartic / 12.0 * q) + np.repeat(const, count)
-            vals = _trust_region(pref * (p_form[:, None] + q_form), corr)
-        kernel[i, j] = vals @ phase * (2.0 * dzeta)
-    if config.order >= 3:
-        kernel[cols, rows] = kernel[rows, cols]
+            c = np.subtract(lin[:, None], quartic_q, out=factor)
+            np.add(np.multiply(q_form, c, out=c), const[:, None], out=c)
+            # 1 + c + c^2/2 inside the trust region, 1 (the bare Gaussian) outside it
+            np.multiply(0.5, np.multiply(c, c, out=square), out=square)
+            np.add(np.add(1.0, c, out=factor), square, out=factor)
+            np.copyto(factor, 1.0, where=outside)
+            kernel[i, j] = np.multiply(gauss, factor, out=factor) @ phase * (2.0 * dzeta)
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
     weights = a * a * gl_w
-    return norm * np.sqrt(np.outer(weights, weights)) * kernel, weights, theta
+    scale = norm * np.sqrt(np.outer(weights, weights))
+    for kernel in kernels.values():
+        if config.order >= 3:
+            kernel[cols, rows] = kernel[rows, cols]
+        kernel *= scale
+    return kernels, weights, theta
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +366,50 @@ def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, 
     return trace, amplitudes, asym, raw[::-1]
 
 
+def propagate_measures(
+    geom: Geometry,
+    config: SliceConfig,
+    measures,
+    *,
+    grid=None,
+    taus=None,
+    m_sector: int = 0,
+    store_taus=(),
+) -> dict:
+    """
+    :func:`propagate` under each of ``measures`` (``config.measure`` is not
+    read), as ``{measure: PropagatorResult}``.  One kernel build serves every
+    measure: the measure-independent part of each kernel block is evaluated
+    once, and each result is bit for bit what :func:`propagate` gives under
+    that measure.
+    """
+    if geom.topology not in ("line", "circle", "sphere"):
+        raise ValueError(f"geometry '{geom.name}' has no propagation topology")
+    if not set(measures) <= set(MEASURES):
+        raise ValueError(f"measures must be among {MEASURES}")
+    taus = list(taus) if taus is not None else [config.total_time]
+    store = dict(zip(map(float, store_taus), _tau_indices(store_taus, config)))
+
+    if geom.topology == "sphere":
+        n_theta = int(grid) if grid is not None else DEFAULT_NODES["sphere"]
+        kernels, weights, nodes = _build_sphere(geom, config, n_theta, m_sector, measures)
+    elif geom.topology == "circle":
+        n_pts = int(grid) if grid is not None else DEFAULT_NODES["circle"]
+        nodes, du = _line_nodes((0.0, 2 * np.pi, n_pts))
+        kernels, weights = _build_1d(geom, config, nodes, du, 2 * np.pi, measures)
+    else:
+        grid = grid if grid is not None else (*LINE_RANGE, DEFAULT_NODES["line"])
+        nodes, du = _line_nodes(grid)
+        kernels, weights = _build_1d(geom, config, nodes, du, None, measures)
+
+    results = {}
+    for measure, b_mat in kernels.items():
+        trace, amplitudes, asym, eigenvalues = _compose(b_mat, weights, config, taus, store)
+        results[measure] = PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
+                                            amplitudes=amplitudes, asymmetry=asym)
+    return results
+
+
 def propagate(
     geom: Geometry,
     config: SliceConfig,
@@ -357,23 +431,5 @@ def propagate(
     ``grid`` is ``(lo, hi, n)`` for the line, a point count for the circle,
     and a node count for the sphere.
     """
-    if geom.topology not in ("line", "circle", "sphere"):
-        raise ValueError(f"geometry '{geom.name}' has no propagation topology")
-    taus = list(taus) if taus is not None else [config.total_time]
-    store = dict(zip(map(float, store_taus), _tau_indices(store_taus, config)))
-
-    if geom.topology == "sphere":
-        n_theta = int(grid) if grid is not None else DEFAULT_NODES["sphere"]
-        b_mat, weights, nodes = _build_sphere(geom, config, n_theta, m_sector)
-    elif geom.topology == "circle":
-        n_pts = int(grid) if grid is not None else DEFAULT_NODES["circle"]
-        nodes, du = _line_nodes((0.0, 2 * np.pi, n_pts))
-        b_mat, weights = _build_1d(geom, config, nodes, du, period=2 * np.pi)
-    else:
-        grid = grid if grid is not None else (*LINE_RANGE, DEFAULT_NODES["line"])
-        nodes, du = _line_nodes(grid)
-        b_mat, weights = _build_1d(geom, config, nodes, du, period=None)
-
-    trace, amplitudes, asym, eigenvalues = _compose(b_mat, weights, config, taus, store)
-    return PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
-                            amplitudes=amplitudes, asymmetry=asym)
+    return propagate_measures(geom, config, (config.measure,), grid=grid, taus=taus, m_sector=m_sector,
+                              store_taus=store_taus)[config.measure]

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrate_trajectory
 from .errors import NoConvergence, TorsionPresentWarning
 from .geometry import Geometry, PointGeometry
 
@@ -90,13 +89,9 @@ def whole_steps(total: float, step: float) -> int:
 class ActionTerms:
     """Slice action split by power of the coordinate difference."""
 
-    point: np.ndarray
-    dq: np.ndarray
     quadratic: float
     cubic: float
     quartic: float
-    scheme: str
-    order: int
 
     @property
     def total(self) -> float:
@@ -184,7 +179,7 @@ def short_time_action(geom: Geometry, q, dq, config: SliceConfig) -> ActionTerms
         if config.order >= 4:
             c3 = np.einsum("mnsl,m,n,s->l", _h_tensor(pt), u, u, u) / 6.0
             quart = float(0.5 * (u @ g @ c3))
-    return ActionTerms(q, u, pref * quad, pref * cubic, pref * quart, config.scheme, config.order)
+    return ActionTerms(pref * quad, pref * cubic, pref * quart)
 
 
 def shoot_autoparallel(
@@ -201,6 +196,8 @@ def shoot_autoparallel(
     Solve the two-point boundary problem for the autoparallel from q_from to
     q_to by Newton shooting on the initial velocity.  Returns (v0, v_final).
     """
+    from .dynamics import integrate_trajectory
+
     q_from = np.asarray(q_from, dtype=float)
     q_to = np.asarray(q_to, dtype=float)
     dt = duration / steps
@@ -251,7 +248,6 @@ JACOBIAN_ROUTES = ("naive-affine", "naive-metric", "qep")
 class JacobianSeries:
     """Real Euclidean measure exponent j(dq) = linear . dq + dq . quadratic . dq."""
 
-    point: np.ndarray
     linear: np.ndarray
     quadratic: np.ndarray
 
@@ -286,7 +282,7 @@ def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool 
         linear = -np.einsum("...abb->...a", conn)
         tr = np.einsum("...abbs->...as", d_conn)  # d_s Gamma_{a b}^b
         quadratic = 0.25 * (tr + np.swapaxes(tr, -1, -2))
-        return JacobianSeries(q, linear, quadratic)
+        return JacobianSeries(linear, quadratic)
 
     h = _h_tensor(pt)
     if symmetrized:
@@ -298,7 +294,7 @@ def jacobian_action(geom: Geometry, q, *, route: str = "qep", symmetrized: bool 
     tr_b2 = np.einsum("...rnl,...lsr->...ns", gam, gam)
     quadratic = 0.5 * np.einsum("...lnsl->...ns", h) - 0.5 * tr_b2
     quadratic = 0.5 * (quadratic + np.swapaxes(quadratic, -1, -2))
-    return JacobianSeries(q, linear, quadratic)
+    return JacobianSeries(linear, quadratic)
 
 
 def delta_jacobian_action(geom: Geometry, q) -> JacobianSeries:
@@ -310,7 +306,7 @@ def delta_jacobian_action(geom: Geometry, q) -> JacobianSeries:
     """
     qep = jacobian_action(geom, q, route="qep")
     naive = jacobian_action(geom, q, route="naive-affine")
-    return JacobianSeries(qep.point, qep.linear - naive.linear, qep.quadratic - naive.quadratic)
+    return JacobianSeries(qep.linear - naive.linear, qep.quadratic - naive.quadratic)
 
 
 def effective_potential(geom: Geometry, q, mass: float, hbar: float) -> float:

@@ -97,7 +97,8 @@ def test_overflowing_trajectory_exits_1_quietly(tmp_path):
         capture_output=True, text=True, cwd=REPO,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ")
+    # an overflowed orbit is not drift: no smaller dt mends it
+    assert proc.stderr.startswith("error: kinetic invariant is not finite")
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out" / "results.json").exists()
 
@@ -386,13 +387,13 @@ def test_sphere_amplitudes_use_m_sector_and_one_propagate(tmp_path, monkeypatch)
     from torsiongeo.slicing import SliceConfig
 
     calls = []
-    original = propagator.propagate
+    original, build_all = propagator.propagate, propagator.propagate_measures
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("m_sector"))
-        return original(*args, **kwargs)
+        return build_all(*args, **kwargs)
 
-    monkeypatch.setattr(propagator, "propagate", counting)
+    monkeypatch.setattr(propagator, "propagate_measures", counting)
     taus = [0.1, 0.2, 0.3, 0.4]
     cfg = load_config(write_config(tmp_path, {
         "geometry": "sphere", "a": 1.0, "command": "propagate", "N": 8, "eps": 0.05, "grid_points": 120,
@@ -428,3 +429,32 @@ def test_cli_cold_path_imports_no_scipy_solvers(tmp_path):
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+COMMAND_SIZED_START = """
+import sys
+from torsiongeo import cli
+defect_cfg, circle_cfg, out = sys.argv[1:]
+assert cli.main(["defect", "--config", defect_cfg, "--out", out + "/defect"]) == 0
+assert cli.main(["propagate", "--config", circle_cfg, "--out", out + "/circle"]) == 0
+print(sorted({"scipy", "torsiongeo.dynamics", "torsiongeo.spectrum"} & set(sys.modules)))
+"""
+
+
+def test_cli_cold_start_loads_only_the_running_command(tmp_path):
+    # a fresh interpreter that imports only the CLI: a dislocation defect and a
+    # circle propagate without richardson load neither scipy, the dynamics
+    # module nor the spectrum module, and the manifest records no scipy version
+    import os
+
+    defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
+                                     "contour_segments": 512}, "defect.json")
+    circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", COMMAND_SIZED_START, str(defect), str(circle), str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    for command in ("defect", "circle"):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] is None

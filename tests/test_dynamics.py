@@ -17,7 +17,7 @@ from torsiongeo.dynamics import (
     torsion_force,
     variation_closed_form,
 )
-from torsiongeo.errors import ChartSingularity, GridMismatch, GridTooCoarse, StepTooLarge
+from torsiongeo.errors import ChartSingularity, GridMismatch, GridTooCoarse, NonFiniteResult, StepTooLarge
 
 
 def polar_to_cartesian(q):
@@ -102,6 +102,12 @@ def test_step_too_large_guard():
     geom = catalog.make("polar")
     with pytest.raises(StepTooLarge):
         integrate_trajectory(geom, "geodesic", [1.0, 0.0], [0.3, 1.2], 1.0, 0.02, invariant_tol=1e-15)
+
+
+def test_overflowed_invariant_is_not_drift():
+    # g v v overflows from the first sample; a smaller dt cannot help, so it is not StepTooLarge
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="kinetic invariant is not finite at t=0"):
+        integrate_trajectory(catalog.make("flat-cartesian"), "geodesic", [0.0, 0.0], [1e200, 0.0], 0.01, 0.001)
 
 
 # -- actions -----------------------------------------------------------------

@@ -3,11 +3,13 @@
 # spectrum extraction, the analytic real-time flat kernel, the assembled
 # slice kernel against the per-point action and measure formulas, the
 # symmetry-reduced sphere kernel against its full-period reference, the stored
-# amplitudes' exact symmetry, and the rounding floor of the negative-eigenvalue count.
+# amplitudes' exact symmetry, the rounding floor of the negative-eigenvalue
+# count, and the one build shared by both measures against one-measure builds.
 
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,14 +30,27 @@ from torsiongeo.propagator import (
     flat_line_kernel,
     negative_beyond_rounding,
     propagate,
+    propagate_measures,
 )
-from torsiongeo.slicing import SliceConfig, delta_jacobian_action, short_time_action
+from torsiongeo.slicing import MEASURES, SliceConfig, delta_jacobian_action, short_time_action
 from torsiongeo.spectrum import extract_spectrum, richardson_pair
 from torsiongeo.triads import TriadField
 
 
 def flat_line():
     return catalog.make("flat-cartesian", d=1)
+
+
+def build_1d(geom, cfg, nodes, du, period):
+    """_build_1d under the config's measure: (B, weights)."""
+    kernels, weights = _build_1d(geom, cfg, nodes, du, period, (cfg.measure,))
+    return kernels[cfg.measure], weights
+
+
+def build_sphere(geom, cfg, n_theta, m):
+    """_build_sphere under the config's measure: (B, weights, theta)."""
+    kernels, weights, theta = _build_sphere(geom, cfg, n_theta, m, (cfg.measure,))
+    return kernels[cfg.measure], weights, theta
 
 
 def circle_trace_oracle(taus, a=1.0, hbar=1.0, mass=1.0):
@@ -209,7 +224,7 @@ def _oracle_case(topology, scheme, order, measure):
         geom, grid, period = _bumpy_line(), (-5.0, 5.0, 512), None
     cfg = SliceConfig(n_slices=8, eps=0.05, scheme=scheme, order=order, measure=measure)
     nodes, du = _line_nodes(grid)
-    b_mat, weights = _build_1d(geom, cfg, nodes, du, period)
+    b_mat, weights = build_1d(geom, cfg, nodes, du, period)
     norm = (2 * np.pi * cfg.hbar * cfg.eps / cfg.mass) ** -0.5
     return geom, cfg, nodes, period, b_mat / (norm * np.sqrt(np.outer(weights, weights)))
 
@@ -291,17 +306,19 @@ def test_slice_kernel_terms_against_hand_sum():
     dj_lin = rng.normal(size=(n_rows, d))
     dj_quad = rng.normal(size=(n_rows, d, d))
     u = rng.uniform(-2.5, 2.5, size=(n_rows, n_cols, d))
-    got = _slice_kernel(*(t[:, None] for t in (g, t3, t4, dj_lin, dj_quad)), u, pref)
-    assert got.shape == (n_rows, n_cols)
+    # one kernel per measure exponent; None stands for a zero exponent
+    got, bare = _slice_kernel(*(t[:, None] for t in (g, t3, t4)), [(dj_lin[:, None], dj_quad[:, None]), None],
+                              u, pref)
+    assert got.shape == bare.shape == (n_rows, n_cols)
     inside = 0
     for r, col in itertools.product(range(n_rows), range(n_cols)):
         x = u[r, col]
         quad = pref * _contract(g[r], x)
         action = -pref * (_contract(t3[r], x) + _contract(t4[r], x))
-        c = action + _contract(dj_lin[r], x) + _contract(dj_quad[r], x)
         inside += quad < EXPONENT_CUT
-        want = math.exp(-quad) * (1.0 + c + 0.5 * c**2 if quad < EXPONENT_CUT else 1.0)
-        assert got[r, col] == pytest.approx(want, rel=1e-12, abs=0.0)
+        for kernel, c in ((got, action + _contract(dj_lin[r], x) + _contract(dj_quad[r], x)), (bare, action)):
+            want = math.exp(-quad) * (1.0 + c + 0.5 * c**2 if quad < EXPONENT_CUT else 1.0)
+            assert kernel[r, col] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert 0 < inside < n_rows * n_cols
 
 
@@ -498,7 +515,7 @@ def test_build_sphere_matches_full_period_reference(a, n_theta, order, measure, 
     # the kernel only at rounding level
     geom = catalog.make("sphere", a=a)
     cfg = SliceConfig(n_slices=8, eps=0.05, order=order, measure=measure)
-    got, weights, theta = _build_sphere(geom, cfg, n_theta, m)
+    got, weights, theta = build_sphere(geom, cfg, n_theta, m)
     want, ref_weights, ref_theta = _sphere_reference(geom, cfg, n_theta, m)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(weights, ref_weights)
@@ -508,7 +525,7 @@ def test_build_sphere_matches_full_period_reference(a, n_theta, order, measure, 
 def test_sphere_radius_two_at_160_nodes_is_under_resolved():
     cfg = SliceConfig(n_slices=8, eps=0.05)
     with pytest.raises(GridResolutionInsufficient):
-        _build_sphere(catalog.make("sphere", a=2.0), cfg, 160, 0)
+        build_sphere(catalog.make("sphere", a=2.0), cfg, 160, 0)
 
 
 @pytest.mark.parametrize("measure", ["qep", "naive-dewitt"])
@@ -539,14 +556,14 @@ def _amplitude_case(topology, m):
     if topology == "line":
         geom, cfg, grid = flat_line(), SliceConfig(n_slices=16, eps=1 / 64), (-4.0, 4.0, 512)
         nodes, du = _line_nodes(grid)
-        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=None)
+        b_mat, weights = build_1d(geom, cfg, nodes, du, period=None)
     elif topology == "circle":
         geom, cfg, grid = catalog.make("circle", a=1.0), SliceConfig(n_slices=16, eps=0.0625), 256
         nodes, du = _line_nodes((0.0, 2 * np.pi, grid))
-        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=2 * np.pi)
+        b_mat, weights = build_1d(geom, cfg, nodes, du, period=2 * np.pi)
     else:
         geom, cfg, grid = catalog.make("sphere", a=1.0), SliceConfig(n_slices=8, eps=0.05), 120
-        b_mat, weights, _ = _build_sphere(geom, cfg, grid, m)
+        b_mat, weights, _ = build_sphere(geom, cfg, grid, m)
     return geom, cfg, grid, b_mat, weights
 
 
@@ -566,7 +583,7 @@ def test_stored_amplitudes_are_exactly_symmetric(topology, m):
 def test_negative_eigenvalue_count_ignores_last_bit_noise(measure, count):
     # the golden compare-measures sphere: about 70 eigenvalues are negative by
     # rounding alone, and their number moves with the kernel's last bits
-    b_mat, _, _ = _build_sphere(catalog.make("sphere", a=1.0), SliceConfig(n_slices=80, eps=0.05, measure=measure),
+    b_mat, _, _ = build_sphere(catalog.make("sphere", a=1.0), SliceConfig(n_slices=80, eps=0.05, measure=measure),
                                 176, 0)
     assert negative_beyond_rounding(np.linalg.eigvalsh(0.5 * (b_mat + b_mat.T))) == count
     rng = np.random.default_rng(20261018)
@@ -581,3 +598,56 @@ def test_negative_beyond_rounding_floor():
     assert negative_beyond_rounding([2.0, 1.0, -0.9 * floor, -floor]) == 0
     assert negative_beyond_rounding([2.0, 1.0, -1.1 * floor, -1.0]) == 2
     assert negative_beyond_rounding([]) == 0
+
+
+# -- one build for both measures ------------------------------------------------
+
+SHARED_BUILD_CASES = [
+    *(("sphere", "postpoint", order, m) for order in (2, 3, 4) for m in (0, 2)),
+    *((topology, scheme, order, 0)
+      for topology in ("circle", "line") for scheme in ("postpoint", "prepoint", "midpoint") for order in (2, 3, 4)),
+]
+
+
+def _kernels(topology, geom, cfg, grid, m, measures):
+    if topology == "sphere":
+        return _build_sphere(geom, cfg, grid, m, measures)[0]
+    nodes, du = _line_nodes((0.0, 2 * np.pi, grid) if topology == "circle" else grid)
+    return _build_1d(geom, cfg, nodes, du, 2 * np.pi if topology == "circle" else None, measures)[0]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("topology, scheme, order, m", SHARED_BUILD_CASES)
+def test_shared_build_is_bit_identical_to_one_measure_builds(topology, scheme, order, m):
+    # propagate_measures evaluates the measure-independent part of each kernel
+    # block once; each kernel, eigenvalue, trace and stored amplitude is still
+    # bit for bit what a build under that measure alone gives
+    if topology == "sphere":
+        geom, grid, eps = catalog.make("sphere"), 120, 0.05
+    elif topology == "circle":
+        geom, grid, eps = catalog.make("circle"), 128, 0.25
+    else:
+        geom, grid, eps = _bumpy_line(), (-4.0, 4.0, 256), 0.1
+    cfg = SliceConfig(n_slices=4, eps=eps, scheme=scheme, order=order)
+    taus, store = [eps, 4 * eps], [2 * eps]
+    shared = _kernels(topology, geom, cfg, grid, m, MEASURES)
+    together = propagate_measures(geom, cfg, MEASURES, grid=grid, taus=taus, m_sector=m, store_taus=store)
+    for measure in MEASURES:
+        one = replace(cfg, measure=measure)
+        assert _bits(shared[measure]) == _bits(_kernels(topology, geom, one, grid, m, (measure,))[measure])
+        alone = propagate(geom, one, grid=grid, taus=taus, m_sector=m, store_taus=store)
+        got = together[measure]
+        for name in ("eigenvalues", "trace", "grid", "weights"):
+            assert _bits(getattr(got, name)) == _bits(getattr(alone, name)), name
+        assert _bits(got.amplitudes[store[0]]) == _bits(alone.amplitudes[store[0]])
+        assert got.asymmetry == alone.asymmetry
+    if topology == "sphere" and order >= 3:  # the measures differ, so the check is not vacuous
+        assert _bits(together["qep"].eigenvalues) != _bits(together["naive-dewitt"].eigenvalues)
+
+
+def test_propagate_measures_rejects_an_unknown_measure():
+    with pytest.raises(ValueError, match="measures"):
+        propagate_measures(catalog.make("circle"), SliceConfig(n_slices=4, eps=0.25), ("qep", "dewitt"), grid=128)
