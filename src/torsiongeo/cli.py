@@ -310,11 +310,17 @@ def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dic
 
 
 def _eigen_energies(result, cfg, n_levels: int) -> list:
-    """The n_levels lowest levels -hbar ln(lambda) / eps of the transfer matrix, ascending, with multiplicity."""
-    positive = result.eigenvalues[result.eigenvalues > 0.0]
-    if positive.size < n_levels:
-        raise SpectrumUnresolved(f"transfer matrix has {positive.size} positive eigenvalues < n_levels={n_levels}")
-    return [-cfg.hbar * math.log(lam) / cfg.eps + 0.0 for lam in positive[:n_levels]]  # + 0.0 turns -0.0 into 0.0
+    """The n_levels lowest levels -hbar ln(lambda) / eps of the transfer matrix, ascending, with multiplicity.
+
+    A level is resolved only while its eigenvalue stays above the eigensolve's rounding floor.
+    """
+    from .propagator import rounding_floor
+
+    resolved = result.eigenvalues[result.eigenvalues > rounding_floor(result.eigenvalues)]
+    if resolved.size < n_levels:
+        raise SpectrumUnresolved(f"transfer matrix has {resolved.size} eigenvalues above its rounding floor "
+                                 f"< n_levels={n_levels}")
+    return [-cfg.hbar * math.log(lam) / cfg.eps + 0.0 for lam in resolved[:n_levels]]  # + 0.0 turns -0.0 into 0.0
 
 
 def _grid_for(config: RunConfig, factor: float = 1.0):

@@ -298,16 +298,11 @@ def variation_closed_form(geom: Geometry, traj: Trajectory, dq, *, order: int = 
     n, d = dq.shape
     dt = traj.dt
     steps = np.arange(n - 1)
-    if order == 2:
-        # full step, and U(t_{k+1}, t_k + dt / 2) for the midpoint source
-        nodes = (0.5,)
-        tails = [-_interp(G, steps, 0.75) * (0.5 * dt)]
-        weight = dt
-    else:
-        # full step, and U(t_{k+1}, t_k + c dt) at both Gauss nodes of the source quadrature
-        nodes = _GAUSS_NODES
-        tails = [_step_generator(G, steps, dt, order, lo=c) for c in nodes]
-        weight = 0.5 * dt
+    # full step, and U(t_{k+1}, t_k + c dt) at each node of the source quadrature:
+    # the midpoint at order 2, both Gauss nodes at order 4
+    nodes = (0.5,) if order == 2 else _GAUSS_NODES
+    tails = [_step_generator(G, steps, dt, order, lo=c) for c in nodes]
+    weight = dt / len(nodes)
     exps = expm(np.concatenate([_step_generator(G, steps, dt, order)] + tails)).reshape(-1, n - 1, d, d)
     src = 0.0
     for U_tail, c in zip(exps[1:], nodes):

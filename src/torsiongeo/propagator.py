@@ -7,7 +7,9 @@ The finite-time kernel is composed from short-time kernels
 
 with the slice action A_eps truncated at the configured order and, for the
 difference-measure ("qep") variant, the measure-difference exponent dj added
-(for the position-measure "naive-dewitt" variant dj is absent).  Composition
+(for the position-measure "naive-dewitt" variant dj is absent).  dj is
+Ricci dq dq / 6 plus torsion terms, identically 0 in one dimension, so one
+1-d kernel serves both measures.  Composition
 weights carry sqrt(g) at the integrated point; in the similarity frame
 
     B = W^(1/2) K W^(1/2),   W_j = sqrt(g_j) * (node weight),
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import GridResolutionInsufficient, TorsionGeoError
 from .geometry import Geometry
-from .slicing import MEASURES, SliceConfig, _h_tensor, delta_jacobian_action, whole_steps
+from .slicing import MEASURES, SliceConfig, _h_tensor, whole_steps
 
 EXPONENT_CUT = 30.0  # quadratic exponent beyond which corrections are dropped
 TAIL_SIGMA = 7.5  # kernel support half-width in units of the slice width
@@ -87,20 +89,15 @@ def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0, co
 
 
 class _CoefficientTable:
-    """Action/measure coefficients sampled at reference points along one axis.
+    """Slice-action coefficients of a 1-d chart at reference points: (n,) tables g, t3, t4 and sqrt_g.
 
-    ``action`` holds g (n, D, D), t3 (n, D, D, D) and t4 (n, D, D, D, D);
-    ``dj[measure]`` holds the measure exponent's linear (n, D) and quadratic
-    (n, D, D) tables, or None for the position measure, whose exponent is 0;
-    ``sqrt_g`` is (n,).  The cubic and quartic tensors already carry their
-    relative signs: the slice action is pref * (g uu + t3 uuu + t4 uuuu).
+    The cubic and quartic coefficients already carry their relative signs:
+    the slice action is pref * (g u^2 + t3 u^3 + t4 u^4).
     """
 
-    def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig, measures):
+    def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig):
         n, d = points.shape
         pt = geom.batch(points)
-        self.g = pt.metric
-        self.sqrt_g = pt.sqrt_metric
         t3 = -pt.affine_first if config.order >= 3 and config.scheme != "midpoint" else np.zeros((n, d, d, d))
         t4 = np.zeros((n, d, d, d, d))
         if config.order >= 4:
@@ -109,50 +106,32 @@ class _CoefficientTable:
                 t4 = 0.25 * t4a
             else:
                 t4 = t4a + 0.25 * np.einsum("jmnt,jskt->jmnsk", pt.affine_first, pt.affine)
-        self.action = (self.g, t3, t4)
-        self.dj = dict.fromkeys(measures)
-        if "qep" in self.dj:
-            delta = delta_jacobian_action(geom, points)
-            self.dj["qep"] = (delta.linear, delta.quadratic)
+        self.g, self.t3, self.t4 = (t.reshape(n) for t in (pt.metric, t3, t4))
+        self.sqrt_g = pt.sqrt_metric
 
 
 def _interp_table(x_nodes: np.ndarray, table: np.ndarray, x_query: np.ndarray) -> np.ndarray:
-    """Linear interpolation of per-node tables at query points of any shape."""
+    """Linear interpolation of a per-node table at query points of any shape."""
     idx = np.clip(np.searchsorted(x_nodes, x_query) - 1, 0, len(x_nodes) - 2)
-    frac = (x_query - x_nodes[idx]) / (x_nodes[idx + 1] - x_nodes[idx])
-    w = frac.reshape(frac.shape + (1,) * (table.ndim - 1))
+    w = (x_query - x_nodes[idx]) / (x_nodes[idx + 1] - x_nodes[idx])
     return (1.0 - w) * table[idx] + w * table[idx + 1]
 
 
-def _slice_kernel(g, t3, t4, djs, u: np.ndarray, pref: float) -> list:
-    """Euclidean slice kernels (unnormalized) at differences ``u`` of shape (..., D), one per entry of ``djs``.
+def _slice_kernel(g, t3, t4, u: np.ndarray, pref: float) -> np.ndarray:
+    """Euclidean 1-d slice kernel (unnormalized) at differences ``u``; the coefficient tables
+    broadcast against ``u``: one reference point per row, or one per entry.
 
-    The tables g (..., D, D), t3 (..., D, D, D), t4 (..., D, D, D, D) and each
-    ``djs`` entry, a measure exponent's (linear (..., D), quadratic (..., D, D))
-    pair or None for a zero exponent, broadcast against the leading axes of
-    ``u``: one reference point per row, or one per entry.  Each kernel is
-    exp(-quad) (1 + c + c^2/2) on the trust region quad < EXPONENT_CUT, with c
-    the cubic and quartic action terms plus the measure exponent, and the bare
-    exp(-quad) elsewhere: exponentiating these relevant-order corrections raw
-    would amplify Gaussian tails where the expansion is meaningless, whereas
-    1 + c + c^2/2 = ((c+1)^2 + 1)/2 is positive, polynomially bounded, and
-    correct through the retained order.
+    It is exp(-quad) (1 + c + c^2/2) on the trust region quad < EXPONENT_CUT, with c the
+    cubic and quartic action terms, and the bare exp(-quad) elsewhere: exponentiating these
+    relevant-order corrections raw would amplify Gaussian tails where the expansion is
+    meaningless, whereas 1 + c + c^2/2 = ((c+1)^2 + 1)/2 is positive, polynomially bounded,
+    and correct through the retained order.
     """
-    quad = pref * np.einsum("...mn,...m,...n->...", g, u, u)
-    action = -pref * np.einsum("...mnl,...m,...n,...l->...", t3, u, u, u)
-    action -= pref * np.einsum("...mnsk,...m,...n,...s,...k->...", t4, u, u, u, u)
-    gauss = np.exp(-quad)
-    outside = quad >= EXPONENT_CUT
-    kernels = []
-    for dj in djs:
-        c = action
-        if dj is not None:
-            c = action + np.einsum("...m,...m->...", dj[0], u)
-            c += np.einsum("...mn,...m,...n->...", dj[1], u, u)
-        factor = 1.0 + c + 0.5 * c**2
-        factor[outside] = 1.0
-        kernels.append(gauss * factor)
-    return kernels
+    quad = pref * (g * u * u)
+    c = -pref * (t3 * u * u * u) - pref * (t4 * u * u * u * u)
+    factor = 1.0 + c + 0.5 * c**2
+    factor[quad >= EXPONENT_CUT] = 1.0
+    return np.exp(-quad) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +152,12 @@ def _line_nodes(grid) -> tuple[np.ndarray, float]:
     return lo + du * (np.arange(n) + 0.5), du
 
 
-def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period, measures):
-    """Transfer matrices of the line (``period`` None) or the circle: ``({measure: B}, weights)``.
-
-    Each block of (row, image, column) entries evaluates the action terms once
-    and adds only the measure exponent per measure; the images are summed.
-    """
+def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period):
+    """Transfer matrix of the line (``period`` None) or the circle, for every measure: ``(B, weights)``."""
     n = nodes.size
     pref = config.mass / (2.0 * config.eps * config.hbar)
-    sigma_flat = math.sqrt(config.eps * config.hbar / config.mass)
-    table = _CoefficientTable(geom, nodes[:, None], config, measures)
-    sigma_u = sigma_flat / np.sqrt(table.g[:, 0, 0])
+    table = _CoefficientTable(geom, nodes[:, None], config)
+    sigma_u = math.sqrt(config.eps * config.hbar / config.mass) / np.sqrt(table.g)
     if np.min(sigma_u) / du < MIN_POINTS_PER_SIGMA:
         raise GridResolutionInsufficient(
             f"kernel width {np.min(sigma_u):.3g} needs at least {MIN_POINTS_PER_SIGMA} points per width, "
@@ -199,33 +173,27 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
     else:
         shifts = np.zeros((1, 1))
 
-    kernels = {measure: np.empty((n, n)) for measure in table.dj}
+    kernel = np.empty((n, n))
+    coefs = (table.g, table.t3, table.t4)
     for rows in _blocks(n, n * shifts.size):
         here = nodes[rows, None, None]
-        u = (here - nodes + shifts)[..., None]
         if config.scheme == "midpoint":
             # mean chart point of the image pair; odd windings land it on
             # the opposite side of the period
             mid = 0.5 * (here + nodes) - 0.5 * shifts
             if period is not None:
                 mid = mid % period
-
-            def at(t):
-                return _interp_table(nodes, t, mid)
+            at = [_interp_table(nodes, t, mid) for t in coefs]
         else:
-            def at(t):
-                return t[rows, None, None]
-        djs = [None if dj is None else tuple(map(at, dj)) for dj in table.dj.values()]
-        for kernel, vals in zip(kernels.values(), _slice_kernel(*map(at, table.action), djs, u, pref)):
-            kernel[rows] = vals.sum(axis=1)
+            at = [t[rows, None, None] for t in coefs]
+        kernel[rows] = _slice_kernel(*at, here - nodes + shifts, pref).sum(axis=1)
     norm = (2 * np.pi * config.hbar * config.eps / config.mass) ** -0.5
     weights = table.sqrt_g * du
     scale = norm * np.sqrt(np.outer(weights, weights))
     # prepoint rows hold the reference point and its outgoing difference;
     # indexing by (later, earlier) with the sign flip of the difference is the
     # transpose of that matrix
-    return {measure: scale * (kernel.T if config.scheme == "prepoint" else kernel)
-            for measure, kernel in kernels.items()}, weights
+    return scale * (kernel.T if config.scheme == "prepoint" else kernel), weights
 
 
 def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, measures):
@@ -338,15 +306,20 @@ def _tau_indices(taus, config: SliceConfig) -> list[int]:
     return ks
 
 
+def rounding_floor(eigenvalues) -> float:
+    """n eps max|lambda|, the rounding floor of an n x n symmetric eigensolve: no eigenvalue is resolved below it."""
+    ev = np.asarray(eigenvalues, dtype=float)
+    return ev.size * np.finfo(float).eps * np.max(np.abs(ev), initial=0.0)
+
+
 def negative_beyond_rounding(eigenvalues) -> int:
-    """Count of eigenvalues below -n eps max|lambda|, the rounding floor of an n x n symmetric eigensolve.
+    """Count of eigenvalues below -:func:`rounding_floor`.
 
     Every negative eigenvalue is clipped to 0 in traces and kernels; only these
     are negative by more than the eigensolver's backward error.
     """
     ev = np.asarray(eigenvalues, dtype=float)
-    floor = ev.size * np.finfo(float).eps * np.max(np.abs(ev), initial=0.0)
-    return int(np.count_nonzero(ev < -floor))
+    return int(np.count_nonzero(ev < -rounding_floor(ev)))
 
 
 def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, store):
@@ -379,9 +352,10 @@ def propagate_measures(
     """
     :func:`propagate` under each of ``measures`` (``config.measure`` is not
     read), as ``{measure: PropagatorResult}``.  One kernel build serves every
-    measure: the measure-independent part of each kernel block is evaluated
-    once, and each result is bit for bit what :func:`propagate` gives under
-    that measure.
+    measure, and each result is bit for bit what :func:`propagate` gives
+    under that measure.  On the line and the circle every measure gets the
+    same kernel (the measure exponent vanishes in one dimension); the sphere
+    evaluates the measure-independent part of each kernel block once.
     """
     if geom.topology not in ("line", "circle", "sphere"):
         raise ValueError(f"geometry '{geom.name}' has no propagation topology")
@@ -393,14 +367,13 @@ def propagate_measures(
     if geom.topology == "sphere":
         n_theta = int(grid) if grid is not None else DEFAULT_NODES["sphere"]
         kernels, weights, nodes = _build_sphere(geom, config, n_theta, m_sector, measures)
-    elif geom.topology == "circle":
-        n_pts = int(grid) if grid is not None else DEFAULT_NODES["circle"]
-        nodes, du = _line_nodes((0.0, 2 * np.pi, n_pts))
-        kernels, weights = _build_1d(geom, config, nodes, du, 2 * np.pi, measures)
     else:
-        grid = grid if grid is not None else (*LINE_RANGE, DEFAULT_NODES["line"])
-        nodes, du = _line_nodes(grid)
-        kernels, weights = _build_1d(geom, config, nodes, du, None, measures)
+        period = 2 * np.pi if geom.topology == "circle" else None
+        if grid is None:
+            grid = DEFAULT_NODES["circle"] if period else (*LINE_RANGE, DEFAULT_NODES["line"])
+        nodes, du = _line_nodes((0.0, period, grid) if period else grid)
+        b_mat, weights = _build_1d(geom, config, nodes, du, period)
+        kernels = dict.fromkeys(measures, b_mat)
 
     results = {}
     for measure, b_mat in kernels.items():

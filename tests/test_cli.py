@@ -381,6 +381,23 @@ def test_too_few_positive_eigenvalues_exits_1(tmp_path, capsys):
     assert "< n_levels=256" in capsys.readouterr().err
 
 
+def test_levels_below_the_rounding_floor_exit_1(tmp_path, capsys):
+    # A level is resolved only while exp(-eps E / hbar) stays above the
+    # eigensolve's rounding floor n eps max|lambda|.  The circle golden has
+    # about 63 such levels; beyond them the energies used to read 577-614
+    # where k^2 / 2 runs from 612.5 to 1800.
+    golden = json.loads((REPO / "configs" / "circle_spectrum.json").read_text())
+    cfg = write_config(tmp_path, {**golden, "n_levels": 120})
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "rounding floor < n_levels=120" in err and "Traceback" not in err
+    # every level above the floor is the circle's k^2 / 2
+    resolved = int(err.split("transfer matrix has ")[1].split()[0])
+    results = run(load_config(write_config(tmp_path, {**golden, "n_levels": resolved})), tmp_path / "ok")
+    want = sorted(k * k / 2 for k in range(-resolved, resolved + 1))[:resolved]
+    assert results["energies"] == pytest.approx(want, rel=1e-4, abs=1e-9)
+
+
 def test_sphere_amplitudes_use_m_sector_and_one_propagate(tmp_path, monkeypatch):
     from torsiongeo import catalog, propagator
     from torsiongeo.io import write_amplitude_csv

@@ -266,6 +266,9 @@ def _split_generators(G, k, dt, order, lo=0.0):
             return -dynamics._interp(G, k, 0.5) * dt
         a1, a2 = (-dynamics._interp(G, k, c) for c in gauss)
         return 0.5 * dt * (a1 + a2) + root3 * dt**2 * (a2 @ a1 - a1 @ a2)
+    if order == 2:  # the one order-2 tail: from the midpoint source node to the step's end
+        assert lo == 0.5
+        return -dynamics._interp(G, k, 0.75) * (0.5 * dt)
     h = (1.0 - lo) * dt
     a1, a2 = (-dynamics._interp(G, k, lo + (1.0 - lo) * c) for c in gauss)
     return 0.5 * h * (a1 + a2) + root3 * h**2 * (a2 @ a1 - a1 @ a2)

@@ -1,7 +1,8 @@
 # Transfer-matrix propagators: flat-line Gaussian reproduction, circle traces
 # against the exact mode sum, sphere sector machinery, measure comparison,
 # spectrum extraction, the analytic real-time flat kernel, the assembled
-# slice kernel against the per-point action and measure formulas, the
+# slice kernel against the per-point action and measure formulas, the 1-d
+# measure exponent that vanishes and the one 1-d kernel both measures get, the
 # symmetry-reduced sphere kernel against its full-period reference, the stored
 # amplitudes' exact symmetry, the rounding floor of the negative-eigenvalue
 # count, and the one build shared by both measures against one-measure builds.
@@ -39,12 +40,6 @@ from torsiongeo.triads import TriadField
 
 def flat_line():
     return catalog.make("flat-cartesian", d=1)
-
-
-def build_1d(geom, cfg, nodes, du, period):
-    """_build_1d under the config's measure: (B, weights)."""
-    kernels, weights = _build_1d(geom, cfg, nodes, du, period, (cfg.measure,))
-    return kernels[cfg.measure], weights
 
 
 def build_sphere(geom, cfg, n_theta, m):
@@ -224,7 +219,7 @@ def _oracle_case(topology, scheme, order, measure):
         geom, grid, period = _bumpy_line(), (-5.0, 5.0, 512), None
     cfg = SliceConfig(n_slices=8, eps=0.05, scheme=scheme, order=order, measure=measure)
     nodes, du = _line_nodes(grid)
-    b_mat, weights = build_1d(geom, cfg, nodes, du, period)
+    b_mat, weights = _build_1d(geom, cfg, nodes, du, period)
     norm = (2 * np.pi * cfg.hbar * cfg.eps / cfg.mass) ** -0.5
     return geom, cfg, nodes, period, b_mat / (norm * np.sqrt(np.outer(weights, weights)))
 
@@ -285,41 +280,65 @@ def test_build_1d_entries_match_per_entry_formula(topology, scheme, order, measu
     assert kernel[row, col] == pytest.approx(want, rel=tol, abs=0.0)
 
 
-def _contract(table, x):
-    """sum of table[i1, ..., ik] x[i1] ... x[ik] over all indices, written out."""
-    indices = itertools.product(range(len(x)), repeat=table.ndim)
-    return sum(table[idx] * math.prod(x[k] for k in idx) for idx in indices)
-
-
 def test_slice_kernel_terms_against_hand_sum():
-    # Synthetic two-dimensional tables, one reference point per row, with every
+    # Synthetic 1-d tables, one reference point per row, with every action
     # correction nonzero; the differences straddle the trust-region edge.  The
-    # 1-d builders cannot see the measure terms (the 1-d measure exponent
-    # vanishes), so this pins their signs: the action corrections enter the
-    # exponent with a minus sign, the measure terms with a plus sign.
+    # cubic and quartic terms enter the exponent with a minus sign.
     rng = np.random.default_rng(7)
-    d, n_rows, n_cols, pref = 2, 3, 40, 10.0
-    root = rng.normal(size=(n_rows, d, d))
-    g = np.eye(d) + 0.2 * root @ root.transpose(0, 2, 1)
-    t3 = 0.3 * rng.normal(size=(n_rows, d, d, d))
-    t4 = 0.1 * rng.normal(size=(n_rows, d, d, d, d))
-    dj_lin = rng.normal(size=(n_rows, d))
-    dj_quad = rng.normal(size=(n_rows, d, d))
-    u = rng.uniform(-2.5, 2.5, size=(n_rows, n_cols, d))
-    # one kernel per measure exponent; None stands for a zero exponent
-    got, bare = _slice_kernel(*(t[:, None] for t in (g, t3, t4)), [(dj_lin[:, None], dj_quad[:, None]), None],
-                              u, pref)
-    assert got.shape == bare.shape == (n_rows, n_cols)
+    n_rows, n_cols, pref = 3, 40, 10.0
+    g = 1.0 + 0.2 * rng.uniform(size=n_rows)
+    t3 = 0.3 * rng.normal(size=n_rows)
+    t4 = 0.1 * rng.normal(size=n_rows)
+    u = rng.uniform(-2.5, 2.5, size=(n_rows, n_cols))
+    got = _slice_kernel(g[:, None], t3[:, None], t4[:, None], u, pref)
+    assert got.shape == (n_rows, n_cols)
     inside = 0
     for r, col in itertools.product(range(n_rows), range(n_cols)):
         x = u[r, col]
-        quad = pref * _contract(g[r], x)
-        action = -pref * (_contract(t3[r], x) + _contract(t4[r], x))
+        quad = pref * g[r] * x**2
+        c = -pref * (t3[r] * x**3 + t4[r] * x**4)
         inside += quad < EXPONENT_CUT
-        for kernel, c in ((got, action + _contract(dj_lin[r], x) + _contract(dj_quad[r], x)), (bare, action)):
-            want = math.exp(-quad) * (1.0 + c + 0.5 * c**2 if quad < EXPONENT_CUT else 1.0)
-            assert kernel[r, col] == pytest.approx(want, rel=1e-12, abs=0.0)
+        want = math.exp(-quad) * (1.0 + c + 0.5 * c**2 if quad < EXPONENT_CUT else 1.0)
+        assert got[r, col] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert 0 < inside < n_rows * n_cols
+
+
+# -- one dimension: the measure exponent vanishes ---------------------------------
+
+
+@pytest.mark.parametrize("geom, grid, bound", [
+    (catalog.make("circle", a=1.0), (0.0, 2 * np.pi, 256), 0.0),
+    (catalog.make("circle", a=2.0), (0.0, 2 * np.pi, 256), 0.0),
+    (catalog.make("flat-cartesian", d=1), (-8.0, 8.0, 1024), 0.0),
+    (bumpy_line_geometry(), (-5.0, 5.0, 512), 1e-15),
+], ids=["circle-a1", "circle-a2", "flat-line", "bumpy-line"])
+def test_measure_exponent_vanishes_at_1d_nodes(geom, grid, bound):
+    # Ricci dq dq / 6 and the torsion terms are identically 0 on a line, which
+    # is why _build_1d has no measure term; only rounding is left on a varying metric
+    delta = delta_jacobian_action(geom, _line_nodes(grid)[0][:, None])
+    for table in (delta.linear, delta.quadratic):
+        assert np.max(np.abs(table)) <= bound
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    radius=st.floats(0.5, 2.0),
+    scheme=st.sampled_from(["postpoint", "prepoint", "midpoint"]),
+    order=st.sampled_from([2, 3, 4]),
+)
+def test_1d_measures_give_bit_identical_spectra(radius, scheme, order):
+    geom = catalog.make("circle", a=radius)
+    # eps keeps about 10 nodes per kernel width on 128 nodes
+    eps = (0.4 * radius) ** 2
+    cfg = SliceConfig(n_slices=4, eps=eps, scheme=scheme, order=order)
+    taus = [eps, 4 * eps]
+    together = propagate_measures(geom, cfg, MEASURES, grid=128, taus=taus)
+    for name in ("eigenvalues", "trace"):
+        assert _bits(getattr(together["qep"], name)) == _bits(getattr(together["naive-dewitt"], name))
+    for measure in MEASURES:
+        alone = propagate(geom, replace(cfg, measure=measure), grid=128, taus=taus)
+        for name in ("eigenvalues", "trace"):
+            assert _bits(getattr(together[measure], name)) == _bits(getattr(alone, name)), name
 
 
 # -- sphere --------------------------------------------------------------------
@@ -556,11 +575,11 @@ def _amplitude_case(topology, m):
     if topology == "line":
         geom, cfg, grid = flat_line(), SliceConfig(n_slices=16, eps=1 / 64), (-4.0, 4.0, 512)
         nodes, du = _line_nodes(grid)
-        b_mat, weights = build_1d(geom, cfg, nodes, du, period=None)
+        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=None)
     elif topology == "circle":
         geom, cfg, grid = catalog.make("circle", a=1.0), SliceConfig(n_slices=16, eps=0.0625), 256
         nodes, du = _line_nodes((0.0, 2 * np.pi, grid))
-        b_mat, weights = build_1d(geom, cfg, nodes, du, period=2 * np.pi)
+        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=2 * np.pi)
     else:
         geom, cfg, grid = catalog.make("sphere", a=1.0), SliceConfig(n_slices=8, eps=0.05), 120
         b_mat, weights, _ = build_sphere(geom, cfg, grid, m)
@@ -613,7 +632,7 @@ def _kernels(topology, geom, cfg, grid, m, measures):
     if topology == "sphere":
         return _build_sphere(geom, cfg, grid, m, measures)[0]
     nodes, du = _line_nodes((0.0, 2 * np.pi, grid) if topology == "circle" else grid)
-    return _build_1d(geom, cfg, nodes, du, 2 * np.pi if topology == "circle" else None, measures)[0]
+    return dict.fromkeys(measures, _build_1d(geom, cfg, nodes, du, 2 * np.pi if topology == "circle" else None)[0])
 
 
 def _bits(values):
