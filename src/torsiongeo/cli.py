@@ -314,9 +314,7 @@ def _eigen_energies(result, cfg, n_levels: int) -> list:
 
     A level is resolved only while its eigenvalue stays above the eigensolve's rounding floor.
     """
-    from .propagator import rounding_floor
-
-    resolved = result.eigenvalues[result.eigenvalues > rounding_floor(result.eigenvalues)]
+    resolved = result.eigenvalues[result.eigenvalues > result.floor]
     if resolved.size < n_levels:
         raise SpectrumUnresolved(f"transfer matrix has {resolved.size} eigenvalues above its rounding floor "
                                  f"< n_levels={n_levels}")
@@ -585,8 +583,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TorsionGeoError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no message
         return 1
 
 

@@ -35,8 +35,10 @@ Supported endpoint topologies:
 Corrections beyond the quadratic term (cubic and quartic action terms and
 the measure exponent) are relevant-order perturbations: they multiply the
 Gaussian as the truncated exponential series 1 + c + c^2/2, which is positive
-and polynomially bounded, so Gaussian tails are never amplified.  Outside a
-trust region where the kernel is below exp(-30) the bare Gaussian is used.
+and polynomially bounded, so Gaussian tails are never amplified.  On the line
+and the circle, where c is unbounded, the bare Gaussian is used outside a
+trust region where the kernel is below exp(-30); the compact sphere bounds c
+and keeps no trust region.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class PropagatorResult:
     grid: np.ndarray
     weights: np.ndarray
     eigenvalues: np.ndarray  # of the symmetrized B, unclipped, descending
+    floor: float  # rounding floor of the eigensolve: no eigenvalue is resolved at or below it
     amplitudes: dict = field(default_factory=dict)  # tau -> exactly symmetric kernel matrix
     asymmetry: float = 0.0
 
@@ -197,7 +200,7 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
 
 
 def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, measures):
-    """Azimuthal-sector transfer matrices on the sphere: ``({measure: B}, weights, theta)``.
+    """Azimuthal-sector transfer matrices on the sphere: ``({measure: B}, weights, theta, {measure: scale})``.
 
     At order >= 3 the quadratic-plus-cubic part of the chart expansion is
     resummed into the geometrically exact compact form
@@ -221,9 +224,22 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     the per-node R (2 / a^2 up to rounding), so the kernel is symmetric and
     only columns >= row are evaluated, then mirrored; order 2 keeps full rows,
     as its quadratic takes the row's g_phi.  The measures differ only in the
-    correction factor: each block evaluates the Gaussian core, its trust
-    region and the pair forms once, then the factor and the phase integral
-    per measure.
+    correction factor: each block evaluates the Gaussian core and the pair
+    forms once, then the factor and the phase integral per measure.
+
+    The zeta grid: at order >= 3 the integrand, exp(-x (1 - cos zeta)) with
+    x = 2 pref a^2 sin(theta_a) sin(theta_b) times a degree-4 polynomial in
+    cos zeta, is smooth and periodic, so the periodic trapezoid rule against
+    cos(m zeta) errs by about exp(-(n_phi - |m| - 4)^2 / 2x), and
+    n_phi = 2 ceil((sqrt(74 x_max) + 2|m| + 8) / 2) puts that below e^-37.
+    No trust-region cut applies: P <= pi^2 a^2 and Q <= 4 a^2 bound c, the
+    factor ((c+1)^2 + 1)/2 is positive, and a cut would make the integrand
+    jump in zeta and stall the rule at the jump.  Order 2, whose g_phi zeta^2
+    is not periodic, keeps 12 points per kernel width around the circle and
+    rejects |m| at or beyond their Nyquist limit.  For m != 0 the kernel
+    cancels down from the unphased one, so ``scale`` is the largest row sum
+    of the symmetrized unphased B, integrated beside it: a Gershgorin bound
+    on its eigenvalues, as it is nonnegative.  At m = 0 the dict is empty.
     """
     a = float(geom.params.get("a", 1.0))
     x_nodes, x_weights = np.polynomial.legendre.leggauss(int(n_theta))
@@ -242,56 +258,59 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     if "qep" in ricci and config.order >= 3:
         ricci["qep"] = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
 
-    n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
+    if config.order == 2:
+        n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
+        if 2 * abs(m) >= n_phi:
+            raise TorsionGeoError(f"sector m={m} is at or beyond the Nyquist limit of the {n_phi}-point "
+                                  f"order-2 azimuth grid")
+    else:
+        n_phi = 2 * math.ceil((math.sqrt(74.0 * 2.0 * pref * float(np.max(g_phi))) + 2 * abs(m) + 8) / 2)
     dzeta = 2 * math.pi / n_phi
     zeta = dzeta * (np.arange(n_phi // 2) + 0.5)
-    one_minus_cos, phase = 1.0 - np.cos(zeta), np.cos(m * zeta)
+    one_minus_cos = 1.0 - np.cos(zeta)
+    phase = np.cos(np.outer(zeta, (m, 0) if m else (0,)))  # [cos m zeta, 1], or [1] at m = 0
     rows, cols = np.divmod(np.arange(n_theta**2), n_theta) if config.order == 2 else np.triu_indices(n_theta)
 
-    # blocks of (node pair, zeta) entries, integrated against the phase; the
-    # block-sized work buffers are allocated once and reused by every block
-    kernels = {measure: np.empty((n_theta, n_theta)) for measure in ricci}
+    # blocks of (node pair, zeta) entries, integrated against the phase columns;
+    # the block-sized work buffers are allocated once and reused by every block
+    sums = {measure: np.empty((phase.shape[1], n_theta, n_theta)) for measure in ricci}
     size = min(rows.size, max(1, BLOCK_ENTRIES // zeta.size)) * zeta.size
-    work, outside_work = [np.empty(size) for _ in range(5)], np.empty(size, dtype=bool)
+    work = [np.empty(size) for _ in range(5)]
     for block in _blocks(rows.size, zeta.size):
         i, j = rows[block], cols[block]
-        shape = (i.size, zeta.size)
-        q_form, quad, gauss, factor, square = (buf[: i.size * zeta.size].reshape(shape) for buf in work)
+        q_form, quad, gauss, factor, square = (buf[: i.size * zeta.size].reshape(i.size, zeta.size) for buf in work)
         p_form = a * a * (theta[i] - theta[j]) ** 2
         if config.order == 2:  # the bare chart quadratic carries no measure term
             np.multiply(g_phi[i, None], zeta**2, out=quad)
             np.add(p_form[:, None], quad, out=quad)
             np.multiply(-pref, quad, out=quad)
-            row = np.exp(quad, out=gauss) @ phase * (2.0 * dzeta)
-            for kernel in kernels.values():
-                kernel[i, j] = row
+            row = (np.exp(quad, out=gauss) @ phase).T * (2.0 * dzeta)
+            for kernel in sums.values():
+                kernel[:, i, j] = row
             continue
-        # the Gaussian core and its trust region quad < EXPONENT_CUT, shared by every measure
+        # the Gaussian core, shared by every measure
         np.multiply((2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None], one_minus_cos, out=q_form)
         np.add(p_form[:, None], q_form, out=quad)
-        np.multiply(pref, quad, out=quad)
-        np.exp(np.negative(quad, out=gauss), out=gauss)
-        outside = np.greater_equal(quad, EXPONENT_CUT, out=outside_work[: gauss.size].reshape(shape))
+        np.exp(np.multiply(-pref, quad, out=gauss), out=gauss)
         quartic_q = np.multiply(quartic / 12.0, q_form, out=quad)
-        for measure, kernel in kernels.items():
+        for measure, kernel in sums.items():
             # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
             r_mean = (ricci[measure][i] + ricci[measure][j]) / 24.0
             lin, const = r_mean - quartic * p_form / 6.0, r_mean * p_form
             c = np.subtract(lin[:, None], quartic_q, out=factor)
             np.add(np.multiply(q_form, c, out=c), const[:, None], out=c)
-            # 1 + c + c^2/2 inside the trust region, 1 (the bare Gaussian) outside it
             np.multiply(0.5, np.multiply(c, c, out=square), out=square)
-            np.add(np.add(1.0, c, out=factor), square, out=factor)
-            np.copyto(factor, 1.0, where=outside)
-            kernel[i, j] = np.multiply(gauss, factor, out=factor) @ phase * (2.0 * dzeta)
+            np.add(np.add(1.0, c, out=factor), square, out=factor)  # 1 + c + c^2/2
+            kernel[:, i, j] = (np.multiply(gauss, factor, out=factor) @ phase).T * (2.0 * dzeta)
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
     weights = a * a * gl_w
     scale = norm * np.sqrt(np.outer(weights, weights))
-    for kernel in kernels.values():
+    for kernel in sums.values():
         if config.order >= 3:
-            kernel[cols, rows] = kernel[rows, cols]
+            kernel[:, cols, rows] = kernel[:, rows, cols]
         kernel *= scale
-    return kernels, weights, theta
+    scales = {measure: float(np.max(s[1].sum(axis=0) + s[1].sum(axis=1))) / 2 for measure, s in sums.items() if m}
+    return {measure: s[0] for measure, s in sums.items()}, weights, theta, scales
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +325,13 @@ def _tau_indices(taus, config: SliceConfig) -> list[int]:
     return ks
 
 
-def rounding_floor(eigenvalues) -> float:
-    """n eps max|lambda|, the rounding floor of an n x n symmetric eigensolve: no eigenvalue is resolved below it."""
+def rounding_floor(eigenvalues, scale=None) -> float:
+    """n eps max|lambda|, the rounding floor of an n x n symmetric eigensolve: no eigenvalue is resolved below it.
+
+    ``scale`` stands in for max|lambda| when the matrix cancels down from entries of that size.
+    """
     ev = np.asarray(eigenvalues, dtype=float)
-    return ev.size * np.finfo(float).eps * np.max(np.abs(ev), initial=0.0)
+    return ev.size * np.finfo(float).eps * (np.max(np.abs(ev), initial=0.0) if scale is None else scale)
 
 
 def negative_beyond_rounding(eigenvalues) -> int:
@@ -354,8 +376,9 @@ def propagate_measures(
     read), as ``{measure: PropagatorResult}``.  One kernel build serves every
     measure, and each result is bit for bit what :func:`propagate` gives
     under that measure.  On the line and the circle every measure gets the
-    same kernel (the measure exponent vanishes in one dimension); the sphere
-    evaluates the measure-independent part of each kernel block once.
+    same kernel and eigensolve (the measure exponent vanishes in one
+    dimension); the sphere evaluates the measure-independent part of each
+    kernel block once.
     """
     if geom.topology not in ("line", "circle", "sphere"):
         raise ValueError(f"geometry '{geom.name}' has no propagation topology")
@@ -366,20 +389,23 @@ def propagate_measures(
 
     if geom.topology == "sphere":
         n_theta = int(grid) if grid is not None else DEFAULT_NODES["sphere"]
-        kernels, weights, nodes = _build_sphere(geom, config, n_theta, m_sector, measures)
+        kernels, weights, nodes, scales = _build_sphere(geom, config, n_theta, m_sector, measures)
     else:
         period = 2 * np.pi if geom.topology == "circle" else None
         if grid is None:
             grid = DEFAULT_NODES["circle"] if period else (*LINE_RANGE, DEFAULT_NODES["line"])
         nodes, du = _line_nodes((0.0, period, grid) if period else grid)
         b_mat, weights = _build_1d(geom, config, nodes, du, period)
-        kernels = dict.fromkeys(measures, b_mat)
+        kernels, scales = dict.fromkeys(measures, b_mat), {}
 
-    results = {}
+    results, composed = {}, {}
     for measure, b_mat in kernels.items():
-        trace, amplitudes, asym, eigenvalues = _compose(b_mat, weights, config, taus, store)
+        if id(b_mat) not in composed:  # one eigensolve per distinct kernel
+            composed[id(b_mat)] = _compose(b_mat, weights, config, taus, store)
+        trace, amplitudes, asym, eigenvalues = composed[id(b_mat)]
         results[measure] = PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
-                                            amplitudes=amplitudes, asymmetry=asym)
+                                            floor=rounding_floor(eigenvalues, scales.get(measure)),
+                                            amplitudes=dict(amplitudes), asymmetry=asym)
     return results
 
 

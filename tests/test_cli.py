@@ -2,6 +2,8 @@
 # deterministic artifacts, schema round-trips, and report formatting.
 
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from torsiongeo import cli
 from torsiongeo.cli import format_report, load_config, main, run
 from torsiongeo.errors import ParseError, ValidationError
 from torsiongeo.io import read_contour_csv, read_trajectory_csv, write_contour_csv
@@ -396,6 +399,51 @@ def test_levels_below_the_rounding_floor_exit_1(tmp_path, capsys):
     results = run(load_config(write_config(tmp_path, {**golden, "n_levels": resolved})), tmp_path / "ok")
     want = sorted(k * k / 2 for k in range(-resolved, resolved + 1))[:resolved]
     assert results["energies"] == pytest.approx(want, rel=1e-4, abs=1e-9)
+
+
+def test_sphere_sector_floor_comes_from_the_unphased_kernel(tmp_path, capsys):
+    # An m > 0 sector kernel cancels down from the unphased one, so its levels
+    # are resolved only above n eps times the unphased kernel's largest row sum.
+    # At m = 50 the lowest levels, exactly 1275 and 1326, sit far below it; the
+    # sector's own floor let them through as 610.8 and 611.3.
+    golden = json.loads((REPO / "configs" / "sphere_compare.json").read_text())
+    sector = {**golden, "command": "propagate", "n_levels": 2, "richardson": False}
+    cfg = write_config(tmp_path, {**sector, "m_sector": 50})
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rounding floor < n_levels=2" in err and len(err.splitlines()) == 1
+    # the levels of m = 10 (exactly 55 and 66) stay resolved
+    results = run(load_config(write_config(tmp_path, {**sector, "m_sector": 10})), tmp_path / "ok")
+    assert results["energies"] == pytest.approx([55.4476, 66.5342], abs=1e-3)
+
+
+def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a 2,000,000-point line asks for a 29 TiB kernel; under a 2 GiB
+    # address-space limit the allocation fails at once, and the run exits 1
+    # with a one-line error
+    cfg = write_config(tmp_path, {"geometry": "flat-cartesian", "d": 1, "command": "propagate", "N": 4, "eps": 0.25,
+                                  "grid_points": 2_000_000, "extract": False})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
+           "TORSIONGEO_THREADS": "1"}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsiongeo.cli", "propagate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=REPO, env=env, preexec_fn=limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: Unable to allocate") and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out" / "results.json").exists()
+
+    # a MemoryError without a message still names itself
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", out_of_memory)
+    assert main(["propagate", "--config", str(write_config(tmp_path, MINIMAL)), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_sphere_amplitudes_use_m_sector_and_one_propagate(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@
 # spectrum extraction, the analytic real-time flat kernel, the assembled
 # slice kernel against the per-point action and measure formulas, the 1-d
 # measure exponent that vanishes and the one 1-d kernel both measures get, the
-# symmetry-reduced sphere kernel against its full-period reference, the stored
+# symmetry-reduced sphere kernel against its full-period reference and an
+# uncut 4000-point build, the sphere's zeta grid growing with m, the stored
 # amplitudes' exact symmetry, the rounding floor of the negative-eigenvalue
 # count, and the one build shared by both measures against one-measure builds.
 
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsiongeo import catalog
-from torsiongeo.errors import GridResolutionInsufficient, IllConditionedFit
+from torsiongeo import catalog, propagator
+from torsiongeo.errors import GridResolutionInsufficient, IllConditionedFit, TorsionGeoError
 from torsiongeo.geometry import Geometry
 from torsiongeo.propagator import (
     EXPONENT_CUT,
@@ -44,7 +45,7 @@ def flat_line():
 
 def build_sphere(geom, cfg, n_theta, m):
     """_build_sphere under the config's measure: (B, weights, theta)."""
-    kernels, weights, theta = _build_sphere(geom, cfg, n_theta, m, (cfg.measure,))
+    kernels, weights, theta, _ = _build_sphere(geom, cfg, n_theta, m, (cfg.measure,))
     return kernels[cfg.measure], weights, theta
 
 
@@ -510,8 +511,7 @@ def _sphere_reference(geom, cfg, n_theta, m):
                 corr -= pref * (p_form * q_form / 6.0 + q_form**2 / 12.0) / a**2
             if cfg.measure == "qep":
                 corr += ricci[row] * (p_form + q_form) / 12.0
-            quad = pref * (p_form + q_form)
-            vals = np.exp(-quad) * np.where(quad < EXPONENT_CUT, 1.0 + corr + 0.5 * corr**2, 1.0)
+            vals = np.exp(-pref * (p_form + q_form)) * (1.0 + corr + 0.5 * corr**2)
         kernel[row] = vals @ np.cos(m * zeta) * (2 * math.pi / n_phi)
     norm = cfg.mass / (2 * np.pi * cfg.hbar * cfg.eps)
     return norm * np.sqrt(np.outer(weights, weights)) * kernel, weights, theta
@@ -530,7 +530,7 @@ SPHERE_REFERENCE_CASES = [
 @pytest.mark.parametrize("a, n_theta, order, measure, m", SPHERE_REFERENCE_CASES)
 def test_build_sphere_matches_full_period_reference(a, n_theta, order, measure, m):
     # the half zeta period, the mirrored node-pair triangle, the endpoint-mean
-    # curvature and the corrections evaluated only in the trust region change
+    # curvature and, at order >= 3, the builder's own shorter zeta grid change
     # the kernel only at rounding level
     geom = catalog.make("sphere", a=a)
     cfg = SliceConfig(n_slices=8, eps=0.05, order=order, measure=measure)
@@ -539,6 +539,78 @@ def test_build_sphere_matches_full_period_reference(a, n_theta, order, measure, 
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(weights, ref_weights)
     assert np.array_equal(theta, ref_theta)
+
+
+SPHERE_SECTORS = (0, 2, 10, 24, 48)
+
+
+@functools.cache
+def _uncut_sphere_reference(n_theta, eps, n_phi=4000):
+    """Unit-sphere sector kernels {(order, measure): {m: B}} for m in SPHERE_SECTORS on an n_phi-point
+    zeta grid with no trust region: the analytic curvature 2 / a^2 in the measure term, node pairs
+    i <= j mirrored, the zeta > 0 half period at weight 2 dzeta."""
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(n_theta)
+    theta, weights = np.arccos(x_nodes)[::-1], x_weights[::-1]
+    pref, sin_t = 1.0 / (2.0 * eps), np.sin(theta)
+    zeta = (2 * math.pi / n_phi) * (np.arange(n_phi // 2) + 0.5)
+    phase = np.cos(np.outer(zeta, SPHERE_SECTORS)) * (4 * math.pi / n_phi)
+    cases = list(itertools.product((3, 4), MEASURES))
+    out = {case: np.empty((len(SPHERE_SECTORS), n_theta, n_theta)) for case in cases}
+    rows, cols = np.triu_indices(n_theta)
+    for lo in range(0, rows.size, 256):
+        i, j = rows[lo:lo + 256], cols[lo:lo + 256]
+        p_form = ((theta[i] - theta[j]) ** 2)[:, None]
+        q_form = 2.0 * (sin_t[i] * sin_t[j])[:, None] * (1.0 - np.cos(zeta))
+        gauss = np.exp(-pref * (p_form + q_form))
+        for order, measure in cases:
+            corr = -pref * (p_form * q_form / 6.0 + q_form**2 / 12.0) if order == 4 else 0.0
+            if measure == "qep":
+                corr = corr + 2.0 * (p_form + q_form) / 12.0
+            vals = gauss * (1.0 + corr + 0.5 * corr**2)
+            # one product per sector: a blocked gemm adds a few ulps of K_0 to every
+            # sector, which the cancellation at m = 10 magnifies about 15-fold
+            out[order, measure][:, i, j] = [vals @ column for column in phase.T]
+    scale = np.sqrt(np.outer(weights, weights)) / (2 * np.pi * eps)
+    for kernels in out.values():
+        kernels[:, cols, rows] = kernels[:, rows, cols]
+        kernels *= scale
+    return {case: dict(zip(SPHERE_SECTORS, kernels)) for case, kernels in out.items()}
+
+
+@pytest.mark.parametrize("n_theta, eps", [(176, 0.05), (249, 0.025)])  # the golden grids
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("measure", MEASURES)
+def test_build_sphere_matches_uncut_4000_point_build(n_theta, eps, order, measure):
+    # at order >= 3 the periodic zeta integrand converges spectrally on the
+    # short grid: a 4000-point build without a trust region agrees to rounding
+    cfg = SliceConfig(n_slices=8, eps=eps, order=order, measure=measure)
+    reference = _uncut_sphere_reference(n_theta, eps)[order, measure]
+    for m in (0, 2, 10):
+        got, _, _ = build_sphere(catalog.make("sphere"), cfg, n_theta, m)
+        want = reference[m]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), m
+
+
+def test_sphere_zeta_grid_grows_with_m():
+    # the golden grid integrates m = 0 on 48 zeta points.  A fixed 48-point grid
+    # would integrate cos(24 zeta) to exactly 0, about 1e-6 of K_0 off, and
+    # alias m = 48 onto -K_0; the grid grows with m, so both sectors keep the
+    # reference's accuracy on the scale of K_0
+    cfg = SliceConfig(n_slices=8, eps=0.05, order=4)
+    reference = _uncut_sphere_reference(176, 0.05)[4, "qep"]
+    assert np.max(np.abs(reference[24])) > 1e-8 * np.max(np.abs(reference[0]))
+    for m in (24, 48):
+        got, _, _ = build_sphere(catalog.make("sphere"), cfg, 176, m)
+        assert np.max(np.abs(got - reference[m])) <= 1e-14 * np.max(np.abs(reference[0])), m
+
+
+def test_sphere_order_2_rejects_m_beyond_its_nyquist_limit():
+    # the non-periodic order-2 integrand keeps a fixed grid of 12 points per
+    # kernel width: 338 zeta points at eps 0.05, so m = 169 would alias
+    cfg = SliceConfig(n_slices=8, eps=0.05, order=2)
+    build_sphere(catalog.make("sphere"), cfg, 120, 168)
+    with pytest.raises(TorsionGeoError, match="Nyquist"):
+        build_sphere(catalog.make("sphere"), cfg, 120, 169)
 
 
 def test_sphere_radius_two_at_160_nodes_is_under_resolved():
@@ -598,7 +670,7 @@ def test_stored_amplitudes_are_exactly_symmetric(topology, m):
         assert np.max(np.abs(amp - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("measure, count", [("qep", 6), ("naive-dewitt", 7)])
+@pytest.mark.parametrize("measure, count", [("qep", 4), ("naive-dewitt", 2)])
 def test_negative_eigenvalue_count_ignores_last_bit_noise(measure, count):
     # the golden compare-measures sphere: about 70 eigenvalues are negative by
     # rounding alone, and their number moves with the kernel's last bits
@@ -665,6 +737,21 @@ def test_shared_build_is_bit_identical_to_one_measure_builds(topology, scheme, o
         assert got.asymmetry == alone.asymmetry
     if topology == "sphere" and order >= 3:  # the measures differ, so the check is not vacuous
         assert _bits(together["qep"].eigenvalues) != _bits(together["naive-dewitt"].eigenvalues)
+
+
+def test_one_eigensolve_per_distinct_kernel(monkeypatch):
+    # both measures share the 1-d kernel, so it is diagonalized once; the
+    # sphere's two kernels differ, so each is
+    calls = []
+    original = propagator._compose
+    monkeypatch.setattr(propagator, "_compose", lambda b_mat, *args: calls.append(b_mat) or original(b_mat, *args))
+    cfg = SliceConfig(n_slices=4, eps=0.25)
+    circle = propagate_measures(catalog.make("circle"), cfg, MEASURES, grid=128, store_taus=[0.5])
+    assert len(calls) == 1
+    assert circle["qep"] is not circle["naive-dewitt"]
+    assert circle["qep"].amplitudes is not circle["naive-dewitt"].amplitudes
+    propagate_measures(catalog.make("sphere"), replace(cfg, eps=0.05), MEASURES, grid=120)
+    assert len(calls) == 3
 
 
 def test_propagate_measures_rejects_an_unknown_measure():
