@@ -333,7 +333,7 @@ def _grid_for(config: RunConfig, factor: float = 1.0):
 def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict, measures) -> dict:
     """The ladder payload of each of ``measures``, from one propagator build per grid for all of them."""
     from .io import write_amplitude_csv
-    from .propagator import negative_beyond_rounding, propagate_measures
+    from .propagator import propagate_measures
 
     geom, cfg = config.geom, config.slices
     taus = [float(t) for t in opts["tau_values"]]
@@ -354,7 +354,7 @@ def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict,
             "energies": _eigen_energies(result, cfg, opts["n_levels"]) if opts["extract"] else [],
             "asymmetry": float(result.asymmetry),
             "min_eigenvalue": float(result.eigenvalues[-1]),
-            "clipped_eigenvalues": negative_beyond_rounding(result.eigenvalues),
+            "clipped_eigenvalues": int((result.eigenvalues < -result.floor).sum()),
         }
     if opts["richardson"]:
         from .spectrum import richardson_pair

@@ -8,8 +8,10 @@ The finite-time kernel is composed from short-time kernels
 with the slice action A_eps truncated at the configured order and, for the
 difference-measure ("qep") variant, the measure-difference exponent dj added
 (for the position-measure "naive-dewitt" variant dj is absent).  dj is
-Ricci dq dq / 6 plus torsion terms, identically 0 in one dimension, so one
-1-d kernel serves both measures.  Composition
+Ricci dq dq / 6 plus torsion terms: identically 0 in one dimension and
+absent from the bare order-2 sphere chart, so measures that share a measure
+term share one kernel and one eigensolve.  1-d midpoint references are exact
+points of the half-step lattice of nodes and cell edges.  Composition
 weights carry sqrt(g) at the integrated point; in the similarity frame
 
     B = W^(1/2) K W^(1/2),   W_j = sqrt(g_j) * (node weight),
@@ -76,14 +78,10 @@ class PropagatorResult:
     asymmetry: float = 0.0
 
 
-def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0, contour: str = "euclidean"):
-    """Closed-form free-particle kernel on a line, Euclidean or real-time."""
+def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0):
+    """Closed-form Euclidean free-particle kernel on a line."""
     dx2 = (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)) ** 2
-    if contour == "euclidean":
-        return (2 * np.pi * hbar * tau / mass) ** -0.5 * np.exp(-mass * dx2 / (2 * hbar * tau))
-    if contour == "real-time":
-        return (2j * np.pi * hbar * tau / mass) ** -0.5 * np.exp(1j * mass * dx2 / (2 * hbar * tau))
-    raise ValueError("contour must be 'euclidean' or 'real-time'")
+    return (2 * np.pi * hbar * tau / mass) ** -0.5 * np.exp(-mass * dx2 / (2 * hbar * tau))
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +109,6 @@ class _CoefficientTable:
                 t4 = t4a + 0.25 * np.einsum("jmnt,jskt->jmnsk", pt.affine_first, pt.affine)
         self.g, self.t3, self.t4 = (t.reshape(n) for t in (pt.metric, t3, t4))
         self.sqrt_g = pt.sqrt_metric
-
-
-def _interp_table(x_nodes: np.ndarray, table: np.ndarray, x_query: np.ndarray) -> np.ndarray:
-    """Linear interpolation of a per-node table at query points of any shape."""
-    idx = np.clip(np.searchsorted(x_nodes, x_query) - 1, 0, len(x_nodes) - 2)
-    w = (x_query - x_nodes[idx]) / (x_nodes[idx + 1] - x_nodes[idx])
-    return (1.0 - w) * table[idx] + w * table[idx + 1]
 
 
 def _slice_kernel(g, t3, t4, u: np.ndarray, pref: float) -> np.ndarray:
@@ -156,42 +147,42 @@ def _line_nodes(grid) -> tuple[np.ndarray, float]:
 
 
 def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period):
-    """Transfer matrix of the line (``period`` None) or the circle, for every measure: ``(B, weights)``."""
+    """Transfer matrix of the line (``period`` None) or the circle, for every measure: ``(B, weights)``.
+
+    Midpoint coefficients are evaluated once on the half-step lattice of cell edges and nodes (2n points);
+    the midpoint of nodes i and j under winding w is lattice point (i + j + 1 - w n) mod 2n.
+    """
     n = nodes.size
     pref = config.mass / (2.0 * config.eps * config.hbar)
-    table = _CoefficientTable(geom, nodes[:, None], config)
-    sigma_u = math.sqrt(config.eps * config.hbar / config.mass) / np.sqrt(table.g)
+    midpoint = config.scheme == "midpoint"
+    on_nodes = np.s_[1::2] if midpoint else np.s_[:]
+    points = np.stack([nodes - 0.5 * du, nodes], axis=-1).ravel() if midpoint else nodes
+    table = _CoefficientTable(geom, points[:, None], config)
+    sigma_u = math.sqrt(config.eps * config.hbar / config.mass) / np.sqrt(table.g[on_nodes])
     if np.min(sigma_u) / du < MIN_POINTS_PER_SIGMA:
         raise GridResolutionInsufficient(
             f"kernel width {np.min(sigma_u):.3g} needs at least {MIN_POINTS_PER_SIGMA} points per width, "
             f"got grid spacing {du:.3g}"
         )
 
+    windings = np.zeros((1, 1), dtype=int)
     if period is not None:
         w_max = int(math.ceil((TAIL_SIGMA * float(np.max(sigma_u)) + period / 2) / period))
         if 2 * w_max + 1 > MAX_WINDING_IMAGES:
             raise TorsionGeoError(f"kernel width {np.max(sigma_u):.3g} needs {2 * w_max + 1} winding images of "
                                   f"period {period:.3g}, more than {MAX_WINDING_IMAGES}; reduce eps")
-        shifts = (np.arange(-w_max, w_max + 1) * period)[:, None]
-    else:
-        shifts = np.zeros((1, 1))
+        windings = np.arange(-w_max, w_max + 1)[:, None]
+    shifts = windings * (period or 0.0)
 
     kernel = np.empty((n, n))
-    coefs = (table.g, table.t3, table.t4)
-    for rows in _blocks(n, n * shifts.size):
-        here = nodes[rows, None, None]
-        if config.scheme == "midpoint":
-            # mean chart point of the image pair; odd windings land it on
-            # the opposite side of the period
-            mid = 0.5 * (here + nodes) - 0.5 * shifts
-            if period is not None:
-                mid = mid % period
-            at = [_interp_table(nodes, t, mid) for t in coefs]
-        else:
-            at = [t[rows, None, None] for t in coefs]
-        kernel[rows] = _slice_kernel(*at, here - nodes + shifts, pref).sum(axis=1)
+    index = np.arange(n)
+    for rows in _blocks(n, n * windings.size):
+        i = index[rows, None, None]
+        ref = (i + index + 1 - n * windings) % (2 * n) if midpoint else i
+        at = [t[ref] for t in (table.g, table.t3, table.t4)]
+        kernel[rows] = _slice_kernel(*at, nodes[rows, None, None] - nodes + shifts, pref).sum(axis=1)
     norm = (2 * np.pi * config.hbar * config.eps / config.mass) ** -0.5
-    weights = table.sqrt_g * du
+    weights = table.sqrt_g[on_nodes] * du
     scale = norm * np.sqrt(np.outer(weights, weights))
     # prepoint rows hold the reference point and its outgoing difference;
     # indexing by (later, earlier) with the sign flip of the difference is the
@@ -223,9 +214,10 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     weight 2 dzeta.  At order >= 3 the measure term takes the endpoint mean of
     the per-node R (2 / a^2 up to rounding), so the kernel is symmetric and
     only columns >= row are evaluated, then mirrored; order 2 keeps full rows,
-    as its quadratic takes the row's g_phi.  The measures differ only in the
-    correction factor: each block evaluates the Gaussian core and the pair
-    forms once, then the factor and the phase integral per measure.
+    as its quadratic takes the row's g_phi.  Measures that share a curvature
+    term (every measure at order 2) share one kernel array; each block
+    evaluates the Gaussian core and the pair forms once, then the correction
+    factor and the phase integral per distinct term.
 
     The zeta grid: at order >= 3 the integrand, exp(-x (1 - cos zeta)) with
     x = 2 pref a^2 sin(theta_a) sin(theta_b) times a degree-4 polynomial in
@@ -254,9 +246,11 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     sin_t = np.sin(theta)
     g_phi = a * a * sin_t**2
     quartic = pref / a**2 if config.order >= 4 else 0.0
-    ricci = dict.fromkeys(measures, np.zeros(n_theta))
-    if "qep" in ricci and config.order >= 3:
-        ricci["qep"] = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
+    # one kernel per distinct measure term: qep adds R (P + Q) / 12 at order >= 3
+    curved = {measure: measure == "qep" and config.order >= 3 for measure in measures}
+    ricci = dict.fromkeys(set(curved.values()), np.zeros(n_theta))
+    if True in ricci:
+        ricci[True] = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
 
     if config.order == 2:
         n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
@@ -271,37 +265,25 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     phase = np.cos(np.outer(zeta, (m, 0) if m else (0,)))  # [cos m zeta, 1], or [1] at m = 0
     rows, cols = np.divmod(np.arange(n_theta**2), n_theta) if config.order == 2 else np.triu_indices(n_theta)
 
-    # blocks of (node pair, zeta) entries, integrated against the phase columns;
-    # the block-sized work buffers are allocated once and reused by every block
-    sums = {measure: np.empty((phase.shape[1], n_theta, n_theta)) for measure in ricci}
-    size = min(rows.size, max(1, BLOCK_ENTRIES // zeta.size)) * zeta.size
-    work = [np.empty(size) for _ in range(5)]
+    # blocks of (node pair, zeta) entries, integrated against the phase columns
+    sums = {term: np.empty((phase.shape[1], n_theta, n_theta)) for term in ricci}
     for block in _blocks(rows.size, zeta.size):
         i, j = rows[block], cols[block]
-        q_form, quad, gauss, factor, square = (buf[: i.size * zeta.size].reshape(i.size, zeta.size) for buf in work)
         p_form = a * a * (theta[i] - theta[j]) ** 2
         if config.order == 2:  # the bare chart quadratic carries no measure term
-            np.multiply(g_phi[i, None], zeta**2, out=quad)
-            np.add(p_form[:, None], quad, out=quad)
-            np.multiply(-pref, quad, out=quad)
-            row = (np.exp(quad, out=gauss) @ phase).T * (2.0 * dzeta)
-            for kernel in sums.values():
-                kernel[:, i, j] = row
+            gauss = np.exp(-pref * (p_form[:, None] + g_phi[i, None] * zeta**2))
+            sums[False][:, i, j] = (gauss @ phase).T * (2.0 * dzeta)
             continue
-        # the Gaussian core, shared by every measure
-        np.multiply((2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None], one_minus_cos, out=q_form)
-        np.add(p_form[:, None], q_form, out=quad)
-        np.exp(np.multiply(-pref, quad, out=gauss), out=gauss)
-        quartic_q = np.multiply(quartic / 12.0, q_form, out=quad)
-        for measure, kernel in sums.items():
+        # the Gaussian core, shared by every measure term
+        q_form = (2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None] * one_minus_cos
+        gauss = np.exp(-pref * (p_form[:, None] + q_form))
+        quartic_q = quartic / 12.0 * q_form
+        for term, kernel in sums.items():
             # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
-            r_mean = (ricci[measure][i] + ricci[measure][j]) / 24.0
+            r_mean = (ricci[term][i] + ricci[term][j]) / 24.0
             lin, const = r_mean - quartic * p_form / 6.0, r_mean * p_form
-            c = np.subtract(lin[:, None], quartic_q, out=factor)
-            np.add(np.multiply(q_form, c, out=c), const[:, None], out=c)
-            np.multiply(0.5, np.multiply(c, c, out=square), out=square)
-            np.add(np.add(1.0, c, out=factor), square, out=factor)  # 1 + c + c^2/2
-            kernel[:, i, j] = (np.multiply(gauss, factor, out=factor) @ phase).T * (2.0 * dzeta)
+            c = q_form * (lin[:, None] - quartic_q) + const[:, None]
+            kernel[:, i, j] = (gauss * (1.0 + c + 0.5 * (c * c)) @ phase).T * (2.0 * dzeta)
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
     weights = a * a * gl_w
     scale = norm * np.sqrt(np.outer(weights, weights))
@@ -309,8 +291,10 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
         if config.order >= 3:
             kernel[:, cols, rows] = kernel[:, rows, cols]
         kernel *= scale
-    scales = {measure: float(np.max(s[1].sum(axis=0) + s[1].sum(axis=1))) / 2 for measure, s in sums.items() if m}
-    return {measure: s[0] for measure, s in sums.items()}, weights, theta, scales
+    scales = {term: float(np.max(s[1].sum(axis=0) + s[1].sum(axis=1))) / 2 for term, s in sums.items() if m}
+    kernels = {term: s[0] for term, s in sums.items()}  # one array object per term, shared by its measures
+    return ({measure: kernels[term] for measure, term in curved.items()}, weights, theta,
+            {measure: scales[term] for measure, term in curved.items() if m})
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +359,11 @@ def propagate_measures(
     :func:`propagate` under each of ``measures`` (``config.measure`` is not
     read), as ``{measure: PropagatorResult}``.  One kernel build serves every
     measure, and each result is bit for bit what :func:`propagate` gives
-    under that measure.  On the line and the circle every measure gets the
-    same kernel and eigensolve (the measure exponent vanishes in one
-    dimension); the sphere evaluates the measure-independent part of each
-    kernel block once.
+    under that measure.  The builders return one kernel per distinct
+    measure term, and each distinct kernel is diagonalized once: every
+    measure shares one kernel and eigensolve on the line and the circle (the
+    measure exponent vanishes in one dimension) and on the sphere at order 2
+    (the bare chart carries no curvature term).
     """
     if geom.topology not in ("line", "circle", "sphere"):
         raise ValueError(f"geometry '{geom.name}' has no propagation topology")

@@ -1,0 +1,179 @@
+"""Mutation check of the kernel builders and the energy rule.
+
+    python tests/mutants.py
+
+Each mutant is one exact text edit of a file under ``src/`` together with the
+tests that must catch it.  For each mutant the script copies ``src/`` to a
+temporary directory, applies the edit there (the checkout is never touched),
+and runs only the named tests against the copy, two mutants at a time.  A
+mutant is killed when every named test fails; a named test id without
+brackets counts as failed when any of its parametrized cases fails.  Before
+the mutants, the named tests run once against the unedited source and must
+all pass there.
+
+The script reports each mutant as killed or surviving and exits 1 when a
+mutant survives, when its old text is not found exactly once, or when the
+unedited source fails a named test.  Hypothesis runs with a fixed seed, and its
+example database stays in the temporary directory.  The file name keeps pytest
+from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2  # pytest processes at a time
+TEST_TIMEOUT_S = 600  # per pytest process; a mutant that hangs its tests stops the check with an error
+
+PROPAGATOR = "torsiongeo/propagator.py"
+CLI = "torsiongeo/cli.py"
+ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
+FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
+UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
+SECTOR_FLOOR = "tests/test_cli.py::test_sphere_sector_floor_comes_from_the_unphased_kernel"
+
+# (name, file under src/, exact old text, new text, tests that must fail)
+MUTANTS = [
+    ("midpoint index without + 1", PROPAGATOR,
+     "ref = (i + index + 1 - n * windings) % (2 * n)", "ref = (i + index - n * windings) % (2 * n)",
+     [ENTRIES]),
+    ("midpoint index without - w n", PROPAGATOR,
+     "ref = (i + index + 1 - n * windings) % (2 * n)", "ref = (i + index + 1) % (2 * n)",
+     [ENTRIES]),
+    ("no prepoint transpose", PROPAGATOR,
+     'scale * (kernel.T if config.scheme == "prepoint" else kernel)', "scale * kernel",
+     [ENTRIES]),
+    ("one winding image fewer", PROPAGATOR,
+     "windings = np.arange(-w_max, w_max + 1)[:, None]", "windings = np.arange(-w_max, w_max)[:, None]",
+     [ENTRIES]),
+    ("flipped cubic sign", PROPAGATOR,
+     "t3 = -pt.affine_first", "t3 = pt.affine_first",
+     [ENTRIES]),
+    ("first-order 1-d correction factor", PROPAGATOR,
+     "factor = 1.0 + c + 0.5 * c**2", "factor = 1.0 + c",
+     ["tests/test_propagator.py::test_slice_kernel_terms_against_hand_sum"]),
+    ("sqrt(20) for sqrt(74) in the sphere zeta grid", PROPAGATOR,
+     "math.sqrt(74.0 * 2.0 * pref", "math.sqrt(20.0 * 2.0 * pref",
+     [UNCUT]),
+    ("sphere trust-region cut restored", PROPAGATOR,
+     "(gauss * (1.0 + c + 0.5 * (c * c)) @ phase)",
+     "(gauss * np.where(pref * (p_form[:, None] + q_form) >= EXPONENT_CUT, 1.0, 1.0 + c + 0.5 * (c * c)) @ phase)",
+     [UNCUT]),
+    ("n_phi without 2|m|", PROPAGATOR,
+     "+ 2 * abs(m) + 8) / 2)", "+ 8) / 2)",
+     ["tests/test_propagator.py::test_sphere_zeta_grid_grows_with_m"]),
+    ("dzeta for 2 dzeta at order >= 3", PROPAGATOR,
+     "@ phase).T * (2.0 * dzeta)\n    norm", "@ phase).T * dzeta\n    norm",
+     [FULL_PERIOD, UNCUT]),
+    ("quarter-step zeta offset", PROPAGATOR,
+     "zeta = dzeta * (np.arange(n_phi // 2) + 0.5)", "zeta = dzeta * (np.arange(n_phi // 2) + 0.25)",
+     [FULL_PERIOD, UNCUT]),
+    ("sphere mirror dropped", PROPAGATOR,
+     "        if config.order >= 3:\n            kernel[:, cols, rows] = kernel[:, rows, cols]\n", "",
+     [FULL_PERIOD]),
+    ("measure term's sign flipped", PROPAGATOR,
+     "r_mean = (ricci[term][i] + ricci[term][j]) / 24.0", "r_mean = -(ricci[term][i] + ricci[term][j]) / 24.0",
+     [FULL_PERIOD, UNCUT]),
+    ("qep's curvature term for every measure", PROPAGATOR,
+     'curved = {measure: measure == "qep" and config.order >= 3 for measure in measures}',
+     'curved = {measure: "qep" in measures and config.order >= 3 for measure in measures}',
+     ["tests/test_propagator.py::test_shared_build_is_bit_identical_to_one_measure_builds"]),
+    ("quartic residue Q^2 / 6", PROPAGATOR,
+     "quartic_q = quartic / 12.0 * q_form", "quartic_q = quartic / 6.0 * q_form",
+     [FULL_PERIOD, UNCUT]),
+    ("per-measure kernels at order 2", PROPAGATOR,
+     "{measure: kernels[term] for measure, term in curved.items()}",
+     "{measure: kernels[term].copy() for measure, term in curved.items()}",
+     ["tests/test_propagator.py::test_one_eigensolve_per_distinct_kernel"]),
+    ("one eigensolve per measure", PROPAGATOR,
+     "if id(b_mat) not in composed:", "if True:",
+     ["tests/test_propagator.py::test_one_eigensolve_per_distinct_kernel"]),
+    ("no order-2 Nyquist check", PROPAGATOR,
+     "if 2 * abs(m) >= n_phi:", "if False:",
+     ["tests/test_propagator.py::test_sphere_order_2_rejects_m_beyond_its_nyquist_limit"]),
+    ("_eigen_energies counting every positive eigenvalue", CLI,
+     "result.eigenvalues[result.eigenvalues > result.floor]", "result.eigenvalues[result.eigenvalues > 0.0]",
+     ["tests/test_cli.py::test_levels_below_the_rounding_floor_exit_1", SECTOR_FLOOR]),
+    ("levels on the sector kernel's own floor", CLI,
+     "result.eigenvalues[result.eigenvalues > result.floor]",
+     "result.eigenvalues[result.eigenvalues > result.eigenvalues.size * 2.220446049250313e-16"
+     " * abs(result.eigenvalues).max()]",
+     [SECTOR_FLOOR]),
+    ("clipped count on the sector kernel's own floor", CLI,
+     "int((result.eigenvalues < -result.floor).sum())",
+     "int((result.eigenvalues < -result.eigenvalues.size * 2.220446049250313e-16"
+     " * abs(result.eigenvalues).max()).sum())",
+     [SECTOR_FLOOR]),
+    ("MemoryError not caught in main", CLI,
+     "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
+     "except (TorsionGeoError, ValueError, OSError) as exc:",
+     ["tests/test_cli.py::test_memory_failure_exits_1"]),
+]
+
+FAILED = re.compile(r"^FAILED (\S+?)(?: - .*)?$", re.MULTILINE)
+
+
+def run_tests(src: Path, workdir: Path, tests) -> set:
+    """Run ``tests`` against the package under ``src``; the node ids that failed."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+         "--rootdir", str(ROOT), *(str(ROOT / test) for test in tests)],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=TEST_TIMEOUT_S,
+    )
+    if proc.returncode not in (0, 1):  # 2-5: interrupted, internal or usage error, or nothing collected
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    # pytest prints node ids relative to its working directory
+    return {(workdir / node).resolve().relative_to(ROOT).as_posix() + "::" + rest
+            for node, rest in (found.split("::", 1) for found in FAILED.findall(proc.stdout))}
+
+
+def caught(test: str, failed: set) -> bool:
+    return any(node == test or node.startswith(test + "[") for node in failed)
+
+
+def check(mutant, tmp: Path) -> str:
+    """Apply ``mutant`` to a copy of ``src/`` under ``tmp`` and run its tests; one report line."""
+    name, rel, old, new, tests = mutant
+    copy = tmp / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (copy / rel).read_text()
+    if text.count(old) != 1:
+        return f"STALE     {name}: old text found {text.count(old)} times in {rel}"
+    (copy / rel).write_text(text.replace(old, new))
+    failed = run_tests(copy, tmp, tests)
+    missed = [test for test in tests if not caught(test, failed)]
+    return f"SURVIVED  {name} (passes: {', '.join(missed)})" if missed else f"killed    {name}"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    named = sorted({test for *_, tests in MUTANTS for test in tests})
+    with tempfile.TemporaryDirectory(prefix="torsiongeo-mutants-") as tmp:
+        tmp = Path(tmp)
+        clean = run_tests(ROOT / "src", tmp, named)
+        if clean:
+            print("unedited source fails: " + ", ".join(sorted(clean)))
+            return 1
+        dirs = [tmp / f"mutant-{k}" for k in range(len(MUTANTS))]
+        for d in dirs:
+            d.mkdir()
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:  # each worker waits on one pytest process
+            reports = list(pool.map(check, MUTANTS, dirs))
+    print("\n".join(reports))
+    killed = sum(report.startswith("killed") for report in reports)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -415,6 +415,11 @@ def test_sphere_sector_floor_comes_from_the_unphased_kernel(tmp_path, capsys):
     # the levels of m = 10 (exactly 55 and 66) stay resolved
     results = run(load_config(write_config(tmp_path, {**sector, "m_sector": 10})), tmp_path / "ok")
     assert results["energies"] == pytest.approx([55.4476, 66.5342], abs=1e-3)
+    # the negative count reads the same floor: at m = 50 no eigenvalue is
+    # negative beyond it, though 91 are beyond the sector kernel's own
+    unextracted = run(load_config(write_config(tmp_path, {**sector, "m_sector": 50, "extract": False})),
+                      tmp_path / "count")
+    assert unextracted["clipped_eigenvalues"] == 0
 
 
 def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys):

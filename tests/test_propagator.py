@@ -1,12 +1,15 @@
 # Transfer-matrix propagators: flat-line Gaussian reproduction, circle traces
 # against the exact mode sum, sphere sector machinery, measure comparison,
-# spectrum extraction, the analytic real-time flat kernel, the assembled
-# slice kernel against the per-point action and measure formulas, the 1-d
-# measure exponent that vanishes and the one 1-d kernel both measures get, the
-# symmetry-reduced sphere kernel against its full-period reference and an
-# uncut 4000-point build, the sphere's zeta grid growing with m, the stored
-# amplitudes' exact symmetry, the rounding floor of the negative-eigenvalue
-# count, and the one build shared by both measures against one-measure builds.
+# spectrum extraction, the assembled slice kernel against the per-point action
+# and measure formulas (exact midpoints included, on the bumpy line and on a
+# circle with a varying metric), the 1-d measure exponent that vanishes and
+# the one 1-d kernel both measures get, the symmetry-reduced sphere kernel
+# against its full-period reference and an uncut 4000-point build, the
+# sphere's zeta grid growing with m, the stored amplitudes' exact symmetry,
+# the rounding floor of the negative-eigenvalue count, the one build shared by
+# both measures against one-measure builds, and one eigensolve per distinct
+# kernel (one for both measures on the order-2 sphere).  tests/mutants.py
+# checks that these oracles catch edits of the builders and the energy rule.
 
 import functools
 import itertools
@@ -79,26 +82,6 @@ def test_flat_line_kernel_normalization():
     mass = res.amplitudes[0.02] @ res.weights
     inner = np.abs(res.grid) < 1.0
     assert np.max(np.abs(mass[inner] - 1.0)) < 1e-12
-
-
-def test_real_time_flat_kernel_composes():
-    # Two real-time slices compose into one, via the closed-form Gaussian
-    # composition rule for complex widths.
-    mass, hbar = 1.3, 0.7
-    t1, t2 = 0.4, 0.9
-
-    def pars(tau):
-        amp = (2j * np.pi * hbar * tau / mass) ** -0.5
-        return amp, 1j * mass / (2 * hbar * tau)
-
-    a1, b1 = pars(t1)
-    a2, b2 = pars(t2)
-    amp = a1 * a2 * np.sqrt(np.pi / (-b1 - b2))
-    width = b1 * b2 / (b1 + b2)
-    x = 0.37
-    expected = flat_line_kernel(x, 0.0, t1 + t2, mass, hbar, contour="real-time")
-    composed = amp * np.exp(width * x**2)
-    assert abs(composed - expected) < 1e-12
 
 
 def test_grid_resolution_guard():
@@ -213,16 +196,23 @@ def test_schemes_agree_on_varying_1d_metric():
 
 @functools.lru_cache(maxsize=None)
 def _oracle_case(topology, scheme, order, measure):
-    """Geometry, config, nodes, period and the unnormalized kernel of _build_1d."""
+    """Geometry, config, nodes, period, winding bound and the unnormalized kernel of _build_1d."""
     if topology == "circle":
         geom, grid, period = catalog.make("circle"), (0.0, 2 * np.pi, 256), 2 * np.pi
+    elif topology == "varying-circle":  # eps keeps 10 nodes per width of the narrowest kernel
+        geom, grid, period = _varying_circle(), (0.0, 2 * np.pi, 256), 2 * np.pi
     else:
         geom, grid, period = _bumpy_line(), (-5.0, 5.0, 512), None
-    cfg = SliceConfig(n_slices=8, eps=0.05, scheme=scheme, order=order, measure=measure)
+    eps = 0.1 if topology == "varying-circle" else 0.05
+    cfg = SliceConfig(n_slices=8, eps=eps, scheme=scheme, order=order, measure=measure)
     nodes, du = _line_nodes(grid)
     b_mat, weights = _build_1d(geom, cfg, nodes, du, period)
     norm = (2 * np.pi * cfg.hbar * cfg.eps / cfg.mass) ** -0.5
-    return geom, cfg, nodes, period, b_mat / (norm * np.sqrt(np.outer(weights, weights)))
+    w_max = 0
+    if period is not None:  # images out to TAIL_SIGMA widths of the widest kernel at a node
+        g_min = min(geom.at([x]).metric[0, 0] for x in nodes)
+        w_max = math.ceil((TAIL_SIGMA * math.sqrt(cfg.eps * cfg.hbar / cfg.mass / g_min) + period / 2) / period)
+    return geom, cfg, nodes, period, w_max, b_mat / (norm * np.sqrt(np.outer(weights, weights)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,17 +220,20 @@ def _bumpy_line():
     return bumpy_line_geometry()
 
 
-def _kernel_entry_oracle(geom, cfg, later, earlier, period):
+@functools.lru_cache(maxsize=None)
+def _varying_circle():
+    """The bumpy line's triad 1 + 0.25 sin(phi), which is 2 pi periodic, on the circle."""
+    geom = bumpy_line_geometry()
+    geom.name, geom.topology = "varying-circle", "circle"
+    return geom
+
+
+def _kernel_entry_oracle(geom, cfg, later, earlier, period, w_max):
     """exp(-A / hbar) (1 + c + c^2 / 2) from short_time_action and
-    delta_jacobian_action, summed over the winding images _build_1d keeps;
-    also the smallest quadratic exponent over the images."""
-    shifts = [0.0]
-    if period is not None:
-        sigma_u = math.sqrt(cfg.eps * cfg.hbar / cfg.mass / geom.at([0.0]).metric[0, 0])
-        w_max = math.ceil((TAIL_SIGMA * sigma_u + period / 2) / period)
-        shifts = [w * period for w in range(-w_max, w_max + 1)]
-    total, smallest = 0.0, math.inf
-    for shift in shifts:
+    delta_jacobian_action, summed over the winding images |w| <= w_max."""
+    total = 0.0
+    for w in range(-w_max, w_max + 1):
+        shift = w * period if period is not None else 0.0
         dq = later - earlier + shift
         if cfg.scheme == "postpoint":
             ref, u = later, dq
@@ -255,30 +248,28 @@ def _kernel_entry_oracle(geom, cfg, later, earlier, period):
         if cfg.measure == "qep":
             corr += delta_jacobian_action(geom, [ref]).value([u])
         total += math.exp(-quad) * (1.0 + corr + 0.5 * corr**2 if quad < EXPONENT_CUT else 1.0)
-        smallest = min(smallest, quad)
-    return total, smallest
+    return total
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    topology=st.sampled_from(["circle", "bumpy-line"]),
+    topology=st.sampled_from(["circle", "varying-circle", "bumpy-line"]),
     scheme=st.sampled_from(["postpoint", "prepoint", "midpoint"]),
     order=st.sampled_from([2, 3, 4]),
     measure=st.sampled_from(["qep", "naive-dewitt"]),
     data=st.data(),
 )
 def test_build_1d_entries_match_per_entry_formula(topology, scheme, order, measure, data):
-    geom, cfg, nodes, period, kernel = _oracle_case(topology, scheme, order, measure)
+    geom, cfg, nodes, period, w_max, kernel = _oracle_case(topology, scheme, order, measure)
     n = nodes.size
     row = data.draw(st.integers(0, n - 1), label="row")
     # on the line, columns within about 8 kernel widths, across the trust-region edge
     near = (0, n - 1) if period is not None else (max(0, row - 100), min(n - 1, row + 100))
     col = data.draw(st.integers(*near), label="column")
-    want, quad = _kernel_entry_oracle(geom, cfg, nodes[row], nodes[col], period)
-    # midpoint coefficients on a varying metric are interpolated from the node
-    # tables; the metric's interpolation error enters through the exponent
-    tol = 1e-4 * (1.0 + quad) if scheme == "midpoint" and period is None else 1e-12
-    assert kernel[row, col] == pytest.approx(want, rel=tol, abs=0.0)
+    want = _kernel_entry_oracle(geom, cfg, nodes[row], nodes[col], period, w_max)
+    # the midpoint reference of every image pair is a point of the builder's
+    # half-step lattice, so every scheme matches to rounding
+    assert kernel[row, col] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_slice_kernel_terms_against_hand_sum():
@@ -741,7 +732,7 @@ def test_shared_build_is_bit_identical_to_one_measure_builds(topology, scheme, o
 
 def test_one_eigensolve_per_distinct_kernel(monkeypatch):
     # both measures share the 1-d kernel, so it is diagonalized once; the
-    # sphere's two kernels differ, so each is
+    # sphere's two kernels differ at order >= 3, so each is
     calls = []
     original = propagator._compose
     monkeypatch.setattr(propagator, "_compose", lambda b_mat, *args: calls.append(b_mat) or original(b_mat, *args))
@@ -752,6 +743,10 @@ def test_one_eigensolve_per_distinct_kernel(monkeypatch):
     assert circle["qep"].amplitudes is not circle["naive-dewitt"].amplitudes
     propagate_measures(catalog.make("sphere"), replace(cfg, eps=0.05), MEASURES, grid=120)
     assert len(calls) == 3
+    # at order 2 the curvature term is absent, so both measures share one sphere kernel
+    bare = propagate_measures(catalog.make("sphere"), replace(cfg, eps=0.05, order=2), MEASURES, grid=120)
+    assert len(calls) == 4
+    assert _bits(bare["qep"].eigenvalues) == _bits(bare["naive-dewitt"].eigenvalues)
 
 
 def test_propagate_measures_rejects_an_unknown_measure():
