@@ -91,9 +91,9 @@ def flat_cartesian(d: int = 2) -> Geometry:
         raise ValidationError(f"flat-cartesian: dimension d must be a positive integer, got {d!r}")
     d = int(d)
     field = TriadField(d, _constant(np.eye(d)), _constant(np.zeros((d,) * 3)), _constant(np.zeros((d,) * 4)),
-                       holonomic=True, name="flat-cartesian")
+                       name="flat-cartesian")
     return Geometry(field, name="flat-cartesian", params={"d": d}, topology="line" if d == 1 else None,
-                    torsion_free=True, sample_box=[(-2.0, 2.0)] * d)
+                    sample_box=[(-2.0, 2.0)] * d)
 
 
 def polar() -> Geometry:
@@ -126,8 +126,8 @@ def polar() -> Geometry:
         dde[..., 1, 1, 1, 1] = -r * c
         return dde
 
-    field = TriadField(2, evaluate, d_evaluate, dd_evaluate, holonomic=True, name="polar")
-    return Geometry(field, name="polar", torsion_free=True, sample_box=[(0.5, 3.0), (0.0, TWO_PI)])
+    field = TriadField(2, evaluate, d_evaluate, dd_evaluate, name="polar")
+    return Geometry(field, name="polar", sample_box=[(0.5, 3.0), (0.0, TWO_PI)])
 
 
 def sphere(a: float = 1.0) -> Geometry:
@@ -154,7 +154,7 @@ def sphere(a: float = 1.0) -> Geometry:
         return ddg
 
     field = MetricField(2, metric, d_metric, dd_metric, diagonal=True, name="sphere")
-    return Geometry(field, name="sphere", params={"a": float(a)}, topology="sphere", torsion_free=True,
+    return Geometry(field, name="sphere", params={"a": float(a)}, topology="sphere",
                     sample_box=[(0.3, math.pi - 0.3), (0.0, TWO_PI)])
 
 
@@ -162,8 +162,8 @@ def circle(a: float = 1.0) -> Geometry:
     if a <= 0:
         raise ValidationError("circle: radius a must be positive")
     field = TriadField(1, _constant(np.array([[float(a)]])), _constant(np.zeros((1, 1, 1))),
-                       _constant(np.zeros((1, 1, 1, 1))), holonomic=True, name="circle")
-    return Geometry(field, name="circle", params={"a": float(a)}, topology="circle", torsion_free=True,
+                       _constant(np.zeros((1, 1, 1, 1))), name="circle")
+    return Geometry(field, name="circle", params={"a": float(a)}, topology="circle",
                     sample_box=[(0.0, TWO_PI)])
 
 
@@ -188,9 +188,9 @@ def dislocation(epsilon: float = 0.01) -> Geometry:
         dde[..., 1, :, :, :] = coeff * angle_third(q)
         return dde
 
-    field = TriadField(2, evaluate, d_evaluate, dd_evaluate, holonomic=False, name="dislocation")
+    field = TriadField(2, evaluate, d_evaluate, dd_evaluate, name="dislocation")
     # torsion-free pointwise, away from the origin
-    return Geometry(field, name="dislocation", params={"epsilon": float(epsilon)}, torsion_free=True,
+    return Geometry(field, name="dislocation", params={"epsilon": float(epsilon)},
                     sample_box=[(0.4, 2.4), (0.4, 2.4)])
 
 
@@ -232,7 +232,7 @@ def disclination(omega: float = 0.05) -> Geometry:
         return -2 * om * term
 
     field = MetricField(2, metric, d_metric, dd_metric, diagonal=False, name="disclination")
-    return Geometry(field, name="disclination", params={"omega": om}, torsion_free=True,
+    return Geometry(field, name="disclination", params={"omega": om},
                     sample_box=[(0.4, 2.4), (0.4, 2.4)])
 
 
@@ -247,9 +247,9 @@ def torsion_toy(s0: float = 0.3) -> Geometry:
         # e^i_mu = delta + t[i, mu, nu] q^nu; einsum rounds a point and a stack alike
         return eye + np.einsum("...n,imn->...im", q, t)
 
-    field = TriadField(2, evaluate, _constant(t), _constant(np.zeros((2, 2, 2, 2))), holonomic=False,
+    field = TriadField(2, evaluate, _constant(t), _constant(np.zeros((2, 2, 2, 2))),
                        name="torsion-toy")
-    return Geometry(field, name="torsion-toy", params={"s0": float(s0)}, torsion_free=False,
+    return Geometry(field, name="torsion-toy", params={"s0": float(s0)},
                     sample_box=[(-0.5, 0.5), (-0.5, 0.5)])
 
 

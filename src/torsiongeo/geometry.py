@@ -27,6 +27,11 @@ Raising and lowering is never implicit; use :func:`raise_last` /
 A geometry built from a :class:`~torsiongeo.triads.MetricField` has no torsion
 content: its affine connection *is* the Christoffel symbol and torsion and
 contortion vanish identically.
+
+Every connection derivative is formed from the field's ``d_triad`` and
+``dd_triad`` (or ``d_metric`` and ``dd_metric``); the bundle takes no finite
+differences.  A derivative the field was not given is the central difference
+of the next lower one (:mod:`torsiongeo.triads`).
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .triads import MetricField, TriadField, _central_diff
 
 Field = Union[TriadField, MetricField]
 
-CONN_FD_STEP = 1e-4  # relative step of connection finite differences for fields without analytic derivatives
 COVARIANT_FD_STEP = 1e-6  # relative step of the partial derivative in covariant_derivative
 
 
@@ -94,11 +98,6 @@ class PointGeometry:
 
     def _zeros(self, rank: int) -> np.ndarray:
         return np.zeros(self.q.shape[:-1] + (self.dim,) * rank)
-
-    def _fd(self, quantity: Callable[["PointGeometry"], np.ndarray]) -> np.ndarray:
-        """Central differences of a derived quantity, one bundle per shifted copy of the stack."""
-        geom = self.geometry
-        return _central_diff(lambda p: quantity(PointGeometry(geom, p)), self.q, CONN_FD_STEP)
 
     # -- triad level -------------------------------------------------------
 
@@ -228,17 +227,13 @@ class PointGeometry:
         """partial_s Gamma_{ab}^c, derivative index last."""
         if self.geometry.metric_only:
             return self.d_christoffel
-        if self.geometry.field.analytic:
-            dei, de, dde = self.d_triad_inverse, self.d_triad, self.dd_triad
-            return np.einsum("...ics,...iba->...abcs", dei, de) + np.einsum(
-                "...ic,...ibas->...abcs", self.triad_inverse, dde
-            )
-        return self._fd(lambda pt: pt.affine)
+        dei, de, dde = self.d_triad_inverse, self.d_triad, self.dd_triad
+        return np.einsum("...ics,...iba->...abcs", dei, de) + np.einsum(
+            "...ic,...ibas->...abcs", self.triad_inverse, dde
+        )
 
     @cached_property
     def d_christoffel(self) -> np.ndarray:
-        if self.geometry.metric_only and not self.geometry.field.analytic:
-            return self._fd(lambda pt: pt.christoffel)
         ddg = self.dd_metric
         d_first = 0.5 * (np.einsum("...bcas->...abcs", ddg) + np.einsum("...acbs->...abcs", ddg) - ddg)
         return np.einsum("...cds,...abd->...abcs", self.d_metric_inverse, self.christoffel_first) + np.einsum(
@@ -249,8 +244,6 @@ class PointGeometry:
     def d_contortion(self) -> np.ndarray:
         if self.geometry.metric_only:
             return self._zeros(4)
-        if not self.geometry.field.analytic:
-            return self._fd(lambda pt: pt.contortion)
         dc = self.d_affine
         ds = 0.5 * (dc - np.swapaxes(dc, -4, -3))
         ds_first = np.einsum("...abds,...dc->...abcs", ds, self.metric) + np.einsum(
@@ -305,20 +298,20 @@ class Geometry:
     """
     Evaluator bundle over a triad or metric field, with its catalog metadata:
     ``name`` (default: the field's), factory ``params``, the propagation
-    ``topology`` (line, circle, sphere or None), ``torsion_free`` (default:
-    for metric fields) and the ``sample_box`` of :meth:`random_points`.
+    ``topology`` (line, circle, sphere or None) and the ``sample_box`` of
+    :meth:`random_points`.  The field supplies every derivative the bundle
+    needs; one it was not given is the central difference of the next lower
+    one.
     """
 
     def __init__(self, field: Field, *, name: str | None = None, params: dict | None = None,
-                 topology: str | None = None, torsion_free: bool | None = None,
-                 sample_box: list | None = None):
+                 topology: str | None = None, sample_box: list | None = None):
         self.field = field
         self.dim = field.dim
         self.metric_only = isinstance(field, MetricField)
         self.name = name if name is not None else getattr(field, "name", "geometry")
         self.params = dict(params or {})
         self.topology = topology
-        self.torsion_free = self.metric_only if torsion_free is None else bool(torsion_free)
         self.sample_box = sample_box
         self._last = None  # (bytes of q, PointGeometry) of the last point passed to at()
 

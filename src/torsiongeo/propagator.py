@@ -318,16 +318,6 @@ def rounding_floor(eigenvalues, scale=None) -> float:
     return ev.size * np.finfo(float).eps * (np.max(np.abs(ev), initial=0.0) if scale is None else scale)
 
 
-def negative_beyond_rounding(eigenvalues) -> int:
-    """Count of eigenvalues below -:func:`rounding_floor`.
-
-    Every negative eigenvalue is clipped to 0 in traces and kernels; only these
-    are negative by more than the eigensolver's backward error.
-    """
-    ev = np.asarray(eigenvalues, dtype=float)
-    return int(np.count_nonzero(ev < -rounding_floor(ev)))
-
-
 def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, store):
     asym = float(np.max(np.abs(b_mat - b_mat.T)) / max(np.max(np.abs(b_mat)), 1e-300))
     b_sym = 0.5 * (b_mat + b_mat.T)

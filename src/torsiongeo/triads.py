@@ -24,10 +24,13 @@ Index conventions, after the batch axes:
 * ``d_metric(q)[..., mu, nu, si]``  -> g_{munu,si}
 * ``dd_metric(q)[..., mu, nu, si, ta]`` -> g_{munu,si ta}
 
-Derivatives not supplied analytically are formed by central finite
-differences with the per-point step ``h = fd_step * (1 + |q|)`` (``fd_step``
-is a TriadField argument; metric fields use ``DEFAULT_FD_STEP``); each shifted
-copy of the whole stack is one evaluator call.
+A missing derivative is the central difference of the next lower one (the
+analytic first derivative when one is given, else the difference of the
+evaluator), with the per-point step ``h = fd_step * (1 + |q|)`` (``fd_step``
+is a TriadField argument; metric fields use ``DEFAULT_FD_STEP``).  Each
+shifted copy of the whole stack is one evaluator call, so a field given by its
+evaluator alone costs 2D calls for the first derivative and (2D)^2 for the
+second.
 """
 
 from __future__ import annotations
@@ -58,30 +61,6 @@ def _central_diff(func: Callable[[np.ndarray], np.ndarray], q: np.ndarray, step:
     return d / _per_point(2.0 * h, d.ndim)
 
 
-def _central_diff2(func: Callable[[np.ndarray], np.ndarray], q: np.ndarray, step: float) -> np.ndarray:
-    """Central second differences at points ``q`` (..., D); the two derivative axes appended last."""
-    q = np.asarray(q, dtype=float)
-    h = step * (1.0 + np.linalg.norm(q, axis=-1))
-    e = np.moveaxis(h[..., None, None] * np.eye(q.shape[-1]), -2, 0)  # e[nu] = h e_nu at every point
-
-    def f(shift):
-        return np.asarray(func(q + shift), dtype=float)
-
-    base = np.asarray(func(q), dtype=float)
-    h2 = _per_point(h**2, base.ndim)
-    D = q.shape[-1]
-    out = np.empty(base.shape + (D, D))
-    for nu in range(D):
-        for la in range(nu, D):
-            if nu == la:
-                val = (f(e[nu]) - 2.0 * base + f(-e[nu])) / h2
-            else:
-                val = (f(e[nu] + e[la]) - f(e[nu] - e[la]) - f(e[la] - e[nu]) + f(-e[nu] - e[la])) / (4.0 * h2)
-            out[..., nu, la] = val
-            out[..., la, nu] = val
-    return out
-
-
 def _checked(values, q: np.ndarray, dim: int, rank: int, name: str) -> np.ndarray:
     """``values`` as a float array, which must have shape ``q.shape[:-1] + (dim,) * rank``."""
     values = np.asarray(values, dtype=float)
@@ -93,13 +72,11 @@ def _checked(values, q: np.ndarray, dim: int, rank: int, name: str) -> np.ndarra
 
 def _derivative(evals: tuple, order: int, q, dim: int, step: float, name: str) -> np.ndarray:
     """Derivative of the given ``order`` of ``evals[0]`` at ``q``: the analytic ``evals[order]``
-    when supplied, else central differences of the highest supplied lower order."""
+    when supplied, else the central difference of the derivative one order lower."""
     q = np.asarray(q, dtype=float)
     if evals[order] is not None:
         return _checked(evals[order](q), q, dim, 2 + order, name)
-    if order == 2 and evals[1] is not None:
-        return _central_diff(evals[1], q, step)
-    return (_central_diff if order == 1 else _central_diff2)(evals[0], q, step)
+    return _central_diff(lambda p: _derivative(evals, order - 1, p, dim, step, name), q, step)
 
 
 def _first(q: np.ndarray, bad: np.ndarray) -> Optional[list]:
@@ -121,12 +98,9 @@ class TriadField:
         points ``(..., D) -> (..., D, D)`` array with ``[..., i, mu]`` layout.
     d_eval, dd_eval : callable, optional
         Analytic first/second partials (layouts as in the module docstring).
-        When omitted, central finite differences of ``eval`` are used.
-    holonomic : bool
-        Whether an integrable single-valued x^i(q) exists.  Holonomic triads
-        with analytic derivatives satisfy e^i_{ka,la} = e^i_{la,ka}.
+        A missing one is the central difference of the next lower one.
     fd_step : float
-        Relative step for the finite-difference fallback.
+        Relative step of those central differences.
     name : str
         Label used in diagnostics.
     """
@@ -138,7 +112,6 @@ class TriadField:
         d_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         dd_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         *,
-        holonomic: bool = False,
         fd_step: float = DEFAULT_FD_STEP,
         name: str = "triad",
     ):
@@ -148,14 +121,8 @@ class TriadField:
         self._eval = eval
         self._d_eval = d_eval
         self._dd_eval = dd_eval
-        self.holonomic = bool(holonomic)
         self.fd_step = float(fd_step)
         self.name = name
-
-    @property
-    def analytic(self) -> bool:
-        """True when both derivative orders are supplied analytically."""
-        return self._d_eval is not None and self._dd_eval is not None
 
     def triad(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -197,11 +164,6 @@ class MetricField:
         self._dd_metric = dd_metric
         self.diagonal = bool(diagonal)
         self.name = name
-        self.holonomic = False
-
-    @property
-    def analytic(self) -> bool:
-        return self._d_metric is not None and self._dd_metric is not None
 
     def metric(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)

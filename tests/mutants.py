@@ -1,4 +1,4 @@
-"""Mutation check of the kernel builders and the energy rule.
+"""Mutation check of the kernel builders, the energy rule and the derivative fallback of fields.
 
     python tests/mutants.py
 
@@ -36,6 +36,7 @@ TEST_TIMEOUT_S = 600  # per pytest process; a mutant that hangs its tests stops 
 
 PROPAGATOR = "torsiongeo/propagator.py"
 CLI = "torsiongeo/cli.py"
+TRIADS = "torsiongeo/triads.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
 FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
 UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
@@ -117,6 +118,10 @@ MUTANTS = [
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",
      ["tests/test_cli.py::test_memory_failure_exits_1"]),
+    ("second derivative differences eval twice, ignoring a given first derivative", TRIADS,
+     "_derivative(evals, order - 1, p, dim, step, name)",
+     "_derivative((evals[0], None, None), order - 1, p, dim, step, name)",
+     ["tests/test_geometry.py::test_finite_difference_fields_match_the_analytic_catalog"]),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+?)(?: - .*)?$", re.MULTILINE)

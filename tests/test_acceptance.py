@@ -42,7 +42,7 @@ def _passline(num, text):
 
 def sphere_dyad_geometry():
     base = catalog.make("sphere").field
-    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, holonomic=False, name="sphere-dyad")
+    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, name="sphere-dyad")
     geom = Geometry(field)
     geom.sample_box = [(0.3, np.pi - 0.3), (0.0, 2 * np.pi)]
     geom.name = "sphere-dyad"

@@ -1,5 +1,6 @@
 # Tensor-level tests: reciprocal triads, induced metrics, connections,
-# torsion/contortion identities, curvature, and covariant derivatives.
+# torsion/contortion identities, curvature, finite-difference fields against
+# the analytic catalog, and covariant derivatives.
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from torsiongeo.geometry import (
     lower_last,
     reciprocal_triad,
 )
-from torsiongeo.triads import TriadField
+from torsiongeo.triads import MetricField, TriadField
 
 RNG = np.random.default_rng(42)
 
@@ -28,7 +29,7 @@ def sphere_dyad_as_triad() -> Geometry:
     """The diagonal square root of the sphere metric, treated as a genuine
     (nonholonomic, torsion-carrying) dyad field."""
     base = catalog.make("sphere").field
-    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, holonomic=False, name="sphere-dyad")
+    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, name="sphere-dyad")
     geom = Geometry(field)
     geom.sample_box = [(0.3, np.pi - 0.3), (0.0, 2 * np.pi)]
     geom.name = "sphere-dyad"
@@ -234,6 +235,31 @@ def test_curvature_relation_with_finite_differences():
         assert np.max(np.abs(pt.curvature - rhs)) < 1e-5
 
 
+FD_ORACLE_PROPERTIES = ("d_affine", "d_christoffel", "d_contortion", "curvature", "curvature_riemann",
+                        "scalar_riemann")
+
+
+def _rebuilt(field, first: bool):
+    """``field`` from its evaluator alone, or with its analytic first derivative; both at step 1e-5
+    (``DEFAULT_FD_STEP`` for a metric field)."""
+    if isinstance(field, MetricField):
+        return MetricField(field.dim, field.metric, field.d_metric if first else None, diagonal=field.diagonal)
+    return TriadField(field.dim, field.triad, field.d_triad if first else None, fd_step=1e-5)
+
+
+@pytest.mark.parametrize("first, bound", [(False, 5e-6), (True, 2e-7)])
+@pytest.mark.parametrize("name", ALL_GEOMETRIES)
+def test_finite_difference_fields_match_the_analytic_catalog(name, first, bound):
+    # the bundle's connection derivatives come from the field's own first and
+    # second derivatives, each missing one the difference of the next lower one
+    geom = catalog.make(name)
+    points = geom.random_points(400, np.random.default_rng(20261019))
+    ref, fd = geom.batch(points), Geometry(_rebuilt(geom.field, first)).batch(points)
+    for prop in FD_ORACLE_PROPERTIES:
+        err = float(np.max(np.abs(np.asarray(getattr(fd, prop)) - np.asarray(getattr(ref, prop)))))
+        assert err < bound, f"{prop}: {err:.2e}"
+
+
 def test_d_affine_matches_fd_of_affine():
     geom = catalog.make("torsion-toy")
     q = np.array([0.2, -0.1])
@@ -354,8 +380,8 @@ def test_evaluator_shape_is_checked_against_the_stack():
 
 def test_catalog_metadata_is_passed_to_the_constructor():
     geom = Geometry(TriadField(1, lambda q: np.ones(np.shape(q) + (1,))), name="unit", params={"k": 1},
-                    topology="line", torsion_free=True, sample_box=[(0.0, 1.0)])
-    assert (geom.name, geom.params, geom.topology, geom.torsion_free) == ("unit", {"k": 1}, "line", True)
+                    topology="line", sample_box=[(0.0, 1.0)])
+    assert (geom.name, geom.params, geom.topology) == ("unit", {"k": 1}, "line")
     assert geom.random_points(3, np.random.default_rng(0)).shape == (3, 1)
     assert catalog.make("sphere").topology == "sphere"
     assert catalog.make("flat-cartesian", d=1).params == {"d": 1}

@@ -6,10 +6,11 @@
 # the one 1-d kernel both measures get, the symmetry-reduced sphere kernel
 # against its full-period reference and an uncut 4000-point build, the
 # sphere's zeta grid growing with m, the stored amplitudes' exact symmetry,
-# the rounding floor of the negative-eigenvalue count, the one build shared by
-# both measures against one-measure builds, and one eigensolve per distinct
-# kernel (one for both measures on the order-2 sphere).  tests/mutants.py
-# checks that these oracles catch edits of the builders and the energy rule.
+# the rounding floor and the negative-eigenvalue count below it, the one build
+# shared by both measures against one-measure builds, and one eigensolve per
+# distinct kernel (one for both measures on the order-2 sphere).
+# tests/mutants.py checks that these oracles catch edits of the builders and
+# the energy rule.
 
 import functools
 import itertools
@@ -33,9 +34,9 @@ from torsiongeo.propagator import (
     _line_nodes,
     _slice_kernel,
     flat_line_kernel,
-    negative_beyond_rounding,
     propagate,
     propagate_measures,
+    rounding_floor,
 )
 from torsiongeo.slicing import MEASURES, SliceConfig, delta_jacobian_action, short_time_action
 from torsiongeo.spectrum import extract_spectrum, richardson_pair
@@ -169,7 +170,7 @@ def bumpy_line_geometry():
     def dd_evaluate(q):
         return (-0.25 * np.sin(q[..., 0]))[..., None, None, None, None]
 
-    field = TriadField(1, evaluate, d_evaluate, dd_evaluate, holonomic=True, name="bumpy-line")
+    field = TriadField(1, evaluate, d_evaluate, dd_evaluate, name="bumpy-line")
     geom = Geometry(field)
     geom.name = "bumpy-line"
     geom.topology = "line"
@@ -661,25 +662,32 @@ def test_stored_amplitudes_are_exactly_symmetric(topology, m):
         assert np.max(np.abs(amp - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _negative_beyond_floor(b_mat):
+    """Eigenvalues of the symmetrized B below -rounding_floor, the CLI's m = 0 count."""
+    ev = np.linalg.eigvalsh(0.5 * (b_mat + b_mat.T))
+    return int(np.count_nonzero(ev < -rounding_floor(ev)))
+
+
 @pytest.mark.parametrize("measure, count", [("qep", 4), ("naive-dewitt", 2)])
 def test_negative_eigenvalue_count_ignores_last_bit_noise(measure, count):
     # the golden compare-measures sphere: about 70 eigenvalues are negative by
     # rounding alone, and their number moves with the kernel's last bits
     b_mat, _, _ = build_sphere(catalog.make("sphere", a=1.0), SliceConfig(n_slices=80, eps=0.05, measure=measure),
                                 176, 0)
-    assert negative_beyond_rounding(np.linalg.eigvalsh(0.5 * (b_mat + b_mat.T))) == count
+    assert _negative_beyond_floor(b_mat) == count
     rng = np.random.default_rng(20261018)
     for _ in range(5):
         bumped = b_mat * (1.0 + np.finfo(float).eps * rng.uniform(-1.0, 1.0, b_mat.shape))
-        assert negative_beyond_rounding(np.linalg.eigvalsh(0.5 * (bumped + bumped.T))) == count
+        assert _negative_beyond_floor(bumped) == count
 
 
-def test_negative_beyond_rounding_floor():
-    n, eps = 4, np.finfo(float).eps
-    floor = n * eps * 2.0
-    assert negative_beyond_rounding([2.0, 1.0, -0.9 * floor, -floor]) == 0
-    assert negative_beyond_rounding([2.0, 1.0, -1.1 * floor, -1.0]) == 2
-    assert negative_beyond_rounding([]) == 0
+def test_rounding_floor():
+    eps = np.finfo(float).eps
+    assert rounding_floor([2.0, 1.0, -0.5, 0.0]) == 4 * eps * 2.0
+    assert rounding_floor([-3.0, 1.0]) == 2 * eps * 3.0  # the largest magnitude, of either sign
+    assert rounding_floor(np.array([2.0, 1.0, -0.5, 0.0]), scale=10.0) == 4 * eps * 10.0  # scale replaces max|ev|
+    assert rounding_floor([], scale=5.0) == 0.0
+    assert rounding_floor([]) == 0.0
 
 
 # -- one build for both measures ------------------------------------------------
