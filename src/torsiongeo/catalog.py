@@ -23,6 +23,7 @@ once picks up exactly ``(0, epsilon)``: the multivalued angle contributes
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from typing import Callable, Dict
@@ -253,17 +254,16 @@ def torsion_toy(s0: float = 0.3) -> Geometry:
                     sample_box=[(-0.5, 0.5), (-0.5, 0.5)])
 
 
-_REGISTRY: Dict[str, tuple[Callable[..., Geometry], dict]] = {
-    "flat-cartesian": (flat_cartesian, {"d": 2}),
-    "polar": (polar, {}),
-    "sphere": (sphere, {"a": 1.0}),
-    "circle": (circle, {"a": 1.0}),
-    "dislocation": (dislocation, {"epsilon": 0.01}),
-    "disclination": (disclination, {"omega": 0.05}),
-    "torsion-toy": (torsion_toy, {"s0": 0.3}),
+# each factory's keyword parameters, with its defaults, are the geometry's parameters
+_REGISTRY: Dict[str, Callable[..., Geometry]] = {
+    "flat-cartesian": flat_cartesian,
+    "polar": polar,
+    "sphere": sphere,
+    "circle": circle,
+    "dislocation": dislocation,
+    "disclination": disclination,
+    "torsion-toy": torsion_toy,
 }
-
-_ALIASES = {"flat": "flat-cartesian", "constant-torsion-toy": "torsion-toy", "toy": "torsion-toy"}
 
 
 def names() -> list[str]:
@@ -271,10 +271,9 @@ def names() -> list[str]:
 
 
 def parameter_names(name: str) -> list[str]:
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
+    if name not in _REGISTRY:
         raise ValidationError(f"unknown geometry '{name}'; known: {', '.join(names())}")
-    return sorted(_REGISTRY[canonical][1])
+    return sorted(inspect.signature(_REGISTRY[name]).parameters)
 
 
 def make(name: str, **params) -> Geometry:
@@ -285,5 +284,4 @@ def make(name: str, **params) -> Geometry:
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= np.finfo(float).max:
             raise ValidationError(f"geometry '{name}': parameter {key} must be a finite number, got {value!r}")
-    factory, defaults = _REGISTRY[_ALIASES.get(name, name)]
-    return factory(**{**defaults, **params})
+    return _REGISTRY[name](**params)

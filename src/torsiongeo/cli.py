@@ -45,6 +45,10 @@ SPECTRUM = ("propagate", "compare-measures")
 _RUNS_ON = {"defect": ("dislocation", "disclination"), **dict.fromkeys(SPECTRUM, ("line", "circle", "sphere"))}
 REQUIRED = "required"
 _SLICE_FIELDS = {"N": "n_slices", **{key: key for key in ("eps", "mass", "hbar", "scheme", "order", "measure")}}
+# Most RK4 steps a traj config may ask for: 1000x the committed configs and benchmark jobs. 2-d sphere
+# runs of 1e5 and 2e5 steps took 25 s / 112 MB and 47 s / 187 MB peak resident (one core), so the
+# budget bounds a run at about 4 minutes and 0.8 GB.
+MAX_TRAJ_STEPS = 10**6
 
 
 def _finite(value) -> bool:
@@ -113,8 +117,9 @@ KEYS = {
     "q0": Key(_vector(), "a list of {D} finite numbers", REQUIRED, ("traj",)),
     "v0": Key(_vector(), "a list of {D} finite numbers", REQUIRED, ("traj",)),
     "duration": Key(_positive, "a positive finite number", 1.0, ("traj",)),
-    "dt": Key(lambda v, run: _positive(v) and _multiples([run.options["duration"]], v),
-              "positive, dividing duration into whole steps", 1e-3, ("traj",)),
+    "dt": Key(lambda v, run: _positive(v) and _multiples([run.options["duration"]], v)
+              and run.options["duration"] / v < MAX_TRAJ_STEPS + 0.5,
+              f"positive, dividing duration into at most {MAX_TRAJ_STEPS} whole steps", 1e-3, ("traj",)),
     "contour_radius": Key(_positive, "a positive finite number", 1.0, ("defect",)),
     "contour_segments": Key(_count(3), "an integer >= 3", 4096, ("defect",)),
     "contour_center": Key(_vector(2), "a list of 2 finite numbers", (0.0, 0.0), ("defect",)),
@@ -127,7 +132,7 @@ KEYS = {
     "eps": Key(None, "a positive finite number; N * eps finite", 0.05, SPECTRUM),
     "mass": Key(None, "a positive finite number", 1.0, SPECTRUM),
     "hbar": Key(None, "a positive finite number", 1.0, SPECTRUM),
-    "scheme": Key(None, "postpoint, prepoint or midpoint", "postpoint", SPECTRUM),
+    "scheme": Key(None, "postpoint, prepoint or midpoint", "postpoint", SPECTRUM, topologies=("line", "circle")),
     "order": Key(None, "2, 3 or 4", 4, SPECTRUM),
     "measure": Key(None, "qep or naive-dewitt", "qep", ("propagate",)),
     "grid_points": Key(_count(1), "an integer >= 1", None, SPECTRUM),  # None: the propagator default
@@ -207,12 +212,12 @@ def load_config(path) -> RunConfig:
             key = next(k for k, f in _SLICE_FIELDS.items() if str(exc).startswith(f))
             raise ValidationError(f"config key '{key}': {exc}") from exc
     for key, spec in keys.items():
+        if key in raw and spec.topologies and geom.topology not in spec.topologies:
+            raise ValidationError(f"config key '{key}': applies only to {' or '.join(spec.topologies)} geometries")
         if key in _SLICE_FIELDS:
             value = getattr(run.slices, _SLICE_FIELDS[key])
         elif key in raw:
             value, clash = raw[key], [k for k in spec.excludes if k in raw]
-            if spec.topologies and geom.topology not in spec.topologies:
-                raise ValidationError(f"config key '{key}': applies only to {' or '.join(spec.topologies)} geometries")
             if clash:
                 raise ValidationError(f"config key '{key}': cannot be given together with '{clash[0]}'")
             verdict = spec.ok(value, run)

@@ -130,21 +130,18 @@ def burgers_vector_chart(defect: DefectGeometry, contour: Contour) -> np.ndarray
     """
     Chart-index Burgers vector: the closure failure of the q-space image of a
     closed flat-space contour, obtained by integrating dq^mu = e_i^mu dx^i
-    along the contour with one RK4 step per segment.  To leading order in the
-    defect strength this is minus the flat-index Burgers vector.
+    along the contour with one ``dynamics._rk4_step`` per segment.  To leading
+    order in the defect strength this is minus the flat-index Burgers vector.
     """
+    from .dynamics import _rk4_step  # here: the defect command loads no dynamics
+
     if defect.kind != "dislocation":
         raise ValidationError("burgers_vector_chart needs a dislocation defect")
     geom = defect.geometry
     x_pts = contour.points
-    q = x_pts[0].copy()
-    for seg in np.diff(x_pts, axis=0):
-        # dq/ds = e_i^mu dx^i/ds along the straight segment
-        k1 = geom.at(q).triad_inverse.T @ seg
-        k2 = geom.at(q + 0.5 * k1).triad_inverse.T @ seg
-        k3 = geom.at(q + 0.5 * k2).triad_inverse.T @ seg
-        k4 = geom.at(q + k3).triad_inverse.T @ seg
-        q = q + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    q = x_pts[0]
+    for seg in np.diff(x_pts, axis=0):  # dq/ds = e_i^mu dx^i/ds along the straight segment
+        q = _rk4_step(lambda frac, y: geom.at(y).triad_inverse.T @ seg, q, 1.0)
     return q - x_pts[0]
 
 

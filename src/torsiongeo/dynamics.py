@@ -4,8 +4,9 @@ variation equation.
 
 Geodesics solve ``qdd + Gammabar qd qd = 0`` (shortest lines), autoparallels
 ``qdd + Gamma qd qd = 0`` (straightest lines); the two coincide exactly when
-torsion vanishes.  Trajectories are integrated with classical fixed-step RK4,
-whose deterministic O(dt^4) error model the tolerances below rely on.
+torsion vanishes.  Trajectories, over a whole number of ``dt`` steps, the closure-failure
+equation below and the chart-index Burgers loop of ``defects`` take one classical RK4 step,
+``_rk4_step``, whose deterministic O(dt^4) error model the tolerances below rely on.
 
 The variation objects implement the first-order equation
 
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ChartSingularity, GridMismatch, GridTooCoarse, NonFiniteResult, SingularTriad, StepTooLarge
 from .geometry import Geometry
+from .slicing import whole_steps
 
 SINGULAR_TOL = 1e-8  # |det e| (or the least metric eigenvalue) at which a path has reached a chart singularity
 
@@ -67,10 +69,14 @@ class VariationRecord:
     Sigma: np.ndarray  # (n, D, D)
 
 
-def _acceleration(geom: Geometry, kind: str, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    pt = geom.at(q)
-    conn = pt.christoffel if kind == "geodesic" else pt.affine
-    return -np.einsum("abc,a,b->c", conn, v, v)
+def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/ds = rhs(frac, y) from s to s + dt, where ``frac``
+    is the fraction of the step at which the stage is taken: 0, 1/2 or 1."""
+    k1 = rhs(0.0, y)
+    k2 = rhs(0.5, y + 0.5 * dt * k1)
+    k3 = rhs(0.5, y + 0.5 * dt * k2)
+    k4 = rhs(1.0, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def integrate_trajectory(
@@ -84,27 +90,25 @@ def integrate_trajectory(
     invariant_tol: Optional[float] = None,
 ) -> Trajectory:
     """
-    RK4-integrate a geodesic or autoparallel from (q0, v0) over ``duration``.
+    Integrate a geodesic or autoparallel from (q0, v0) over ``duration``, a whole
+    number of ``dt`` steps (``slicing.whole_steps``), by ``_rk4_step`` on [q, v].
 
-    Raises ``ChartSingularity`` when the path reaches a singular chart point
-    (triad determinant below ``SINGULAR_TOL`` or changing sign between steps;
-    degenerate metric for metric-only geometries), ``NonFiniteResult`` when the
-    kinetic invariant overflows, and ``StepTooLarge`` when it drifts by more
-    than ten times the tolerance (default ``max(1e-6, 1e3 dt^4)`` relative).
+    Raises ``ValueError`` when ``duration`` is no positive whole number of steps,
+    ``ChartSingularity`` when the path reaches a singular chart point (triad
+    determinant below ``SINGULAR_TOL`` or changing sign between steps; degenerate
+    metric for metric-only geometries), ``NonFiniteResult`` when the kinetic
+    invariant overflows, and ``StepTooLarge`` when it drifts by more than ten
+    times the tolerance (default ``max(1e-6, 1e3 dt^4)`` relative).
     """
     if kind not in ("geodesic", "autoparallel"):
         raise ValueError("kind must be 'geodesic' or 'autoparallel'")
-    if dt <= 0 or duration <= 0:
-        raise ValueError("duration and dt must be positive")
-    n_steps = int(round(duration / dt))
-    if n_steps < 1:
-        raise ValueError(f"duration={duration} rounds to zero steps of dt={dt}")
-    q = np.asarray(q0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    n_steps = whole_steps(duration, dt) if dt > 0 else 0
+    if not n_steps:
+        raise ValueError(f"duration={duration} is not a positive whole number of dt={dt} steps")
+    d = geom.dim
     ts = dt * np.arange(n_steps + 1)
-    qs = np.empty((n_steps + 1, geom.dim))
-    vs = np.empty((n_steps + 1, geom.dim))
-    qs[0], vs[0] = q, v
+    ys = np.empty((n_steps + 1, 2 * d))  # the stacked states [q, v]
+    ys[0] = np.ravel([q0, v0])  # a ragged pair raises
 
     def chart_scale(qq) -> float:
         pt = geom.at(qq)
@@ -112,26 +116,23 @@ def integrate_trajectory(
             return float(np.linalg.eigvalsh(pt.metric).min())
         return float(np.linalg.det(pt.triad))
 
-    def rhs(qq, vv):
+    def rhs(frac, yy):
+        q, v = yy[:d], yy[d:]
         try:
-            return vv, _acceleration(geom, kind, qq, vv)
+            pt = geom.at(q)
+            conn = pt.christoffel if kind == "geodesic" else pt.affine
         except SingularTriad as exc:
             raise ChartSingularity(str(exc)) from exc
+        return np.concatenate([v, -np.einsum("abc,a,b->c", conn, v, v)])
 
-    scale0 = chart_scale(q)
+    scale0 = chart_scale(ys[0, :d])
     for k in range(n_steps):
-        k1q, k1v = rhs(q, v)
-        k2q, k2v = rhs(q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
-        k3q, k3v = rhs(q + 0.5 * dt * k2q, v + 0.5 * dt * k2v)
-        k4q, k4v = rhs(q + dt * k3q, v + dt * k3v)
-        q = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        scale = chart_scale(q)  # Geometry.at keeps this bundle for the next step's k1
+        ys[k + 1] = _rk4_step(rhs, ys[k], dt)
+        scale = chart_scale(ys[k + 1, :d])  # Geometry.at keeps this bundle for the next step's k1
         if abs(scale) < SINGULAR_TOL or scale * scale0 < 0.0:
-            raise ChartSingularity(f"chart became singular near q={q.tolist()} at t={ts[k + 1]:.6g}")
-        qs[k + 1], vs[k + 1] = q, v
+            raise ChartSingularity(f"chart became singular near q={ys[k + 1, :d].tolist()} at t={ts[k + 1]:.6g}")
 
-    traj = Trajectory(kind, ts, qs, vs, geom)
+    traj = Trajectory(kind, ts, ys[:, :d].copy(), ys[:, d:].copy(), geom)
     tol = invariant_tol if invariant_tol is not None else max(1e-6, 1e3 * dt**4)
     inv = traj.kinetic_invariant()
     finite = np.isfinite(inv)
@@ -147,8 +148,7 @@ def evaluate_action(geom: Geometry, traj: Trajectory, mass: float) -> float:
     """Composite-Simpson quadrature of the kinetic Lagrangian along the orbit."""
     from scipy.integrate import simpson
 
-    lag = 0.5 * mass * traj.kinetic_invariant()
-    return float(simpson(lag, x=traj.t))
+    return float(simpson(lagrangian_samples(geom, traj, mass), x=traj.t))
 
 
 def lagrangian_samples(geom: Geometry, traj: Trajectory, mass: float) -> np.ndarray:
@@ -225,30 +225,26 @@ def _interp(values: np.ndarray, idx, frac: float) -> np.ndarray:
 
 def nonholonomic_variation(geom: Geometry, traj: Trajectory, dq) -> VariationRecord:
     """
-    Solve the closure-failure equation along the orbit with RK4 at the
+    Solve the closure-failure equation along the orbit with ``_rk4_step`` at the
     trajectory step, with G, Sigma and dq interpolated linearly between grid
     points.  Returns db together with the orbit matrices.
     """
     dq = _check_variation_grid(traj, dq)
     G, Sigma = _orbit_matrices(geom, traj)
     n, d = dq.shape
-    db = np.zeros((n, d))
-    dt = traj.dt
+    steps = np.arange(n - 1)
+    # -G and Sigma dq at the start, midpoint and end of every step: [step, 2 frac]
+    stages = [(steps, 0.0), (steps, 0.5), (steps + 1, 0.0)]
+    minus_g = np.stack([-_interp(G, idx, frac) for idx, frac in stages], axis=1)
+    source = np.stack([_matvec(_interp(Sigma, idx, frac), _interp(dq, idx, frac)) for idx, frac in stages], axis=1)
 
-    def rhs(idx, frac, b):
-        g = _interp(G, idx, frac)
-        s = _interp(Sigma, idx, frac)
-        vq = _interp(dq, idx, frac)
-        return -g @ b + s @ vq
+    def rhs(frac, b):
+        j = int(2 * frac)
+        return minus_g[k, j] @ b + source[k, j]
 
-    b = np.zeros(d)
+    db, dt = np.zeros((n, d)), traj.dt
     for k in range(n - 1):
-        k1 = rhs(k, 0.0, b)
-        k2 = rhs(k, 0.5, b + 0.5 * dt * k1)
-        k3 = rhs(k, 0.5, b + 0.5 * dt * k2)
-        k4 = rhs(k + 1, 0.0, b + dt * k3)
-        b = b + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        db[k + 1] = b
+        db[k + 1] = _rk4_step(rhs, db[k], dt)
     return VariationRecord(traj.t.copy(), dq, db, G, Sigma)
 
 

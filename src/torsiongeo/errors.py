@@ -14,7 +14,7 @@ class TriadUnavailable(TorsionGeoError):
 
 
 class DerivativeUnavailable(TorsionGeoError):
-    """Requested derivative order cannot be supplied by the evaluators."""
+    """``geometry.covariant_derivative`` was given a tensor field that is not callable."""
 
 
 class ChartSingularity(TorsionGeoError):

@@ -41,6 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MetricNotPositiveDefinite, SingularTriad, TriadUnavailable
+from .io import _write_table
 
 DEFAULT_FD_STEP = 1e-5
 GRID_FD_STEP = 1e-4  # fields interpolated from a CSV grid
@@ -267,8 +268,6 @@ def triad_grid_from_csv(path) -> TriadField:
 
 def sample_triad_to_csv(field: TriadField, axes: Sequence[np.ndarray], path) -> None:
     """Write ``field`` sampled on the outer product of ``axes`` in the CSV schema."""
-    from .io import _write_table  # imported here: io -> defects -> catalog imports this module
-
     dim = field.dim
     if len(axes) != dim:
         raise ValueError("one axis per chart dimension required")

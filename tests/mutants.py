@@ -1,4 +1,4 @@
-"""Mutation check of the kernel builders, the energy rule and the derivative fallback of fields.
+"""Mutation check of the kernel builders, the energy rule, the derivative fallback of fields and the RK4 step.
 
     python tests/mutants.py
 
@@ -37,6 +37,7 @@ TEST_TIMEOUT_S = 600  # per pytest process; a mutant that hangs its tests stops 
 PROPAGATOR = "torsiongeo/propagator.py"
 CLI = "torsiongeo/cli.py"
 TRIADS = "torsiongeo/triads.py"
+DYNAMICS = "torsiongeo/dynamics.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
 FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
 UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
@@ -118,6 +119,12 @@ MUTANTS = [
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",
      ["tests/test_cli.py::test_memory_failure_exits_1"]),
+    ("fourth RK4 stage from k2", DYNAMICS,
+     "k4 = rhs(1.0, y + dt * k3)", "k4 = rhs(1.0, y + dt * k2)",
+     ["tests/test_dynamics.py::test_autoparallel_conserves_anholonomic_velocity"]),
+    ("trajectory steps counted by rounding duration / dt", DYNAMICS,
+     "n_steps = whole_steps(duration, dt) if dt > 0 else 0", "n_steps = int(round(duration / dt))",
+     ["tests/test_dynamics.py::test_duration_must_be_a_whole_number_of_steps"]),
     ("second derivative differences eval twice, ignoring a given first derivative", TRIADS,
      "_derivative(evals, order - 1, p, dim, step, name)",
      "_derivative((evals[0], None, None), order - 1, p, dim, step, name)",

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsiongeo import catalog
-from torsiongeo.cli import KEYS, SPECTRUM, main
+from torsiongeo.cli import KEYS, MAX_TRAJ_STEPS, SPECTRUM, load_config, main
 from torsiongeo.defects import Contour
+from torsiongeo.errors import ValidationError
 from torsiongeo.io import write_contour_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -50,6 +51,7 @@ PROBES = {
     "grid_range-reversed": ({**LINE, "grid_range": [1, -1]}, "grid_range"),
     "grid_range-on-circle": ({**CIRCLE, "grid_range": [-1, 1]}, "grid_range"),
     "m_sector-on-circle": ({**CIRCLE, "m_sector": 1}, "m_sector"),
+    "scheme-on-sphere": ({**CIRCLE, "geometry": "sphere", "scheme": "midpoint"}, "scheme"),
     "tau_min-with-tau_values": ({**CIRCLE, "tau_min": 0.125, "tau_values": [0.125]}, "tau_min"),
     "tau_min-beyond-N-eps": ({**CIRCLE, "N": 8, "tau_min": 100}, "tau_min"),
     "richardson-without-extract": ({**CIRCLE, "richardson": True, "extract": False}, "richardson"),
@@ -67,6 +69,7 @@ PROBES = {
     "q0-nan": ({**TRAJ, "q0": [NAN, 0]}, "q0"),
     "dt-beyond-duration": ({**TRAJ, "dt": 5, "duration": 1}, "dt"),
     "dt-not-dividing-duration": ({**TRAJ, "dt": 0.3, "duration": 1}, "dt"),
+    "dt-beyond-step-budget": ({**TRAJ, "duration": 1e9, "dt": 1e-3}, "dt"),
 }
 
 
@@ -106,6 +109,16 @@ def test_config_probe_as_fresh_process_prints_one_line(tmp_path, probe):
                            "--out", "out"], capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 2
     assert_config_error(proc.stderr, key)
+
+
+def test_traj_step_budget_is_checked_before_the_run(tmp_path):
+    # only loaded, never run: the budget itself is accepted, one step more names dt
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TRAJ, "duration": MAX_TRAJ_STEPS * 1e-3, "dt": 1e-3}))
+    assert load_config(path).options["dt"] == 1e-3
+    path.write_text(json.dumps({**TRAJ, "duration": (MAX_TRAJ_STEPS + 1) * 1e-3, "dt": 1e-3}))
+    with pytest.raises(ValidationError, match="config key 'dt'"):
+        load_config(path)
 
 
 def test_readme_config_table_names_exactly_the_schema_keys():
@@ -169,8 +182,9 @@ def valid_configs(draw):
         # small masses widen the kernel, so some of these coarse grids resolve it
         cfg.update(N=n_slices, eps=eps, mass=draw(st.sampled_from([0.0625, 0.25, 1.0])),
                    grid_points=draw(st.sampled_from([24, 48, 64])), n_levels=draw(st.integers(1, 3)),
-                   scheme=draw(st.sampled_from(["postpoint", "prepoint", "midpoint"])),
                    order=draw(st.sampled_from([2, 3, 4])))
+        if name != "sphere":
+            cfg["scheme"] = draw(st.sampled_from(["postpoint", "prepoint", "midpoint"]))
         if draw(st.booleans()):
             cfg["tau_values"] = [k * eps for k in draw(st.lists(st.integers(1, n_slices), min_size=1, max_size=3))]
         elif draw(st.booleans()):
@@ -203,10 +217,12 @@ def broken_variants(draw, cfg: dict) -> list:
     for key in config_keys(cfg):
         bad = ALWAYS_BAD + ([] if key in ("extract", "richardson") else [True]) + OUT_OF_RANGE.get(key, [])
         if key == "dt":
-            bad.append(2 * cfg["duration"])  # rounds to zero steps
+            bad += [2 * cfg["duration"], cfg["duration"] / (MAX_TRAJ_STEPS + 1)]  # zero steps, beyond the budget
         variants.append(({**cfg, key: draw(st.sampled_from(bad))}, key))
     if cfg["command"] in SPECTRUM and cfg["geometry"] != "sphere":
         variants.append(({**cfg, "m_sector": 1}, "m_sector"))
+    if cfg["command"] in SPECTRUM and cfg["geometry"] == "sphere":
+        variants.append(({**cfg, "scheme": "postpoint"}, "scheme"))
     if cfg["command"] == "propagate" and "d" not in cfg:
         variants.append(({**cfg, "grid_range": [-1.0, 1.0]}, "grid_range"))
     dim = catalog.make(cfg["geometry"], **{k: cfg[k] for k in catalog.parameter_names(cfg["geometry"]) if k in cfg}).dim

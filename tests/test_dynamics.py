@@ -1,4 +1,5 @@
-# Trajectory integration, actions, the torsion-modified Euler-Lagrange
+# Trajectory integration and its whole-step rule, the anholonomic velocity
+# autoparallels conserve, actions, the torsion-modified Euler-Lagrange
 # residual, and the closure-failure variation machinery.
 
 import numpy as np
@@ -96,6 +97,39 @@ def test_zero_step_run_is_rejected():
     # round(duration / dt) = 0 used to return a one-sample orbit that evaluate_action could not integrate
     with pytest.raises(ValueError, match="dt"):
         integrate_trajectory(catalog.make("polar"), "geodesic", [1.0, 0.0], [0.1, 0.4], 1.0, 5.0)
+
+
+@pytest.mark.parametrize("dt", [0.3, 0.4])
+def test_duration_must_be_a_whole_number_of_steps(dt):
+    # a rounded step count would end the orbit short of duration: at t = 0.9 for dt = 0.3, 0.8 for dt = 0.4
+    with pytest.raises(ValueError, match=rf"duration=1\.0 .*dt={dt}"):
+        integrate_trajectory(catalog.make("polar"), "geodesic", [1.0, 0.0], [0.1, 0.4], 1.0, dt)
+
+
+def anholonomic_velocity(traj):
+    """xi^i = e^i_mu qd^mu along the path."""
+    return np.einsum("kim,km->ki", traj.geometry.batch(traj.q).triad, traj.v)
+
+
+def relative_drift(values):
+    return np.max(np.linalg.norm(values - values[0], axis=1)) / np.linalg.norm(values[0])
+
+
+@pytest.mark.parametrize("name, q0, v0", [
+    ("polar", [1.0, 0.3], [0.4, 0.5]),
+    ("dislocation", [1.5, 1.0], [-0.3, 0.2]),
+    ("torsion-toy", [0.05, -0.02], [0.4, -0.35]),
+])
+def test_autoparallel_conserves_anholonomic_velocity(name, q0, v0):
+    # Gamma_ab^c = e_i^c d_a e^i_b makes xi constant on autoparallels (straight lines of x);
+    # an oracle of the integrator that does not go through the Euler-Lagrange residual
+    traj = integrate_trajectory(catalog.make(name), "autoparallel", q0, v0, 1.0, 1e-3)
+    assert relative_drift(anholonomic_velocity(traj)) < 1e-13
+
+
+def test_torsion_toy_geodesic_does_not_conserve_anholonomic_velocity():
+    traj = integrate_trajectory(catalog.make("torsion-toy"), "geodesic", [0.05, -0.02], [0.4, -0.35], 1.0, 1e-3)
+    assert relative_drift(anholonomic_velocity(traj)) > 1e-3
 
 
 def test_step_too_large_guard():
