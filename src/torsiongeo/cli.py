@@ -49,6 +49,14 @@ _SLICE_FIELDS = {"N": "n_slices", **{key: key for key in ("eps", "mass", "hbar",
 # runs of 1e5 and 2e5 steps took 25 s / 112 MB and 47 s / 187 MB peak resident (one core), so the
 # budget bounds a run at about 4 minutes and 0.8 GB.
 MAX_TRAJ_STEPS = 10**6
+# Largest grid a spectrum config may build, richardson's refined grid included: 4x the committed line job
+# and refined sphere grid, 8x the circle grid.  On one core 2048 line points took 2.3 s / 225 MB peak resident
+# (about 20 s / 0.8 GB at 4096), 512 circle points with 875 winding images 10 s (about 3 minutes at 2048 with
+# 1025), and 724 sphere nodes at order 2 and the finest eps they resolve 8.8 s (about 25 s at 1024).
+MAX_GRID_POINTS = {"line": 4096, "circle": 2048, "sphere": 1024}
+# Most slices N, which bounds the default tau_values: circle compare-measures runs with richardson took 0.9 s /
+# 44 MB at N = 1e4 and 5.3 s / 60 MB at N = 1e5, so about a minute, 0.3 GB and a 65 MB results.json at 1e6.
+MAX_SLICES = 10**6
 
 
 def _finite(value) -> bool:
@@ -87,6 +95,11 @@ def _contour_file(path):
         return None
 
 
+def _nodes(n: int, refined: bool) -> int:
+    """The node count of an n-node grid, refined by sqrt(2) for the halved step of richardson."""
+    return int(math.ceil(n * math.sqrt(2.0))) if refined else n
+
+
 def _default_taus(run) -> list:
     """Every multiple of eps from tau_min (default: the larger of eps and N eps / 10) to N eps."""
     cfg, tau_min = run.slices, run.options["tau_min"]
@@ -99,7 +112,7 @@ class Key(NamedTuple):
     """One config key; ``ok(value, run)`` tells whether a given value meets ``rule``.
     A check that has to parse the value returns what it read, which becomes the option."""
 
-    ok: Callable | None  # None: a slice key, checked by SliceConfig
+    ok: Callable | None  # a slice key is checked by SliceConfig first; None: nothing more
     rule: str  # {D} stands for the geometry's dimension
     default: object  # a value, a function of the RunConfig, REQUIRED, or None (unset)
     commands: tuple
@@ -128,14 +141,13 @@ KEYS = {
                        "the path of a contour CSV: q1,q2 rows of finite numbers, at least 4, closed, distinct "
                        "consecutive vertices, none at the origin", None,
                        ("defect",), excludes=("contour_radius", "contour_segments", "contour_center", "contour_turns")),
-    "N": Key(None, "an integer >= 1", 32, SPECTRUM),
+    "N": Key(lambda v, run: v <= MAX_SLICES, f"an integer from 1 to {MAX_SLICES}", 32, SPECTRUM),
     "eps": Key(None, "a positive finite number; N * eps finite", 0.05, SPECTRUM),
     "mass": Key(None, "a positive finite number", 1.0, SPECTRUM),
     "hbar": Key(None, "a positive finite number", 1.0, SPECTRUM),
     "scheme": Key(None, "postpoint, prepoint or midpoint", "postpoint", SPECTRUM, topologies=("line", "circle")),
     "order": Key(None, "2, 3 or 4", 4, SPECTRUM),
     "measure": Key(None, "qep or naive-dewitt", "qep", ("propagate",)),
-    "grid_points": Key(_count(1), "an integer >= 1", None, SPECTRUM),  # None: the propagator default
     "grid_range": Key(lambda v, run: _vector(2)(v, run) and v[0] < v[1], "[lo, hi], finite, lo < hi", None,
                       ("propagate",), topologies=("line",)),
     "tau_min": Key(lambda v, run: _positive(v) and v / run.slices.eps - 1e-9 <= run.slices.n_slices,
@@ -147,6 +159,11 @@ KEYS = {
     "n_levels": Key(_count(1), "an integer >= 1", 4, SPECTRUM),
     "richardson": Key(lambda v, run: isinstance(v, bool) and (not v or run.options.get("extract", True)),
                       "true or false; true needs extract", lambda run: run.command == "compare-measures", SPECTRUM),
+    "grid_points": Key(lambda v, run: _count(1)(v, run)
+                       and _nodes(v, run.options["richardson"]) <= MAX_GRID_POINTS[run.geom.topology],
+                       "an integer >= 1; at most " + ", ".join(f"{n} ({t})" for t, n in MAX_GRID_POINTS.items())
+                       + " nodes, counting richardson's sqrt(2)-refined grid",
+                       None, SPECTRUM),  # None: the propagator default
     "amplitude_taus": Key(lambda v, run: isinstance(v, list) and _multiples(v, run.slices.eps),
                           "a list of positive multiples of eps", (), ("propagate",)),
 }
@@ -216,20 +233,20 @@ def load_config(path) -> RunConfig:
             raise ValidationError(f"config key '{key}': applies only to {' or '.join(spec.topologies)} geometries")
         if key in _SLICE_FIELDS:
             value = getattr(run.slices, _SLICE_FIELDS[key])
+            verdict = spec.ok is None or spec.ok(value, run)
         elif key in raw:
             value, clash = raw[key], [k for k in spec.excludes if k in raw]
             if clash:
                 raise ValidationError(f"config key '{key}': cannot be given together with '{clash[0]}'")
             verdict = spec.ok(value, run)
-            if not verdict:
-                raise ValidationError(f"config key '{key}': must be {spec.rule.format(D=geom.dim)}")
-            if verdict is not True:
-                value = verdict
         elif spec.default == REQUIRED:
             raise ValidationError(f"config key '{key}': is required for {command}")
         else:
             value = spec.default(run) if callable(spec.default) else spec.default
-        run.options[key] = value
+            verdict = True
+        if not verdict:
+            raise ValidationError(f"config key '{key}': must be {spec.rule.format(D=geom.dim)}")
+        run.options[key] = value if verdict is True else verdict
     return run
 
 
@@ -326,12 +343,12 @@ def _eigen_energies(result, cfg, n_levels: int) -> list:
     return [-cfg.hbar * math.log(lam) / cfg.eps + 0.0 for lam in resolved[:n_levels]]  # + 0.0 turns -0.0 into 0.0
 
 
-def _grid_for(config: RunConfig, factor: float = 1.0):
-    """The propagator grid, refined by ``factor``; absent grid keys take the propagator defaults."""
+def _grid_for(config: RunConfig, refined: bool = False):
+    """The propagator grid, refined for richardson's halved step; absent grid keys take the propagator defaults."""
     from .propagator import DEFAULT_NODES, LINE_RANGE
 
     opts, topology = config.options, config.geom.topology
-    n = int(math.ceil((opts["grid_points"] or DEFAULT_NODES[topology]) * factor))
+    n = _nodes(opts["grid_points"] or DEFAULT_NODES[topology], refined)
     return (*map(float, opts.get("grid_range") or LINE_RANGE), n) if topology == "line" else n
 
 
@@ -366,7 +383,7 @@ def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict,
 
         half = replace(cfg, n_slices=2 * cfg.n_slices, eps=0.5 * cfg.eps)
         with _stage(stages, "propagate"):
-            halves = propagate_measures(geom, half, measures, grid=_grid_for(config, math.sqrt(2.0)), taus=taus,
+            halves = propagate_measures(geom, half, measures, grid=_grid_for(config, refined=True), taus=taus,
                                         m_sector=opts["m_sector"])
         for measure, payload in ladders.items():
             payload["energies_halved_step"] = _eigen_energies(halves[measure], half, opts["n_levels"])

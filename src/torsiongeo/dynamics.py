@@ -23,6 +23,7 @@ equivalent time-ordered product solution
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,8 +55,14 @@ class Trajectory:
         return float(self.t[1] - self.t[0])
 
     def kinetic_invariant(self) -> np.ndarray:
-        """g_munu qd^mu qd^nu along the path; constant for both line kinds."""
-        return np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)
+        """g_munu qd^mu qd^nu along the path; constant for both line kinds.  Evaluated once per trajectory."""
+        return self._kinetic_invariant
+
+    @cached_property
+    def _kinetic_invariant(self) -> np.ndarray:
+        inv = np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)
+        inv.flags.writeable = False  # shared by every caller
+        return inv
 
 
 @dataclass

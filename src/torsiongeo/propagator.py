@@ -7,10 +7,9 @@ The finite-time kernel is composed from short-time kernels
 
 with the slice action A_eps truncated at the configured order and, for the
 difference-measure ("qep") variant, the measure-difference exponent dj added
-(for the position-measure "naive-dewitt" variant dj is absent).  dj is
-Ricci dq dq / 6 plus torsion terms: identically 0 in one dimension and
-absent from the bare order-2 sphere chart, so measures that share a measure
-term share one kernel and one eigensolve.  1-d midpoint references are exact
+(for the position-measure "naive-dewitt" variant dj is absent);
+:func:`propagate_measures` says where dj is nonzero, and so which measures
+share one kernel and one eigensolve.  1-d midpoint references are exact
 points of the half-step lattice of nodes and cell edges.  Composition
 weights carry sqrt(g) at the integrated point; in the similarity frame
 
@@ -52,7 +51,7 @@ import numpy as np
 
 from .errors import GridResolutionInsufficient, TorsionGeoError
 from .geometry import Geometry
-from .slicing import MEASURES, SliceConfig, _h_tensor, whole_steps
+from .slicing import MEASURES, SliceConfig, whole_steps
 
 EXPONENT_CUT = 30.0  # quadratic exponent beyond which corrections are dropped
 TAIL_SIGMA = 7.5  # kernel support half-width in units of the slice width
@@ -93,22 +92,23 @@ class _CoefficientTable:
     """Slice-action coefficients of a 1-d chart at reference points: (n,) tables g, t3, t4 and sqrt_g.
 
     The cubic and quartic coefficients already carry their relative signs:
-    the slice action is pref * (g u^2 + t3 u^3 + t4 u^4).
+    the slice action is pref * (g u^2 + t3 u^3 + t4 u^4).  In one dimension the
+    difference-map coefficient H = dGamma + Gamma Gamma_sym is dGamma + Gamma^2.
     """
 
     def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig):
-        n, d = points.shape
+        n = len(points)
         pt = geom.batch(points)
-        t3 = -pt.affine_first if config.order >= 3 and config.scheme != "midpoint" else np.zeros((n, d, d, d))
-        t4 = np.zeros((n, d, d, d, d))
+        self.g, self.sqrt_g = pt.metric.reshape(n), pt.sqrt_metric
+        self.t3 = -pt.affine_first.reshape(n) if config.order >= 3 and config.scheme != "midpoint" else np.zeros(n)
+        self.t4 = np.zeros(n)
         if config.order >= 4:
-            t4a = np.einsum("jkl,jmnsl->jmnsk", pt.metric, _h_tensor(pt)) / 3.0
+            gam, d_gam = pt.affine.reshape(n), pt.d_affine.reshape(n)
+            t4a = self.g * (d_gam + gam * gam) / 3.0
             if config.scheme == "midpoint":
-                t4 = 0.25 * t4a
+                self.t4 = 0.25 * t4a
             else:
-                t4 = t4a + 0.25 * np.einsum("jmnt,jskt->jmnsk", pt.affine_first, pt.affine)
-        self.g, self.t3, self.t4 = (t.reshape(n) for t in (pt.metric, t3, t4))
-        self.sqrt_g = pt.sqrt_metric
+                self.t4 = t4a + 0.25 * (pt.affine_first.reshape(n) * gam)
 
 
 def _slice_kernel(g, t3, t4, u: np.ndarray, pref: float) -> np.ndarray:
@@ -147,7 +147,7 @@ def _line_nodes(grid) -> tuple[np.ndarray, float]:
 
 
 def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period):
-    """Transfer matrix of the line (``period`` None) or the circle, for every measure: ``(B, weights)``.
+    """Transfer matrix of the line (``period`` None) or the circle: ``(B, weights)``.
 
     Midpoint coefficients are evaluated once on the half-step lattice of cell edges and nodes (2n points);
     the midpoint of nodes i and j under winding w is lattice point (i + j + 1 - w n) mod 2n.
@@ -190,8 +190,8 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
     return scale * (kernel.T if config.scheme == "prepoint" else kernel), weights
 
 
-def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, measures):
-    """Azimuthal-sector transfer matrices on the sphere: ``({measure: B}, weights, theta, {measure: scale})``.
+def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, terms):
+    """Azimuthal-sector transfer matrices on the sphere, one per measure term: ``({term: (B, scale)}, weights, theta)``.
 
     At order >= 3 the quadratic-plus-cubic part of the chart expansion is
     resummed into the geometrically exact compact form
@@ -214,10 +214,11 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     weight 2 dzeta.  At order >= 3 the measure term takes the endpoint mean of
     the per-node R (2 / a^2 up to rounding), so the kernel is symmetric and
     only columns >= row are evaluated, then mirrored; order 2 keeps full rows,
-    as its quadratic takes the row's g_phi.  Measures that share a curvature
-    term (every measure at order 2) share one kernel array; each block
-    evaluates the Gaussian core and the pair forms once, then the correction
-    factor and the phase integral per distinct term.
+    as its quadratic takes the row's g_phi.  ``terms`` lists the kernels to
+    build: True adds the measure exponent R (P + Q) / 12 at order >= 3, False
+    builds without it, and order 2 builds the bare chart quadratic for either.
+    Each block evaluates the Gaussian core and the pair forms once, then the
+    correction factor and the phase integral per term.
 
     The zeta grid: at order >= 3 the integrand, exp(-x (1 - cos zeta)) with
     x = 2 pref a^2 sin(theta_a) sin(theta_b) times a degree-4 polynomial in
@@ -231,7 +232,7 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     rejects |m| at or beyond their Nyquist limit.  For m != 0 the kernel
     cancels down from the unphased one, so ``scale`` is the largest row sum
     of the symmetrized unphased B, integrated beside it: a Gershgorin bound
-    on its eigenvalues, as it is nonnegative.  At m = 0 the dict is empty.
+    on its eigenvalues, as it is nonnegative.  At m = 0 ``scale`` is None.
     """
     a = float(geom.params.get("a", 1.0))
     x_nodes, x_weights = np.polynomial.legendre.leggauss(int(n_theta))
@@ -246,11 +247,8 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
     sin_t = np.sin(theta)
     g_phi = a * a * sin_t**2
     quartic = pref / a**2 if config.order >= 4 else 0.0
-    # one kernel per distinct measure term: qep adds R (P + Q) / 12 at order >= 3
-    curved = {measure: measure == "qep" and config.order >= 3 for measure in measures}
-    ricci = dict.fromkeys(set(curved.values()), np.zeros(n_theta))
-    if True in ricci:
-        ricci[True] = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
+    ricci = {term: geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann if term
+             else np.zeros(n_theta) for term in set(terms)}
 
     if config.order == 2:
         n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
@@ -272,9 +270,10 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
         p_form = a * a * (theta[i] - theta[j]) ** 2
         if config.order == 2:  # the bare chart quadratic carries no measure term
             gauss = np.exp(-pref * (p_form[:, None] + g_phi[i, None] * zeta**2))
-            sums[False][:, i, j] = (gauss @ phase).T * (2.0 * dzeta)
+            for kernel in sums.values():
+                kernel[:, i, j] = (gauss @ phase).T * (2.0 * dzeta)
             continue
-        # the Gaussian core, shared by every measure term
+        # the Gaussian core, shared by every term
         q_form = (2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None] * one_minus_cos
         gauss = np.exp(-pref * (p_form[:, None] + q_form))
         quartic_q = quartic / 12.0 * q_form
@@ -291,10 +290,8 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, mea
         if config.order >= 3:
             kernel[:, cols, rows] = kernel[:, rows, cols]
         kernel *= scale
-    scales = {term: float(np.max(s[1].sum(axis=0) + s[1].sum(axis=1))) / 2 for term, s in sums.items() if m}
-    kernels = {term: s[0] for term, s in sums.items()}  # one array object per term, shared by its measures
-    return ({measure: kernels[term] for measure, term in curved.items()}, weights, theta,
-            {measure: scales[term] for measure, term in curved.items() if m})
+    return ({term: (s[0], float(np.max(s[1].sum(axis=0) + s[1].sum(axis=1))) / 2 if m else None)
+             for term, s in sums.items()}, weights, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +315,11 @@ def rounding_floor(eigenvalues, scale=None) -> float:
     return ev.size * np.finfo(float).eps * (np.max(np.abs(ev), initial=0.0) if scale is None else scale)
 
 
-def _compose(b_mat: np.ndarray, weights: np.ndarray, config: SliceConfig, taus, store):
+def _compose(b_mat: np.ndarray, weights: np.ndarray, ks, store):
     asym = float(np.max(np.abs(b_mat - b_mat.T)) / max(np.max(np.abs(b_mat)), 1e-300))
     b_sym = 0.5 * (b_mat + b_mat.T)
     raw, evecs = np.linalg.eigh(b_sym)
     evals = np.clip(raw, 0.0, None)
-    ks = _tau_indices(taus, config)
     trace = np.array([float(np.sum(evals**k)) for k in ks])
     amplitudes = {}
     inv_root_w = 1.0 / np.sqrt(weights)
@@ -347,39 +343,40 @@ def propagate_measures(
 ) -> dict:
     """
     :func:`propagate` under each of ``measures`` (``config.measure`` is not
-    read), as ``{measure: PropagatorResult}``.  One kernel build serves every
-    measure, and each result is bit for bit what :func:`propagate` gives
-    under that measure.  The builders return one kernel per distinct
-    measure term, and each distinct kernel is diagonalized once: every
-    measure shares one kernel and eigensolve on the line and the circle (the
-    measure exponent vanishes in one dimension) and on the sphere at order 2
-    (the bare chart carries no curvature term).
+    read), as ``{measure: PropagatorResult}``, each bit for bit what
+    :func:`propagate` gives under that measure.
+
+    The measures differ only in their measure exponent, and qep's is the
+    curvature term R (P + Q) / 12 on the sphere at order >= 3 alone: it
+    vanishes identically in one dimension, and the bare order-2 chart carries
+    none.  Measures with the same term share one kernel build and one
+    eigensolve.  Every tau is checked before anything is built.
     """
     if geom.topology not in ("line", "circle", "sphere"):
         raise ValueError(f"geometry '{geom.name}' has no propagation topology")
     if not set(measures) <= set(MEASURES):
         raise ValueError(f"measures must be among {MEASURES}")
-    taus = list(taus) if taus is not None else [config.total_time]
+    ks = _tau_indices(list(taus) if taus is not None else [config.total_time], config)
     store = dict(zip(map(float, store_taus), _tau_indices(store_taus, config)))
+    terms = {measure: measure == "qep" and geom.topology == "sphere" and config.order >= 3 for measure in measures}
 
     if geom.topology == "sphere":
         n_theta = int(grid) if grid is not None else DEFAULT_NODES["sphere"]
-        kernels, weights, nodes, scales = _build_sphere(geom, config, n_theta, m_sector, measures)
+        kernels, weights, nodes = _build_sphere(geom, config, n_theta, m_sector, set(terms.values()))
     else:
         period = 2 * np.pi if geom.topology == "circle" else None
         if grid is None:
             grid = DEFAULT_NODES["circle"] if period else (*LINE_RANGE, DEFAULT_NODES["line"])
         nodes, du = _line_nodes((0.0, period, grid) if period else grid)
         b_mat, weights = _build_1d(geom, config, nodes, du, period)
-        kernels, scales = dict.fromkeys(measures, b_mat), {}
+        kernels = {False: (b_mat, None)}
 
-    results, composed = {}, {}
-    for measure, b_mat in kernels.items():
-        if id(b_mat) not in composed:  # one eigensolve per distinct kernel
-            composed[id(b_mat)] = _compose(b_mat, weights, config, taus, store)
-        trace, amplitudes, asym, eigenvalues = composed[id(b_mat)]
+    composed = {term: _compose(b_mat, weights, ks, store) for term, (b_mat, _) in kernels.items()}
+    results = {}
+    for measure, term in terms.items():
+        trace, amplitudes, asym, eigenvalues = composed[term]
         results[measure] = PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
-                                            floor=rounding_floor(eigenvalues, scales.get(measure)),
+                                            floor=rounding_floor(eigenvalues, kernels[term][1]),
                                             amplitudes=dict(amplitudes), asymmetry=asym)
     return results
 

@@ -1,4 +1,5 @@
-"""Mutation check of the kernel builders, the energy rule, the derivative fallback of fields and the RK4 step.
+"""Mutation check of the kernel builders, the energy rule, the derivative fallback of fields, the RK4 step,
+the grid budget and the one orbit bundle of a trajectory.
 
     python tests/mutants.py
 
@@ -60,6 +61,9 @@ MUTANTS = [
     ("flipped cubic sign", PROPAGATOR,
      "t3 = -pt.affine_first", "t3 = pt.affine_first",
      [ENTRIES]),
+    ("Gamma^2 dropped from the 1-d quartic coefficient", PROPAGATOR,
+     "t4a = self.g * (d_gam + gam * gam) / 3.0", "t4a = self.g * d_gam / 3.0",
+     [ENTRIES]),
     ("first-order 1-d correction factor", PROPAGATOR,
      "factor = 1.0 + c + 0.5 * c**2", "factor = 1.0 + c",
      ["tests/test_propagator.py::test_slice_kernel_terms_against_hand_sum"]),
@@ -86,18 +90,19 @@ MUTANTS = [
      "r_mean = (ricci[term][i] + ricci[term][j]) / 24.0", "r_mean = -(ricci[term][i] + ricci[term][j]) / 24.0",
      [FULL_PERIOD, UNCUT]),
     ("qep's curvature term for every measure", PROPAGATOR,
-     'curved = {measure: measure == "qep" and config.order >= 3 for measure in measures}',
-     'curved = {measure: "qep" in measures and config.order >= 3 for measure in measures}',
+     'terms = {measure: measure == "qep" and geom.topology',
+     'terms = {measure: "qep" in measures and geom.topology',
      ["tests/test_propagator.py::test_shared_build_is_bit_identical_to_one_measure_builds"]),
     ("quartic residue Q^2 / 6", PROPAGATOR,
      "quartic_q = quartic / 12.0 * q_form", "quartic_q = quartic / 6.0 * q_form",
      [FULL_PERIOD, UNCUT]),
     ("per-measure kernels at order 2", PROPAGATOR,
-     "{measure: kernels[term] for measure, term in curved.items()}",
-     "{measure: kernels[term].copy() for measure, term in curved.items()}",
+     'geom.topology == "sphere" and config.order >= 3 for measure in measures}',
+     'geom.topology == "sphere" and config.order >= 2 for measure in measures}',
      ["tests/test_propagator.py::test_one_eigensolve_per_distinct_kernel"]),
     ("one eigensolve per measure", PROPAGATOR,
-     "if id(b_mat) not in composed:", "if True:",
+     "trace, amplitudes, asym, eigenvalues = composed[term]",
+     "trace, amplitudes, asym, eigenvalues = _compose(kernels[term][0], weights, ks, store)",
      ["tests/test_propagator.py::test_one_eigensolve_per_distinct_kernel"]),
     ("no order-2 Nyquist check", PROPAGATOR,
      "if 2 * abs(m) >= n_phi:", "if False:",
@@ -115,10 +120,17 @@ MUTANTS = [
      "int((result.eigenvalues < -result.eigenvalues.size * 2.220446049250313e-16"
      " * abs(result.eigenvalues).max()).sum())",
      [SECTOR_FLOOR]),
+    ("grid budget without richardson's refined grid", CLI,
+     '_nodes(v, run.options["richardson"])', "_nodes(v, False)",
+     ["tests/test_config.py::test_grid_and_slice_budgets_are_checked_before_the_run"]),
     ("MemoryError not caught in main", CLI,
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",
      ["tests/test_cli.py::test_memory_failure_exits_1"]),
+    ("kinetic invariant evaluated per call", DYNAMICS,
+     "return self._kinetic_invariant",
+     'return np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)',
+     ["tests/test_cli.py::test_traj_run_evaluates_its_orbit_once"]),
     ("fourth RK4 stage from k2", DYNAMICS,
      "k4 = rhs(1.0, y + dt * k3)", "k4 = rhs(1.0, y + dt * k2)",
      ["tests/test_dynamics.py::test_autoparallel_conserves_anholonomic_velocity"]),

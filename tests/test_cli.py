@@ -1,5 +1,6 @@
 # CLI contract: config validation naming offending keys, exit codes,
-# deterministic artifacts, schema round-trips, and report formatting.
+# deterministic artifacts, schema round-trips, report formatting, and one
+# orbit bundle per traj run.
 
 import json
 import os
@@ -125,6 +126,18 @@ def test_traj_artifacts_roundtrip_and_straightness(tmp_path, capsys):
     x = np.stack([q[:, 0] * np.cos(q[:, 1]), q[:, 0] * np.sin(q[:, 1])], axis=1)
     line = x[0] + np.outer(t, (x[-1] - x[0]) / t[-1])
     assert np.max(np.abs(x - line)) < 1e-6
+
+
+def test_traj_run_evaluates_its_orbit_once(tmp_path, monkeypatch):
+    # the drift check, invariant_drift and the action share one kinetic invariant, from one bundle
+    from torsiongeo.geometry import Geometry
+
+    sizes, batch = [], Geometry.batch
+    monkeypatch.setattr(Geometry, "batch", lambda self, points: sizes.append(len(points)) or batch(self, points))
+    cfg = write_config(tmp_path, {"geometry": "polar", "command": "traj", "kind": "autoparallel",
+                                  "q0": [1.0, 0.3], "v0": [0.4, 0.5], "duration": 1.0, "dt": 0.001})
+    assert main(["traj", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sizes == [1001]
 
 
 def test_defect_run_burgers_value(tmp_path):
@@ -423,11 +436,10 @@ def test_sphere_sector_floor_comes_from_the_unphased_kernel(tmp_path, capsys):
 
 
 def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys):
-    # a 2,000,000-point line asks for a 29 TiB kernel; under a 2 GiB
-    # address-space limit the allocation fails at once, and the run exits 1
-    # with a one-line error
-    cfg = write_config(tmp_path, {"geometry": "flat-cartesian", "d": 1, "command": "propagate", "N": 4, "eps": 0.25,
-                                  "grid_points": 2_000_000, "extract": False})
+    # 2e12 random geom points ask for 29 TiB (n_points has no budget yet); under
+    # a 2 GiB address-space limit the allocation fails at once, and the run
+    # exits 1 with a one-line error
+    cfg = write_config(tmp_path, {"geometry": "polar", "command": "geom", "n_points": 2_000_000_000_000})
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
            "TORSIONGEO_THREADS": "1"}
 
@@ -435,7 +447,7 @@ def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys):
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "torsiongeo.cli", "propagate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "torsiongeo.cli", "geom", "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, cwd=REPO, env=env, preexec_fn=limit_address_space, timeout=300,
     )
     assert proc.returncode == 1

@@ -1,9 +1,11 @@
 # Config schema: every config fault exits 2 with one ``config error:`` line that
-# names the key, never a traceback; the README documents exactly the schema's
-# keys; a hypothesis fuzzer draws cheap valid configs for every command, runs
-# each, then breaks it one key or one structural rule at a time.
+# names the key, never a traceback; the size budgets of traj steps, grids and N
+# are checked before anything is allocated; the README documents exactly the
+# schema's keys; a hypothesis fuzzer draws cheap valid configs for every
+# command, runs each, then breaks it one key or one structural rule at a time.
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsiongeo import catalog
-from torsiongeo.cli import KEYS, MAX_TRAJ_STEPS, SPECTRUM, load_config, main
+from torsiongeo.cli import KEYS, MAX_GRID_POINTS, MAX_SLICES, MAX_TRAJ_STEPS, SPECTRUM, load_config, main
 from torsiongeo.defects import Contour
 from torsiongeo.errors import ValidationError
 from torsiongeo.io import write_contour_csv
@@ -121,6 +123,27 @@ def test_traj_step_budget_is_checked_before_the_run(tmp_path):
         load_config(path)
 
 
+def test_grid_and_slice_budgets_are_checked_before_the_run(tmp_path):
+    # only loaded, never run: each budget is accepted, one more names its key
+    path = tmp_path / "config.json"
+
+    def load(payload):
+        path.write_text(json.dumps(payload))
+        return load_config(path)
+
+    for topology, cfg in (("line", LINE), ("circle", CIRCLE), ("sphere", {**CIRCLE, "geometry": "sphere"})):
+        bound = MAX_GRID_POINTS[topology]
+        # under richardson the halved step runs on ceil(sqrt(2) n) nodes, which must fit the budget too
+        for richardson, largest in ((False, bound), (True, int(bound / math.sqrt(2.0)))):
+            assert load({**cfg, "grid_points": largest, "richardson": richardson}).options["grid_points"] == largest
+            with pytest.raises(ValidationError, match="config key 'grid_points'"):
+                load({**cfg, "grid_points": largest + 1, "richardson": richardson})
+    # the default tau_values runs from N eps / 10 to N eps
+    assert len(load({**CIRCLE, "N": MAX_SLICES}).options["tau_values"]) == MAX_SLICES - MAX_SLICES // 10 + 1
+    with pytest.raises(ValidationError, match="config key 'N'"):
+        load({**CIRCLE, "N": MAX_SLICES + 1})
+
+
 def test_readme_config_table_names_exactly_the_schema_keys():
     text = (REPO / "README.md").read_text()
     section = text.split("### Config format", 1)[1].split("\n### ", 1)[0]
@@ -139,8 +162,10 @@ RUNS_ON = {"geom": catalog.names(), "traj": ["polar", "torsion-toy", "flat-carte
 ALWAYS_BAD = ["x", None, NAN, INF, -INF, {}]
 OUT_OF_RANGE = {
     "n_points": [0, 2.5], "duration": [0, -1.0], "contour_radius": [0, -2.0], "contour_segments": [2, 3.5],
-    "contour_turns": [0], "N": [0, 2.5], "eps": [0, -0.1], "mass": [0], "hbar": [-1], "scheme": ["weyl"],
-    "order": [1, 4.0], "measure": ["dewitt"], "grid_points": [0, 8.5], "n_levels": [0], "m_sector": [-1],
+    "contour_turns": [0], "N": [0, 2.5, MAX_SLICES + 1], "eps": [0, -0.1], "mass": [0], "hbar": [-1],
+    "scheme": ["weyl"], "order": [1, 4.0], "measure": ["dewitt"], "n_levels": [0], "m_sector": [-1],
+    # beyond every topology's budget, and at an allocation that fails at once were the budget not checked
+    "grid_points": [0, 8.5, 2_000_000],
     "tau_min": [100.0], "tau_values": [[], [1e-3], [NAN]], "amplitude_taus": [[1e-3], [INF]],
     "grid_range": [[1, -1], [0], [-INF, 1.0]], "q0": [[0.5] * 3, [NAN, 0.5]], "v0": [[0.5], [0.5, INF]],
     "contour_center": [[0], [0, 0, 0], [NAN, 0.0]], "points": [[], [[0.5] * 3], [[0.5, NAN]]],

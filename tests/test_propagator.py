@@ -7,8 +7,9 @@
 # against its full-period reference and an uncut 4000-point build, the
 # sphere's zeta grid growing with m, the stored amplitudes' exact symmetry,
 # the rounding floor and the negative-eigenvalue count below it, the one build
-# shared by both measures against one-measure builds, and one eigensolve per
-# distinct kernel (one for both measures on the order-2 sphere).
+# shared by both measures against one-measure builds, one eigensolve per
+# distinct kernel (one for both measures on the order-2 sphere), and the taus
+# checked before any kernel is built.
 # tests/mutants.py checks that these oracles catch edits of the builders and
 # the energy rule.
 
@@ -47,10 +48,16 @@ def flat_line():
     return catalog.make("flat-cartesian", d=1)
 
 
+def sphere_term(cfg, measure):
+    """The sphere's measure term: qep's curvature exponent, absent from the bare order-2 chart."""
+    return measure == "qep" and cfg.order >= 3
+
+
 def build_sphere(geom, cfg, n_theta, m):
     """_build_sphere under the config's measure: (B, weights, theta)."""
-    kernels, weights, theta, _ = _build_sphere(geom, cfg, n_theta, m, (cfg.measure,))
-    return kernels[cfg.measure], weights, theta
+    term = sphere_term(cfg, cfg.measure)
+    kernels, weights, theta = _build_sphere(geom, cfg, n_theta, m, (term,))
+    return kernels[term][0], weights, theta
 
 
 def circle_trace_oracle(taus, a=1.0, hbar=1.0, mass=1.0):
@@ -701,7 +708,8 @@ SHARED_BUILD_CASES = [
 
 def _kernels(topology, geom, cfg, grid, m, measures):
     if topology == "sphere":
-        return _build_sphere(geom, cfg, grid, m, measures)[0]
+        kernels = _build_sphere(geom, cfg, grid, m, {sphere_term(cfg, measure) for measure in measures})[0]
+        return {measure: kernels[sphere_term(cfg, measure)][0] for measure in measures}
     nodes, du = _line_nodes((0.0, 2 * np.pi, grid) if topology == "circle" else grid)
     return dict.fromkeys(measures, _build_1d(geom, cfg, nodes, du, 2 * np.pi if topology == "circle" else None)[0])
 
@@ -755,6 +763,18 @@ def test_one_eigensolve_per_distinct_kernel(monkeypatch):
     bare = propagate_measures(catalog.make("sphere"), replace(cfg, eps=0.05, order=2), MEASURES, grid=120)
     assert len(calls) == 4
     assert _bits(bare["qep"].eigenvalues) == _bits(bare["naive-dewitt"].eigenvalues)
+
+
+def test_taus_are_checked_before_any_build(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a kernel was built before the taus were checked")
+
+    monkeypatch.setattr(propagator, "_build_1d", build)
+    monkeypatch.setattr(propagator, "_build_sphere", build)
+    cfg = SliceConfig(n_slices=4, eps=0.25)
+    for geom, grid in ((flat_line(), (-4.0, 4.0, 64)), (catalog.make("circle"), 128), (catalog.make("sphere"), 120)):
+        with pytest.raises(ValueError, match="tau=0.3 is not a positive multiple of eps=0.25"):
+            propagate_measures(geom, cfg, MEASURES, grid=grid, taus=[0.5, 0.3])
 
 
 def test_propagate_measures_rejects_an_unknown_measure():
