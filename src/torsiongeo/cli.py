@@ -13,11 +13,11 @@ or autoparallel), ``defect`` (Burgers vector / Frank deficit of a contour),
 Energies are the eigen-energies -hbar ln(lambda) / eps, with multiplicity, of the
 transfer matrix ``propagate`` diagonalized; the trace fit is only an oracle.
 
-The config is one flat JSON object whose keys and rules are the ``KEYS`` table;
-every validation error names the offending key.  Outputs are ``results.json``
-(byte-stable for a fixed config), ``manifest.json`` (config hash, versions,
-wall time, per-stage seconds; the only file with a timestamp), and
-command-specific CSV files.
+The config is one flat JSON object whose keys and rules are the ``KEYS`` table
+and whose size bounds the ``BUDGETS`` table; every validation error names the
+offending key.  Outputs are ``results.json`` (byte-stable for a fixed config),
+``manifest.json`` (config hash, versions, wall time, per-stage seconds; the only
+file with a timestamp), and command-specific CSV files.
 Exit codes: 0 success, 1 computation error, 2 config error.  The environment
 variable ``TORSIONGEO_THREADS`` (a positive integer) caps BLAS/OpenMP
 parallelism: ``main`` copies it into ``OPENBLAS_NUM_THREADS``,
@@ -45,18 +45,27 @@ SPECTRUM = ("propagate", "compare-measures")
 _RUNS_ON = {"defect": ("dislocation", "disclination"), **dict.fromkeys(SPECTRUM, ("line", "circle", "sphere"))}
 REQUIRED = "required"
 _SLICE_FIELDS = {"N": "n_slices", **{key: key for key in ("eps", "mass", "hbar", "scheme", "order", "measure")}}
-# Most RK4 steps a traj config may ask for: 1000x the committed configs and benchmark jobs. 2-d sphere
-# runs of 1e5 and 2e5 steps took 25 s / 112 MB and 47 s / 187 MB peak resident (one core), so the
-# budget bounds a run at about 4 minutes and 0.8 GB.
-MAX_TRAJ_STEPS = 10**6
-# Largest grid a spectrum config may build, richardson's refined grid included: 4x the committed line job
-# and refined sphere grid, 8x the circle grid.  On one core 2048 line points took 2.3 s / 225 MB peak resident
-# (about 20 s / 0.8 GB at 4096), 512 circle points with 875 winding images 10 s (about 3 minutes at 2048 with
-# 1025), and 724 sphere nodes at order 2 and the finest eps they resolve 8.8 s (about 25 s at 1024).
-MAX_GRID_POINTS = {"line": 4096, "circle": 2048, "sphere": 1024}
-# Most slices N, which bounds the default tau_values: circle compare-measures runs with richardson took 0.9 s /
-# 44 MB at N = 1e4 and 5.3 s / 60 MB at N = 1e5, so about a minute, 0.3 GB and a 65 MB results.json at 1e6.
-MAX_SLICES = 10**6
+# Size budgets, key: (bound, what its size counts), per topology where a dict; extrapolated from one-core runs below.
+BUDGETS = {
+    # 1000x the committed configs and benchmark jobs. 2-d sphere runs of 1e5 and 2e5 steps took 25 s / 112 MB and
+    # 47 s / 187 MB peak resident (one core), so the budget bounds a run at about 4 minutes and 0.8 GB.
+    "dt": (10**6, "RK4 steps"),
+    # 1000x the golden contour: 1e6 and 4e6 vertices took 0.6 s / 132 MB and 2.1 s / 400 MB, so about 5 s / 0.9 GB.
+    **dict.fromkeys(("contour_segments", "contour_turns"), (10**7, "contour vertices (segments x turns)")),
+    # 1e4 and 2e4 torsion-toy points took 5 s / 146 MB and 10 s / 256 MB: about 25 s, 0.6 GB, 86 MB of results.json.
+    "n_points": (5 * 10**4, "points"),
+    # Circle compare-measures runs with richardson took 0.9 s / 44 MB at N = 1e4 and 5.3 s / 60 MB at N = 1e5, so
+    # about a minute, 0.3 GB and a 65 MB results.json at 1e6; N also bounds the default tau_values.
+    "N": (10**6, "slices"),
+    # 4x the committed line job and refined sphere grid, 8x the circle grid.  2048 line points took 2.3 s / 225 MB
+    # peak resident (about 20 s / 0.8 GB at 4096), 512 circle points with 875 winding images 10 s (about 3 minutes
+    # at 2048 with 1025), and 724 sphere nodes at order 2 and the finest eps they resolve 8.8 s (25 s at 1024).
+    "grid_points": ({"line": 4096, "circle": 2048, "sphere": 1024}, "nodes, counting richardson's refined grid"),
+    # The zeta sum grows by |m| nodes: 15 ns an entry and kernel term at 176 nodes, so about a minute per term.
+    "m_sector": (4 * 10**9, "sphere kernel entries (nodes^2 / 2 x m_sector)"),
+    # 8x the benchmark's 2 x 1024^2: 2 x 2048^2 took 10 s and 180 MB more and wrote 182 MB, so about 21 s and 0.4 GB.
+    "amplitude_taus": (2**24, "stored kernel entries (times x nodes^2)"),
+}
 
 
 def _finite(value) -> bool:
@@ -95,8 +104,11 @@ def _contour_file(path):
         return None
 
 
-def _nodes(n: int, refined: bool) -> int:
-    """The node count of an n-node grid, refined by sqrt(2) for the halved step of richardson."""
+def _grid_nodes(run, refined: bool = False) -> int:
+    """The run's grid nodes (the propagator default if grid_points is unset), sqrt(2)-refined for richardson."""
+    from .propagator import DEFAULT_NODES
+
+    n = run.options["grid_points"] or DEFAULT_NODES[run.geom.topology]
     return int(math.ceil(n * math.sqrt(2.0))) if refined else n
 
 
@@ -112,36 +124,38 @@ class Key(NamedTuple):
     """One config key; ``ok(value, run)`` tells whether a given value meets ``rule``.
     A check that has to parse the value returns what it read, which becomes the option."""
 
-    ok: Callable | None  # a slice key is checked by SliceConfig first; None: nothing more
+    ok: Callable | None  # None for a slice key, which SliceConfig checks
     rule: str  # {D} stands for the geometry's dimension
     default: object  # a value, a function of the RunConfig, REQUIRED, or None (unset)
     commands: tuple
     topologies: tuple = ()  # the only topologies it applies to; empty: all
     excludes: tuple = ()  # keys it cannot be given together with
+    size: Callable | None = None  # size(value, run): the count its BUDGETS row bounds
 
 
 # Every config key but ``geometry``, ``command`` and the geometry's own
-# parameters, in resolution order: a check or default reads only keys above it.
+# parameters, in resolution order: a check, size or default reads only keys above it.
 KEYS = {
     "points": Key(lambda v, run: isinstance(v, list) and len(v) > 0 and all(_vector()(p, run) for p in v),
                   "a nonempty list of {D}-component finite numeric points", None, ("geom",)),
-    "n_points": Key(_count(1), "an integer >= 1", 5, ("geom",), excludes=("points",)),
+    "n_points": Key(_count(1), "an integer >= 1", 5, ("geom",), excludes=("points",), size=lambda v, run: v),
     "kind": Key(lambda v, run: v in ("geodesic", "autoparallel"), "geodesic or autoparallel", REQUIRED, ("traj",)),
     "q0": Key(_vector(), "a list of {D} finite numbers", REQUIRED, ("traj",)),
     "v0": Key(_vector(), "a list of {D} finite numbers", REQUIRED, ("traj",)),
     "duration": Key(_positive, "a positive finite number", 1.0, ("traj",)),
-    "dt": Key(lambda v, run: _positive(v) and _multiples([run.options["duration"]], v)
-              and run.options["duration"] / v < MAX_TRAJ_STEPS + 0.5,
-              f"positive, dividing duration into at most {MAX_TRAJ_STEPS} whole steps", 1e-3, ("traj",)),
+    "dt": Key(lambda v, run: _positive(v) and _multiples([run.options["duration"]], v),
+              "positive, dividing duration into whole steps", 1e-3, ("traj",),
+              size=lambda v, run: round(min(run.options["duration"] / v, 2.0**63))),
     "contour_radius": Key(_positive, "a positive finite number", 1.0, ("defect",)),
-    "contour_segments": Key(_count(3), "an integer >= 3", 4096, ("defect",)),
+    "contour_segments": Key(_count(3), "an integer >= 3", 4096, ("defect",), size=lambda v, run: v),
     "contour_center": Key(_vector(2), "a list of 2 finite numbers", (0.0, 0.0), ("defect",)),
-    "contour_turns": Key(_count(1), "an integer >= 1", 1, ("defect",)),
+    "contour_turns": Key(_count(1), "an integer >= 1", 1, ("defect",),
+                         size=lambda v, run: run.options["contour_segments"] * v),
     "contour_csv": Key(lambda v, run: isinstance(v, str) and _contour_file(v),
                        "the path of a contour CSV: q1,q2 rows of finite numbers, at least 4, closed, distinct "
                        "consecutive vertices, none at the origin", None,
                        ("defect",), excludes=("contour_radius", "contour_segments", "contour_center", "contour_turns")),
-    "N": Key(lambda v, run: v <= MAX_SLICES, f"an integer from 1 to {MAX_SLICES}", 32, SPECTRUM),
+    "N": Key(None, "an integer >= 1", 32, SPECTRUM, size=lambda v, run: v),
     "eps": Key(None, "a positive finite number; N * eps finite", 0.05, SPECTRUM),
     "mass": Key(None, "a positive finite number", 1.0, SPECTRUM),
     "hbar": Key(None, "a positive finite number", 1.0, SPECTRUM),
@@ -154,18 +168,18 @@ KEYS = {
                    "positive, at most N * eps", None, SPECTRUM),
     "tau_values": Key(lambda v, run: isinstance(v, list) and len(v) > 0 and _multiples(v, run.slices.eps),
                       "a nonempty list of positive multiples of eps", _default_taus, SPECTRUM, excludes=("tau_min",)),
-    "m_sector": Key(_count(0), "an integer >= 0", 0, SPECTRUM, topologies=("sphere",)),
     "extract": Key(lambda v, run: isinstance(v, bool), "true or false", True, ("propagate",)),
-    "n_levels": Key(_count(1), "an integer >= 1", 4, SPECTRUM),
     "richardson": Key(lambda v, run: isinstance(v, bool) and (not v or run.options.get("extract", True)),
                       "true or false; true needs extract", lambda run: run.command == "compare-measures", SPECTRUM),
-    "grid_points": Key(lambda v, run: _count(1)(v, run)
-                       and _nodes(v, run.options["richardson"]) <= MAX_GRID_POINTS[run.geom.topology],
-                       "an integer >= 1; at most " + ", ".join(f"{n} ({t})" for t, n in MAX_GRID_POINTS.items())
-                       + " nodes, counting richardson's sqrt(2)-refined grid",
-                       None, SPECTRUM),  # None: the propagator default
+    "grid_points": Key(_count(1), "an integer >= 1", None, SPECTRUM,  # None: the propagator default
+                       size=lambda v, run: _grid_nodes(run, run.options["richardson"])),
+    "m_sector": Key(_count(0), "an integer >= 0", 0, SPECTRUM, topologies=("sphere",),
+                    size=lambda v, run: v * _grid_nodes(run, run.options["richardson"]) ** 2 // 2),
+    "n_levels": Key(lambda v, run: _count(1)(v, run) and (v <= _grid_nodes(run) or run.options.get("extract") is False),
+                    "an integer >= 1, at most the grid's node count when levels are read", 4, SPECTRUM),
     "amplitude_taus": Key(lambda v, run: isinstance(v, list) and _multiples(v, run.slices.eps),
-                          "a list of positive multiples of eps", (), ("propagate",)),
+                          "a list of positive multiples of eps", (), ("propagate",),
+                          size=lambda v, run: len(v) * _grid_nodes(run) ** 2),
 }
 
 
@@ -231,9 +245,8 @@ def load_config(path) -> RunConfig:
     for key, spec in keys.items():
         if key in raw and spec.topologies and geom.topology not in spec.topologies:
             raise ValidationError(f"config key '{key}': applies only to {' or '.join(spec.topologies)} geometries")
-        if key in _SLICE_FIELDS:
-            value = getattr(run.slices, _SLICE_FIELDS[key])
-            verdict = spec.ok is None or spec.ok(value, run)
+        if key in _SLICE_FIELDS:  # SliceConfig checked it
+            value, verdict = getattr(run.slices, _SLICE_FIELDS[key]), True
         elif key in raw:
             value, clash = raw[key], [k for k in spec.excludes if k in raw]
             if clash:
@@ -247,6 +260,11 @@ def load_config(path) -> RunConfig:
         if not verdict:
             raise ValidationError(f"config key '{key}': must be {spec.rule.format(D=geom.dim)}")
         run.options[key] = value if verdict is True else verdict
+        if spec.size and value is not None:  # a default too: it sizes the run as much as a given value
+            (bound, counted), count = BUDGETS[key], spec.size(value, run)
+            bound = bound[geom.topology] if isinstance(bound, dict) else bound
+            if count > bound:
+                raise ValidationError(f"config key '{key}': asks for {count} {counted}, beyond the budget of {bound}")
     return run
 
 
@@ -293,18 +311,10 @@ def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     with _stage(stages, "write"):
         write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     inv = traj.kinetic_invariant()
-    return {
-        "command": "traj",
-        "geometry": config.geometry,
-        "kind": opts["kind"],
-        "q0": list(map(float, opts["q0"])),
-        "v0": list(map(float, opts["v0"])),
-        "duration": duration,
-        "dt": dt,
-        "action": evaluate_action(geom, traj, 1.0),
-        "invariant_drift": float(np.max(np.abs(inv - inv[0]))),
-        "samples": len(traj.t),
-    }
+    return {"command": "traj", "geometry": config.geometry, "kind": opts["kind"], "q0": list(map(float, opts["q0"])),
+            "v0": list(map(float, opts["v0"])), "duration": duration, "dt": dt,
+            "action": evaluate_action(geom, traj, 1.0), "invariant_drift": float(np.max(np.abs(inv - inv[0]))),
+            "samples": len(traj.t)}
 
 
 def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
@@ -322,13 +332,8 @@ def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dic
     else:
         deficit = float(frank_rotation_deficit(defect, contour))
         payload = {"deficit": deficit, "value": deficit}
-    return {
-        "command": "defect",
-        "kind": defect.kind,
-        "parameter": defect.parameter,
-        "winding": contour.winding_number,
-        **payload,
-    }
+    return {"command": "defect", "kind": defect.kind, "parameter": defect.parameter,
+            "winding": contour.winding_number, **payload}
 
 
 def _eigen_energies(result, cfg, n_levels: int) -> list:
@@ -345,11 +350,10 @@ def _eigen_energies(result, cfg, n_levels: int) -> list:
 
 def _grid_for(config: RunConfig, refined: bool = False):
     """The propagator grid, refined for richardson's halved step; absent grid keys take the propagator defaults."""
-    from .propagator import DEFAULT_NODES, LINE_RANGE
+    from .propagator import LINE_RANGE
 
-    opts, topology = config.options, config.geom.topology
-    n = _nodes(opts["grid_points"] or DEFAULT_NODES[topology], refined)
-    return (*map(float, opts.get("grid_range") or LINE_RANGE), n) if topology == "line" else n
+    n = _grid_nodes(config, refined)
+    return (*map(float, config.options.get("grid_range") or LINE_RANGE), n) if config.geom.topology == "line" else n
 
 
 def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict, measures) -> dict:

@@ -1,5 +1,5 @@
 """Mutation check of the kernel builders, the energy rule, the derivative fallback of fields, the RK4 step,
-the grid budget and the one orbit bundle of a trajectory.
+the size budgets, the level ceiling, the golden references and the one orbit bundle of a trajectory.
 
     python tests/mutants.py
 
@@ -43,6 +43,7 @@ ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formu
 FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
 UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
 SECTOR_FLOOR = "tests/test_cli.py::test_sphere_sector_floor_comes_from_the_unphased_kernel"
+FRESH_PROBE = "tests/test_config.py::test_config_probe_as_fresh_process_prints_one_line"
 
 # (name, file under src/, exact old text, new text, tests that must fail)
 MUTANTS = [
@@ -70,6 +71,10 @@ MUTANTS = [
     ("sqrt(20) for sqrt(74) in the sphere zeta grid", PROPAGATOR,
      "math.sqrt(74.0 * 2.0 * pref", "math.sqrt(20.0 * 2.0 * pref",
      [UNCUT]),
+    ("n_phi's sqrt(74 x_max) term scaled by 0.6", PROPAGATOR,
+     "math.sqrt(74.0 * 2.0 * pref * float(np.max(g_phi)))",
+     "0.6 * math.sqrt(74.0 * 2.0 * pref * float(np.max(g_phi)))",
+     ["tests/test_acceptance.py::test_c13_cli_golden_runs[sphere_compare.json]"]),
     ("sphere trust-region cut restored", PROPAGATOR,
      "(gauss * (1.0 + c + 0.5 * (c * c)) @ phase)",
      "(gauss * np.where(pref * (p_form[:, None] + q_form) >= EXPONENT_CUT, 1.0, 1.0 + c + 0.5 * (c * c)) @ phase)",
@@ -121,8 +126,15 @@ MUTANTS = [
      " * abs(result.eigenvalues).max()).sum())",
      [SECTOR_FLOOR]),
     ("grid budget without richardson's refined grid", CLI,
-     '_nodes(v, run.options["richardson"])', "_nodes(v, False)",
+     'size=lambda v, run: _grid_nodes(run, run.options["richardson"])),', "size=lambda v, run: _grid_nodes(run)),",
      ["tests/test_config.py::test_grid_and_slice_budgets_are_checked_before_the_run"]),
+    ("contour vertices counted from the segments alone", CLI,
+     'size=lambda v, run: run.options["contour_segments"] * v),',
+     'size=lambda v, run: run.options["contour_segments"]),',
+     [FRESH_PROBE + "[contour_turns-beyond-budget]"]),
+    ("n_levels above the node count accepted", CLI,
+     '_count(1)(v, run) and (v <= _grid_nodes(run) or run.options.get("extract") is False)', "_count(1)(v, run)",
+     ["tests/test_config.py::test_config_probe_exits_2_naming_the_key[n_levels-beyond-nodes]"]),
     ("MemoryError not caught in main", CLI,
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",

@@ -32,6 +32,8 @@ from torsiongeo.slicing import (
 from torsiongeo.spectrum import extract_spectrum, richardson_pair
 from torsiongeo.triads import TriadField
 
+import golden  # tests/golden.py: the committed references and their comparison
+
 RNG = np.random.default_rng(1996)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -301,18 +303,19 @@ def test_c12_phase_space_identity():
     _passline(12, f"momentum-integral residuals: flat {flat:.1e}, sphere {sphere:.1e}, {elapsed:.2f}s")
 
 
-@pytest.mark.parametrize(
-    "name", ["dislocation_burgers.json", "circle_spectrum.json", "sphere_compare.json"]
-)
+@pytest.mark.parametrize("name", golden.CONFIGS)
 def test_c13_cli_golden_runs(name, tmp_path):
+    # the first run matches the committed reference (see tests/golden.py for the tolerances), and repeats bytewise
     cfg_path = CONFIG_DIR / name
-    command = load_config(cfg_path).command
+    config = load_config(cfg_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main([command, "--config", str(cfg_path), "--out", str(out_a)]) == 0
-    assert main([command, "--config", str(cfg_path), "--out", str(out_b)]) == 0
+    assert main([config.command, "--config", str(cfg_path), "--out", str(out_a)]) == 0
+    assert main([config.command, "--config", str(cfg_path), "--out", str(out_b)]) == 0
     bytes_a = (out_a / "results.json").read_bytes()
+    reference = json.loads(golden.reference_path(name).read_text())
+    assert golden.mismatches(json.loads(bytes_a), reference, config) == []
     assert bytes_a == (out_b / "results.json").read_bytes()
-    _passline(13, f"{name}: byte-stable results.json ({len(bytes_a)} bytes), exit code 0")
+    _passline(13, f"{name}: results.json matches its reference, byte-stable ({len(bytes_a)} bytes), exit code 0")
 
 
 def test_c13_cli_exit_code_contract(tmp_path):

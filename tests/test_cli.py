@@ -4,7 +4,6 @@
 
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +17,7 @@ from torsiongeo.errors import ParseError, ValidationError
 from torsiongeo.io import read_contour_csv, read_trajectory_csv, write_contour_csv
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = Path(cli.__file__).resolve().parents[1]  # the package under test, for fresh processes
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -307,7 +307,7 @@ def test_threads_env_sets_blas_variables_before_numpy(tmp_path):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_segments": 512})
     env = {**os.environ, "TORSIONGEO_THREADS": "2", "OPENBLAS_NUM_THREADS": "7",
-           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", THREAD_PINS, str(cfg), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
@@ -435,20 +435,26 @@ def test_sphere_sector_floor_comes_from_the_unphased_kernel(tmp_path, capsys):
     assert unextracted["clipped_eigenvalues"] == 0
 
 
+# Runs the CLI after importing it, under an address-space limit 64 MiB above the footprint the imports leave.
+LIMITED_CLI = """
+import resource, sys
+import torsiongeo.cli, torsiongeo.io, torsiongeo.propagator
+vm = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmSize:")) << 10
+resource.setrlimit(resource.RLIMIT_AS, (vm + (64 << 20),) * 2)
+sys.exit(torsiongeo.cli.main(sys.argv[1:]))
+"""
+
+
 def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys):
-    # 2e12 random geom points ask for 29 TiB (n_points has no budget yet); under
-    # a 2 GiB address-space limit the allocation fails at once, and the run
-    # exits 1 with a one-line error
-    cfg = write_config(tmp_path, {"geometry": "polar", "command": "geom", "n_points": 2_000_000_000_000})
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")]),
-           "TORSIONGEO_THREADS": "1"}
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
+    # a 4096-node line grid, inside every budget, builds 128 MiB kernels: under the limit the first of them
+    # fails at once, and the run exits 1 with a one-line error
+    cfg = write_config(tmp_path, {"geometry": "flat-cartesian", "d": 1, "command": "propagate", "N": 1,
+                                  "eps": 0.0625, "grid_points": 4096, "extract": False})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+           **dict.fromkeys(("TORSIONGEO_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
     proc = subprocess.run(
-        [sys.executable, "-m", "torsiongeo.cli", "geom", "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=REPO, env=env, preexec_fn=limit_address_space, timeout=300,
+        [sys.executable, "-c", LIMITED_CLI, "propagate", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=REPO, env=env, timeout=300,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: Unable to allocate") and len(proc.stderr.splitlines()) == 1
@@ -506,7 +512,7 @@ def test_cli_cold_path_imports_no_scipy_solvers(tmp_path):
     defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                      "contour_segments": 512}, "defect.json")
     circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(defect), str(circle), str(tmp_path)],
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
@@ -532,7 +538,7 @@ def test_cli_cold_start_loads_only_the_running_command(tmp_path):
     defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                      "contour_segments": 512}, "defect.json")
     circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", COMMAND_SIZED_START, str(defect), str(circle), str(tmp_path)],
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 # Config schema: every config fault exits 2 with one ``config error:`` line that
-# names the key, never a traceback; the size budgets of traj steps, grids and N
-# are checked before anything is allocated; the README documents exactly the
+# names the key, never a traceback; the size budgets of ``cli.BUDGETS`` are
+# checked before anything is allocated; the README documents exactly the
 # schema's keys; a hypothesis fuzzer draws cheap valid configs for every
 # command, runs each, then breaks it one key or one structural rule at a time.
 
@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,19 +18,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsiongeo import catalog
-from torsiongeo.cli import KEYS, MAX_GRID_POINTS, MAX_SLICES, MAX_TRAJ_STEPS, SPECTRUM, load_config, main
+from torsiongeo.cli import BUDGETS, KEYS, SPECTRUM, load_config, main
 from torsiongeo.defects import Contour
 from torsiongeo.errors import ValidationError
 from torsiongeo.io import write_contour_csv
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = Path(catalog.__file__).resolve().parents[1]  # the package under test, for fresh processes
 NAN, INF = float("nan"), float("inf")
+MAX_TRAJ_STEPS, MAX_SLICES, MAX_GRID_POINTS = (BUDGETS[key][0] for key in ("dt", "N", "grid_points"))
 
 CIRCLE = {"geometry": "circle", "command": "propagate", "N": 4, "eps": 0.0625, "grid_points": 64}
 LINE = {**CIRCLE, "geometry": "flat-cartesian", "d": 1}
 TRAJ = {"geometry": "polar", "command": "traj", "kind": "geodesic", "q0": [1.0, 0.0], "v0": [0.1, 0.4],
         "duration": 0.05, "dt": 0.01}
 DEFECT = {"geometry": "dislocation", "command": "defect", "contour_segments": 64}
+GOLDEN_CIRCLE = json.loads((REPO / "configs" / "circle_spectrum.json").read_text())  # 256 nodes
 
 # contour files that exist but do not read as a contour
 BAD_CONTOURS = {
@@ -72,6 +76,18 @@ PROBES = {
     "dt-beyond-duration": ({**TRAJ, "dt": 5, "duration": 1}, "dt"),
     "dt-not-dividing-duration": ({**TRAJ, "dt": 0.3, "duration": 1}, "dt"),
     "dt-beyond-step-budget": ({**TRAJ, "duration": 1e9, "dt": 1e-3}, "dt"),
+    "default-dt-beyond-step-budget": ({**{k: v for k, v in TRAJ.items() if k != "dt"}, "duration": 1e9}, "dt"),
+    # each would allocate TiB, or 0.27 GB for the amplitudes, were its budget not checked
+    "contour_segments-beyond-budget": ({**DEFECT, "contour_segments": 10**12}, "contour_segments"),
+    "contour_turns-beyond-budget": ({"geometry": "dislocation", "command": "defect", "contour_turns": 10**12},
+                                    "contour_turns"),
+    "n_points-beyond-budget": ({"geometry": "torsion-toy", "command": "geom", "n_points": 2 * 10**12}, "n_points"),
+    "m_sector-beyond-budget": ({"geometry": "sphere", "command": "propagate", "N": 80, "eps": 0.05,
+                                "grid_points": 176, "m_sector": 10**12}, "m_sector"),
+    "amplitude_taus-beyond-budget": ({**LINE, "grid_points": 4096, "amplitude_taus": [0.0625, 0.125]},
+                                     "amplitude_taus"),
+    # 257 levels of a 256-node transfer matrix
+    "n_levels-beyond-nodes": ({**GOLDEN_CIRCLE, "n_levels": 257}, "n_levels"),
 }
 
 
@@ -102,13 +118,20 @@ def test_config_probe_exits_2_naming_the_key(tmp_path, capsys, payload, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("probe", ["eps-overflow", "q0-nan", "contour_csv-missing"])
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))  # ulimit -v 2000000
+
+
+@pytest.mark.parametrize("probe", ["eps-overflow", "q0-nan", "contour_csv-missing",
+                                   *(name for name in PROBES if name.endswith(("-budget", "-nodes")))])
 def test_config_probe_as_fresh_process_prints_one_line(tmp_path, probe):
     payload, key = PROBES[probe]
     (tmp_path / "config.json").write_text(json.dumps(payload))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+           "TORSIONGEO_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "torsiongeo.cli", payload["command"], "--config", "config.json",
-                           "--out", "out"], capture_output=True, text=True, cwd=tmp_path, env=env)
+                           "--out", "out"], capture_output=True, text=True, cwd=tmp_path, env=env,
+                          preexec_fn=limit_address_space, timeout=300)
     assert proc.returncode == 2
     assert_config_error(proc.stderr, key)
 
@@ -161,9 +184,10 @@ RUNS_ON = {"geom": catalog.names(), "traj": ["polar", "torsion-toy", "flat-carte
 # values no key accepts; True is also refused by every key but the two flags
 ALWAYS_BAD = ["x", None, NAN, INF, -INF, {}]
 OUT_OF_RANGE = {
-    "n_points": [0, 2.5], "duration": [0, -1.0], "contour_radius": [0, -2.0], "contour_segments": [2, 3.5],
-    "contour_turns": [0], "N": [0, 2.5, MAX_SLICES + 1], "eps": [0, -0.1], "mass": [0], "hbar": [-1],
-    "scheme": ["weyl"], "order": [1, 4.0], "measure": ["dewitt"], "n_levels": [0], "m_sector": [-1],
+    "n_points": [0, 2.5, 2 * 10**12], "duration": [0, -1.0], "contour_radius": [0, -2.0],
+    "contour_segments": [2, 3.5, 10**12], "contour_turns": [0, 10**12], "N": [0, 2.5, MAX_SLICES + 1],
+    "eps": [0, -0.1], "mass": [0], "hbar": [-1], "scheme": ["weyl"], "order": [1, 4.0], "measure": ["dewitt"],
+    "n_levels": [0], "m_sector": [-1, 10**12],
     # beyond every topology's budget, and at an allocation that fails at once were the budget not checked
     "grid_points": [0, 8.5, 2_000_000],
     "tau_min": [100.0], "tau_values": [[], [1e-3], [NAN]], "amplitude_taus": [[1e-3], [INF]],
@@ -243,6 +267,10 @@ def broken_variants(draw, cfg: dict) -> list:
         bad = ALWAYS_BAD + ([] if key in ("extract", "richardson") else [True]) + OUT_OF_RANGE.get(key, [])
         if key == "dt":
             bad += [2 * cfg["duration"], cfg["duration"] / (MAX_TRAJ_STEPS + 1)]  # zero steps, beyond the budget
+        if key == "amplitude_taus":  # one time more than the budget holds matrices of the grid
+            bad += [[cfg["eps"]] * (BUDGETS[key][0] // cfg["grid_points"] ** 2 + 1)]
+        if key == "n_levels" and cfg.get("extract", True):  # more levels than the grid has nodes
+            bad += [cfg["grid_points"] + 1]
         variants.append(({**cfg, key: draw(st.sampled_from(bad))}, key))
     if cfg["command"] in SPECTRUM and cfg["geometry"] != "sphere":
         variants.append(({**cfg, "m_sector": 1}, "m_sector"))
