@@ -94,6 +94,11 @@ def _multiples(times, step) -> bool:
     return all(_positive(t) and whole_steps(t, step) for t in times)
 
 
+def _amplitude_csv(tau) -> str:
+    """The file name of the amplitude CSV of time ``tau``, as ``perfbench/oracles.py`` also reads it."""
+    return f"amplitude_tau_{float(tau):g}.csv"
+
+
 def _contour_file(path):
     """The contour the file holds (``io.read_contour_csv`` runs ``Contour``'s own checks), or None."""
     from .io import read_contour_csv
@@ -177,8 +182,9 @@ KEYS = {
                     size=lambda v, run: v * _grid_nodes(run, run.options["richardson"]) ** 2 // 2),
     "n_levels": Key(lambda v, run: _count(1)(v, run) and (v <= _grid_nodes(run) or run.options.get("extract") is False),
                     "an integer >= 1, at most the grid's node count when levels are read", 4, SPECTRUM),
-    "amplitude_taus": Key(lambda v, run: isinstance(v, list) and _multiples(v, run.slices.eps),
-                          "a list of positive multiples of eps", (), ("propagate",),
+    "amplitude_taus": Key(lambda v, run: isinstance(v, list) and _multiples(v, run.slices.eps)
+                          and len(set(map(_amplitude_csv, v))) == len(v),
+                          "a list of positive multiples of eps, distinct to 6 significant digits", (), ("propagate",),
                           size=lambda v, run: len(v) * _grid_nodes(run) ** 2),
 }
 
@@ -395,7 +401,7 @@ def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict,
     with _stage(stages, "write"):
         for tau in amplitude_taus:  # a propagate key, so one measure: the config's
             stored = results[cfg.measure]
-            path = os.path.join(out_dir, f"amplitude_tau_{tau:g}.csv")
+            path = os.path.join(out_dir, _amplitude_csv(tau))
             write_amplitude_csv(stored.grid, stored.amplitudes[tau], tau, path)
     return ladders
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -86,16 +85,7 @@ def _rk4_step(rhs, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate_trajectory(
-    geom: Geometry,
-    kind: str,
-    q0,
-    v0,
-    duration: float,
-    dt: float,
-    *,
-    invariant_tol: Optional[float] = None,
-) -> Trajectory:
+def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt: float) -> Trajectory:
     """
     Integrate a geodesic or autoparallel from (q0, v0) over ``duration``, a whole
     number of ``dt`` steps (``slicing.whole_steps``), by ``_rk4_step`` on [q, v].
@@ -105,7 +95,7 @@ def integrate_trajectory(
     determinant below ``SINGULAR_TOL`` or changing sign between steps; degenerate
     metric for metric-only geometries), ``NonFiniteResult`` when the kinetic
     invariant overflows, and ``StepTooLarge`` when it drifts by more than ten
-    times the tolerance (default ``max(1e-6, 1e3 dt^4)`` relative).
+    times the tolerance ``max(1e-6, 1e3 dt^4)`` relative.
     """
     if kind not in ("geodesic", "autoparallel"):
         raise ValueError("kind must be 'geodesic' or 'autoparallel'")
@@ -140,7 +130,7 @@ def integrate_trajectory(
             raise ChartSingularity(f"chart became singular near q={ys[k + 1, :d].tolist()} at t={ts[k + 1]:.6g}")
 
     traj = Trajectory(kind, ts, ys[:, :d].copy(), ys[:, d:].copy(), geom)
-    tol = invariant_tol if invariant_tol is not None else max(1e-6, 1e3 * dt**4)
+    tol = max(1e-6, 1e3 * dt**4)
     inv = traj.kinetic_invariant()
     finite = np.isfinite(inv)
     if not finite.all():  # an overflowed orbit, which no smaller dt mends

@@ -45,7 +45,7 @@ and keeps no trust region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class PropagatorResult:
     weights: np.ndarray
     eigenvalues: np.ndarray  # of the symmetrized B, unclipped, descending
     floor: float  # rounding floor of the eigensolve: no eigenvalue is resolved at or below it
-    amplitudes: dict = field(default_factory=dict)  # tau -> exactly symmetric kernel matrix
-    asymmetry: float = 0.0
+    amplitudes: dict  # tau -> exactly symmetric kernel matrix
+    asymmetry: float
 
 
 def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0):
@@ -147,7 +147,8 @@ def _line_nodes(grid) -> tuple[np.ndarray, float]:
 
 
 def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float, period):
-    """Transfer matrix of the line (``period`` None) or the circle: ``(B, weights)``.
+    """Transfer matrix of the line (``period`` None) or the circle: ``({False: (B, None)}, weights, nodes)``,
+    the record of :func:`_build_sphere` with the one kernel, which carries no measure term and no scale.
 
     Midpoint coefficients are evaluated once on the half-step lattice of cell edges and nodes (2n points);
     the midpoint of nodes i and j under winding w is lattice point (i + j + 1 - w n) mod 2n.
@@ -187,11 +188,11 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
     # prepoint rows hold the reference point and its outgoing difference;
     # indexing by (later, earlier) with the sign flip of the difference is the
     # transpose of that matrix
-    return scale * (kernel.T if config.scheme == "prepoint" else kernel), weights
+    return {False: (scale * (kernel.T if config.scheme == "prepoint" else kernel), None)}, weights, nodes
 
 
 def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, terms):
-    """Azimuthal-sector transfer matrices on the sphere, one per measure term: ``({term: (B, scale)}, weights, theta)``.
+    """Azimuthal-sector transfer matrices on the sphere, one per measure term: ``({term: (B, scale)}, weights, nodes)``.
 
     At order >= 3 the quadratic-plus-cubic part of the chart expansion is
     resummed into the geometrically exact compact form
@@ -315,7 +316,8 @@ def rounding_floor(eigenvalues, scale=None) -> float:
     return ev.size * np.finfo(float).eps * (np.max(np.abs(ev), initial=0.0) if scale is None else scale)
 
 
-def _compose(b_mat: np.ndarray, weights: np.ndarray, ks, store):
+def _compose(b_mat: np.ndarray, scale, weights: np.ndarray, nodes: np.ndarray, ks, store) -> PropagatorResult:
+    """Diagonalize one kernel of a build record and compose it: traces at the steps ``ks``, amplitudes at ``store``."""
     asym = float(np.max(np.abs(b_mat - b_mat.T)) / max(np.max(np.abs(b_mat)), 1e-300))
     b_sym = 0.5 * (b_mat + b_mat.T)
     raw, evecs = np.linalg.eigh(b_sym)
@@ -328,7 +330,9 @@ def _compose(b_mat: np.ndarray, weights: np.ndarray, ks, store):
         # with its own transpose as one syrk plus a mirror, so it is exactly symmetric
         half = inv_root_w[:, None] * evecs * evals ** (0.5 * k)
         amplitudes[tau] = half @ half.T
-    return trace, amplitudes, asym, raw[::-1]
+    eigenvalues = raw[::-1]
+    return PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
+                            floor=rounding_floor(eigenvalues, scale), amplitudes=amplitudes, asymmetry=asym)
 
 
 def propagate_measures(
@@ -368,17 +372,11 @@ def propagate_measures(
         if grid is None:
             grid = DEFAULT_NODES["circle"] if period else (*LINE_RANGE, DEFAULT_NODES["line"])
         nodes, du = _line_nodes((0.0, period, grid) if period else grid)
-        b_mat, weights = _build_1d(geom, config, nodes, du, period)
-        kernels = {False: (b_mat, None)}
+        kernels, weights, nodes = _build_1d(geom, config, nodes, du, period)
 
-    composed = {term: _compose(b_mat, weights, ks, store) for term, (b_mat, _) in kernels.items()}
-    results = {}
-    for measure, term in terms.items():
-        trace, amplitudes, asym, eigenvalues = composed[term]
-        results[measure] = PropagatorResult(trace=trace, grid=nodes, weights=weights, eigenvalues=eigenvalues,
-                                            floor=rounding_floor(eigenvalues, kernels[term][1]),
-                                            amplitudes=dict(amplitudes), asymmetry=asym)
-    return results
+    composed = {term: _compose(b_mat, scale, weights, nodes, ks, store) for term, (b_mat, scale) in kernels.items()}
+    return {measure: replace(composed[term], amplitudes=dict(composed[term].amplitudes))
+            for measure, term in terms.items()}
 
 
 def propagate(

@@ -1,5 +1,6 @@
-"""Mutation check of the kernel builders, the energy rule, the derivative fallback of fields, the RK4 step,
-the size budgets, the level ceiling, the golden references and the one orbit bundle of a trajectory.
+"""Mutation check of the kernel builders, the energy rule and its floor, the derivative fallback of fields, the
+RK4 step, the size budgets, the level ceiling, the amplitude file names, the golden references and the one orbit
+bundle of a trajectory.
 
     python tests/mutants.py
 
@@ -43,6 +44,7 @@ ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formu
 FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
 UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
 SECTOR_FLOOR = "tests/test_cli.py::test_sphere_sector_floor_comes_from_the_unphased_kernel"
+PROBE = "tests/test_config.py::test_config_probe_exits_2_naming_the_key"
 FRESH_PROBE = "tests/test_config.py::test_config_probe_as_fresh_process_prints_one_line"
 
 # (name, file under src/, exact old text, new text, tests that must fail)
@@ -106,9 +108,12 @@ MUTANTS = [
      'geom.topology == "sphere" and config.order >= 2 for measure in measures}',
      ["tests/test_propagator.py::test_one_eigensolve_per_distinct_kernel"]),
     ("one eigensolve per measure", PROPAGATOR,
-     "trace, amplitudes, asym, eigenvalues = composed[term]",
-     "trace, amplitudes, asym, eigenvalues = _compose(kernels[term][0], weights, ks, store)",
+     "return {measure: replace(composed[term], amplitudes=dict(composed[term].amplitudes))",
+     "return {measure: _compose(*kernels[term], weights, nodes, ks, store)",
      ["tests/test_propagator.py::test_one_eigensolve_per_distinct_kernel"]),
+    ("sector floor without the unphased kernel's scale", PROPAGATOR,
+     "floor=rounding_floor(eigenvalues, scale)", "floor=rounding_floor(raw)",
+     [SECTOR_FLOOR]),
     ("no order-2 Nyquist check", PROPAGATOR,
      "if 2 * abs(m) >= n_phi:", "if False:",
      ["tests/test_propagator.py::test_sphere_order_2_rejects_m_beyond_its_nyquist_limit"]),
@@ -134,7 +139,11 @@ MUTANTS = [
      [FRESH_PROBE + "[contour_turns-beyond-budget]"]),
     ("n_levels above the node count accepted", CLI,
      '_count(1)(v, run) and (v <= _grid_nodes(run) or run.options.get("extract") is False)', "_count(1)(v, run)",
-     ["tests/test_config.py::test_config_probe_exits_2_naming_the_key[n_levels-beyond-nodes]"]),
+     [PROBE + "[n_levels-beyond-nodes]"]),
+    ("amplitude times that name one file accepted", CLI,
+     "_multiples(v, run.slices.eps)\n                          and len(set(map(_amplitude_csv, v))) == len(v),",
+     "_multiples(v, run.slices.eps),",
+     [PROBE + "[amplitude_taus-repeated]", PROBE + "[amplitude_taus-one-file-name]"]),
     ("MemoryError not caught in main", CLI,
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",

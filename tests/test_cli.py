@@ -3,7 +3,6 @@
 # orbit bundle per traj run.
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +16,6 @@ from torsiongeo.errors import ParseError, ValidationError
 from torsiongeo.io import read_contour_csv, read_trajectory_csv, write_contour_csv
 
 REPO = Path(__file__).resolve().parent.parent
-SRC = Path(cli.__file__).resolve().parents[1]  # the package under test, for fresh processes
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -93,12 +91,12 @@ def test_circle_kernel_wider_than_the_image_bound_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
-def test_overflowing_trajectory_exits_1_quietly(tmp_path):
+def test_overflowing_trajectory_exits_1_quietly(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "flat-cartesian", "command": "traj", "kind": "geodesic",
                                   "q0": [0.0, 0.0], "v0": [1e200, 0.0], "duration": 0.01, "dt": 0.001})
     proc = subprocess.run(
         [sys.executable, "-m", "torsiongeo.cli", "traj", "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=REPO,
+        capture_output=True, text=True, cwd=REPO, env=cli_env,
     )
     assert proc.returncode == 1
     # an overflowed orbit is not drift: no smaller dt mends it
@@ -249,7 +247,7 @@ def test_report_spectrum_table():
     assert "level" in text and "energy" in text and "residual" in text
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_radius": 1.0, "contour_segments": 2048})
     proc = subprocess.run(
@@ -257,6 +255,7 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
         text=True,
         cwd=REPO,
+        env=cli_env,
     )
     assert proc.returncode == 0
     assert "dislocation" in proc.stdout
@@ -278,15 +277,13 @@ def test_tau_off_the_eps_grid_is_config_error(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
-def test_malformed_threads_env_is_config_error(tmp_path):
-    import os
-
+def test_malformed_threads_env_is_config_error(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_segments": 512})
     for value in ("abc", "0", "-2", "1.5"):
         proc = subprocess.run(
             [sys.executable, "-m", "torsiongeo.cli", "defect", "--config", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env={**os.environ, "TORSIONGEO_THREADS": value}, cwd=REPO,
+            capture_output=True, text=True, env={**cli_env, "TORSIONGEO_THREADS": value}, cwd=REPO,
         )
         assert proc.returncode == 2
         assert "TORSIONGEO_THREADS" in proc.stderr
@@ -301,29 +298,24 @@ print(code, [os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", 
 """
 
 
-def test_threads_env_sets_blas_variables_before_numpy(tmp_path):
-    import os
-
+def test_threads_env_sets_blas_variables_before_numpy(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_segments": 512})
-    env = {**os.environ, "TORSIONGEO_THREADS": "2", "OPENBLAS_NUM_THREADS": "7",
-           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env = {**cli_env, "TORSIONGEO_THREADS": "2", "OPENBLAS_NUM_THREADS": "7"}
     proc = subprocess.run([sys.executable, "-c", THREAD_PINS, str(cfg), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 ['2', '2', '2']"
 
 
-def test_threads_env_cap(tmp_path):
+def test_threads_env_cap(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_radius": 1.0, "contour_segments": 512})
-    import os
-
     proc = subprocess.run(
         [sys.executable, "-m", "torsiongeo.cli", "defect", "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
-        env={**os.environ, "TORSIONGEO_THREADS": "1"},
+        env={**cli_env, "TORSIONGEO_THREADS": "1"},
         cwd=REPO,
     )
     assert proc.returncode == 0
@@ -360,11 +352,11 @@ def test_geom_malformed_points_are_config_errors(tmp_path, capsys, points):
     assert "'points'" in capsys.readouterr().err
 
 
-def test_geom_overflowing_point_exits_1_quietly(tmp_path):
+def test_geom_overflowing_point_exits_1_quietly(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "points": [[1e300, 1e300]]})
     proc = subprocess.run(
         [sys.executable, "-m", "torsiongeo.cli", "geom", "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=REPO,
+        capture_output=True, text=True, cwd=REPO, env=cli_env,
     )
     assert proc.returncode == 1
     assert "not finite" in proc.stderr
@@ -445,12 +437,12 @@ sys.exit(torsiongeo.cli.main(sys.argv[1:]))
 """
 
 
-def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys):
+def test_memory_failure_exits_1(tmp_path, monkeypatch, capsys, cli_env):
     # a 4096-node line grid, inside every budget, builds 128 MiB kernels: under the limit the first of them
     # fails at once, and the run exits 1 with a one-line error
     cfg = write_config(tmp_path, {"geometry": "flat-cartesian", "d": 1, "command": "propagate", "N": 1,
                                   "eps": 0.0625, "grid_points": 4096, "extract": False})
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+    env = {**cli_env,
            **dict.fromkeys(("TORSIONGEO_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
     proc = subprocess.run(
         [sys.executable, "-c", LIMITED_CLI, "propagate", "--config", str(cfg), "--out", str(tmp_path / "out")],
@@ -506,15 +498,12 @@ print(sorted({"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(sys.mod
 """
 
 
-def test_cli_cold_path_imports_no_scipy_solvers(tmp_path):
-    import os
-
+def test_cli_cold_path_imports_no_scipy_solvers(tmp_path, cli_env):
     defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                      "contour_segments": 512}, "defect.json")
     circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(defect), str(circle), str(tmp_path)],
-                          capture_output=True, text=True, env=env, cwd=REPO)
+                          capture_output=True, text=True, env=cli_env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
@@ -529,18 +518,15 @@ print(sorted({"scipy", "torsiongeo.dynamics", "torsiongeo.spectrum"} & set(sys.m
 """
 
 
-def test_cli_cold_start_loads_only_the_running_command(tmp_path):
+def test_cli_cold_start_loads_only_the_running_command(tmp_path, cli_env):
     # a fresh interpreter that imports only the CLI: a dislocation defect and a
     # circle propagate without richardson load neither scipy, the dynamics
     # module nor the spectrum module, and the manifest records no scipy version
-    import os
-
     defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                      "contour_segments": 512}, "defect.json")
     circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", COMMAND_SIZED_START, str(defect), str(circle), str(tmp_path)],
-                          capture_output=True, text=True, env=env, cwd=REPO)
+                          capture_output=True, text=True, env=cli_env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     for command in ("defect", "circle"):

@@ -17,14 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torsiongeo import catalog
+from torsiongeo import catalog, cli
 from torsiongeo.cli import BUDGETS, KEYS, SPECTRUM, load_config, main
 from torsiongeo.defects import Contour
 from torsiongeo.errors import ValidationError
 from torsiongeo.io import write_contour_csv
 
 REPO = Path(__file__).resolve().parent.parent
-SRC = Path(catalog.__file__).resolve().parents[1]  # the package under test, for fresh processes
 NAN, INF = float("nan"), float("inf")
 MAX_TRAJ_STEPS, MAX_SLICES, MAX_GRID_POINTS = (BUDGETS[key][0] for key in ("dt", "N", "grid_points"))
 
@@ -86,6 +85,11 @@ PROBES = {
                                 "grid_points": 176, "m_sector": 10**12}, "m_sector"),
     "amplitude_taus-beyond-budget": ({**LINE, "grid_points": 4096, "amplitude_taus": [0.0625, 0.125]},
                                      "amplitude_taus"),
+    # amplitude CSVs are named by the time to 6 significant digits: a repeated time, or two that print alike,
+    # would write one file twice
+    "amplitude_taus-repeated": ({**LINE, "amplitude_taus": [0.125, 0.125]}, "amplitude_taus"),
+    "amplitude_taus-one-file-name": ({**LINE, "eps": 1e-7, "amplitude_taus": [0.1234561, 0.1234562]},
+                                     "amplitude_taus"),
     # 257 levels of a 256-node transfer matrix
     "n_levels-beyond-nodes": ({**GOLDEN_CIRCLE, "n_levels": 257}, "n_levels"),
 }
@@ -109,7 +113,9 @@ def assert_config_error(err: str, key: str):
 
 
 @pytest.mark.parametrize("payload, key", PROBES.values(), ids=list(PROBES))
-def test_config_probe_exits_2_naming_the_key(tmp_path, capsys, payload, key):
+def test_config_probe_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, payload, key):
+    # a probe that wrongly passes load_config fails here, before its run could start a budget probe's allocation
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("the config passed load_config"))
     write_contour_csv(Contour.circle(0.8, 64), tmp_path / "contour.csv")
     for name, text in BAD_CONTOURS.items():
         (tmp_path / name).write_bytes(text.encode())
@@ -124,11 +130,10 @@ def limit_address_space():
 
 @pytest.mark.parametrize("probe", ["eps-overflow", "q0-nan", "contour_csv-missing",
                                    *(name for name in PROBES if name.endswith(("-budget", "-nodes")))])
-def test_config_probe_as_fresh_process_prints_one_line(tmp_path, probe):
+def test_config_probe_as_fresh_process_prints_one_line(tmp_path, cli_env, probe):
     payload, key = PROBES[probe]
     (tmp_path / "config.json").write_text(json.dumps(payload))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
-           "TORSIONGEO_THREADS": "1"}
+    env = {**cli_env, "TORSIONGEO_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "torsiongeo.cli", payload["command"], "--config", "config.json",
                            "--out", "out"], capture_output=True, text=True, cwd=tmp_path, env=env,
                           preexec_fn=limit_address_space, timeout=300)
@@ -267,8 +272,8 @@ def broken_variants(draw, cfg: dict) -> list:
         bad = ALWAYS_BAD + ([] if key in ("extract", "richardson") else [True]) + OUT_OF_RANGE.get(key, [])
         if key == "dt":
             bad += [2 * cfg["duration"], cfg["duration"] / (MAX_TRAJ_STEPS + 1)]  # zero steps, beyond the budget
-        if key == "amplitude_taus":  # one time more than the budget holds matrices of the grid
-            bad += [[cfg["eps"]] * (BUDGETS[key][0] // cfg["grid_points"] ** 2 + 1)]
+        if key == "amplitude_taus":  # one distinct time more than the budget holds matrices of the grid
+            bad += [[k * cfg["eps"] for k in range(1, BUDGETS[key][0] // cfg["grid_points"] ** 2 + 2)]]
         if key == "n_levels" and cfg.get("extract", True):  # more levels than the grid has nodes
             bad += [cfg["grid_points"] + 1]
         variants.append(({**cfg, key: draw(st.sampled_from(bad))}, key))

@@ -53,8 +53,14 @@ def sphere_term(cfg, measure):
     return measure == "qep" and cfg.order >= 3
 
 
+def build_1d(geom, cfg, nodes, du, period):
+    """The one kernel of _build_1d's record: (B, weights)."""
+    kernels, weights, _ = _build_1d(geom, cfg, nodes, du, period)
+    return kernels[False][0], weights
+
+
 def build_sphere(geom, cfg, n_theta, m):
-    """_build_sphere under the config's measure: (B, weights, theta)."""
+    """_build_sphere's record under the config's measure: (B, weights, theta)."""
     term = sphere_term(cfg, cfg.measure)
     kernels, weights, theta = _build_sphere(geom, cfg, n_theta, m, (term,))
     return kernels[term][0], weights, theta
@@ -214,7 +220,7 @@ def _oracle_case(topology, scheme, order, measure):
     eps = 0.1 if topology == "varying-circle" else 0.05
     cfg = SliceConfig(n_slices=8, eps=eps, scheme=scheme, order=order, measure=measure)
     nodes, du = _line_nodes(grid)
-    b_mat, weights = _build_1d(geom, cfg, nodes, du, period)
+    b_mat, weights = build_1d(geom, cfg, nodes, du, period)
     norm = (2 * np.pi * cfg.hbar * cfg.eps / cfg.mass) ** -0.5
     w_max = 0
     if period is not None:  # images out to TAIL_SIGMA widths of the widest kernel at a node
@@ -646,11 +652,11 @@ def _amplitude_case(topology, m):
     if topology == "line":
         geom, cfg, grid = flat_line(), SliceConfig(n_slices=16, eps=1 / 64), (-4.0, 4.0, 512)
         nodes, du = _line_nodes(grid)
-        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=None)
+        b_mat, weights = build_1d(geom, cfg, nodes, du, period=None)
     elif topology == "circle":
         geom, cfg, grid = catalog.make("circle", a=1.0), SliceConfig(n_slices=16, eps=0.0625), 256
         nodes, du = _line_nodes((0.0, 2 * np.pi, grid))
-        b_mat, weights = _build_1d(geom, cfg, nodes, du, period=2 * np.pi)
+        b_mat, weights = build_1d(geom, cfg, nodes, du, period=2 * np.pi)
     else:
         geom, cfg, grid = catalog.make("sphere", a=1.0), SliceConfig(n_slices=8, eps=0.05), 120
         b_mat, weights, _ = build_sphere(geom, cfg, grid, m)
@@ -707,11 +713,15 @@ SHARED_BUILD_CASES = [
 
 
 def _kernels(topology, geom, cfg, grid, m, measures):
+    """Each measure's kernel, read from one build record by the measure's term."""
     if topology == "sphere":
-        kernels = _build_sphere(geom, cfg, grid, m, {sphere_term(cfg, measure) for measure in measures})[0]
-        return {measure: kernels[sphere_term(cfg, measure)][0] for measure in measures}
-    nodes, du = _line_nodes((0.0, 2 * np.pi, grid) if topology == "circle" else grid)
-    return dict.fromkeys(measures, _build_1d(geom, cfg, nodes, du, 2 * np.pi if topology == "circle" else None)[0])
+        terms = {measure: sphere_term(cfg, measure) for measure in measures}
+        kernels = _build_sphere(geom, cfg, grid, m, set(terms.values()))[0]
+    else:
+        terms = dict.fromkeys(measures, False)
+        nodes, du = _line_nodes((0.0, 2 * np.pi, grid) if topology == "circle" else grid)
+        kernels = _build_1d(geom, cfg, nodes, du, 2 * np.pi if topology == "circle" else None)[0]
+    return {measure: kernels[term][0] for measure, term in terms.items()}
 
 
 def _bits(values):
