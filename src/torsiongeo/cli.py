@@ -14,10 +14,11 @@ Energies are the eigen-energies -hbar ln(lambda) / eps, with multiplicity, of th
 transfer matrix ``propagate`` diagonalized; the trace fit is only an oracle.
 
 The config is one flat JSON object whose keys and rules are the ``KEYS`` table
-and whose size bounds the ``BUDGETS`` table; every validation error names the
-offending key.  Outputs are ``results.json`` (byte-stable for a fixed config),
-``manifest.json`` (config hash, versions, wall time, per-stage seconds; the only
-file with a timestamp), and command-specific CSV files.
+(``SliceConfig`` states the slice keys' rules and defaults) and whose size bounds
+the ``BUDGETS`` table; every validation error names the offending key.  Outputs
+are ``results.json`` (byte-stable for a fixed config), ``manifest.json`` (config
+hash, versions, wall time, per-stage seconds; the only file with a timestamp),
+and command-specific CSV files.
 Exit codes: 0 success, 1 computation error, 2 config error.  The environment
 variable ``TORSIONGEO_THREADS`` (a positive integer) caps BLAS/OpenMP
 parallelism: ``main`` copies it into ``OPENBLAS_NUM_THREADS``,
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError, NonFiniteResult, ParseError, SpectrumUnresolved, TorsionGeoError, ValidationError
+from .errors import ConfigError, ParseError, SpectrumUnresolved, TorsionGeoError, ValidationError
 
 COMMANDS = ("geom", "traj", "defect", "propagate", "compare-measures")
 SPECTRUM = ("propagate", "compare-measures")
@@ -129,13 +130,18 @@ class Key(NamedTuple):
     """One config key; ``ok(value, run)`` tells whether a given value meets ``rule``.
     A check that has to parse the value returns what it read, which becomes the option."""
 
-    ok: Callable | None  # None for a slice key, which SliceConfig checks
-    rule: str  # {D} stands for the geometry's dimension
+    ok: Callable | None  # None for a slice key: SliceConfig holds its rule and default
+    rule: str | None  # {D} stands for the geometry's dimension
     default: object  # a value, a function of the RunConfig, REQUIRED, or None (unset)
     commands: tuple
     topologies: tuple = ()  # the only topologies it applies to; empty: all
     excludes: tuple = ()  # keys it cannot be given together with
     size: Callable | None = None  # size(value, run): the count its BUDGETS row bounds
+
+
+def _sliced(commands=SPECTRUM, **where) -> Key:
+    """A slice key's row: only where it applies, since SliceConfig checks it and states its default."""
+    return Key(None, None, None, commands, **where)
 
 
 # Every config key but ``geometry``, ``command`` and the geometry's own
@@ -160,13 +166,11 @@ KEYS = {
                        "the path of a contour CSV: q1,q2 rows of finite numbers, at least 4, closed, distinct "
                        "consecutive vertices, none at the origin", None,
                        ("defect",), excludes=("contour_radius", "contour_segments", "contour_center", "contour_turns")),
-    "N": Key(None, "an integer >= 1", 32, SPECTRUM, size=lambda v, run: v),
-    "eps": Key(None, "a positive finite number; N * eps finite", 0.05, SPECTRUM),
-    "mass": Key(None, "a positive finite number", 1.0, SPECTRUM),
-    "hbar": Key(None, "a positive finite number", 1.0, SPECTRUM),
-    "scheme": Key(None, "postpoint, prepoint or midpoint", "postpoint", SPECTRUM, topologies=("line", "circle")),
-    "order": Key(None, "2, 3 or 4", 4, SPECTRUM),
-    "measure": Key(None, "qep or naive-dewitt", "qep", ("propagate",)),
+    "N": _sliced(size=lambda v, run: v),
+    **dict.fromkeys(("eps", "mass", "hbar"), _sliced()),
+    "scheme": _sliced(topologies=("line", "circle")),
+    "order": _sliced(),
+    "measure": _sliced(("propagate",)),
     "grid_range": Key(lambda v, run: _vector(2)(v, run) and v[0] < v[1], "[lo, hi], finite, lo < hi", None,
                       ("propagate",), topologies=("line",)),
     "tau_min": Key(lambda v, run: _positive(v) and v / run.slices.eps - 1e-9 <= run.slices.n_slices,
@@ -243,8 +247,7 @@ def load_config(path) -> RunConfig:
         from .slicing import SliceConfig
 
         try:
-            run.slices = SliceConfig(**{attr: raw.get(key, keys[key].default)
-                                        for key, attr in _SLICE_FIELDS.items() if key in keys})
+            run.slices = SliceConfig(**{attr: raw[key] for key, attr in _SLICE_FIELDS.items() if key in raw})
         except ValueError as exc:  # its message starts with the field at fault
             key = next(k for k, f in _SLICE_FIELDS.items() if str(exc).startswith(f))
             raise ValidationError(f"config key '{key}': {exc}") from exc
@@ -412,8 +415,6 @@ def _run_propagate(config: RunConfig, out_dir: str, seed: int, stages: dict) -> 
 
 
 def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
-    import numpy as np
-
     from .slicing import MEASURES, effective_potential
 
     cfg = config.slices
@@ -422,7 +423,8 @@ def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> di
     key = "energies_extrapolated" if "energies_extrapolated" in ladders["qep"] else "energies"
     e_qep = ladders["qep"][key]
     e_naive = ladders["naive-dewitt"][key]
-    q_ref = config.geom.random_points(1, np.random.default_rng(0))[0]
+    # the potential is constant on the line, the circle and the sphere: read it at the sample box's centre
+    q_ref = [(lo + hi) / 2 for lo, hi in config.geom.sample_box]
     reference = -effective_potential(config.geom, q_ref, cfg.mass, cfg.hbar)
     return {
         "command": "compare-measures",
@@ -461,10 +463,7 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite value, refused below
         results = _RUNNERS[config.command](config, str(out_dir), seed, stages)
     results["seed"] = int(seed)
-    payload = jsonable(results)
-    bad = next(_non_finite(payload, "results"), None)
-    if bad is not None:
-        raise NonFiniteResult(f"{config.command}: {bad} is not finite")
+    payload = jsonable(results)  # raises NonFiniteResult naming a non-finite entry
     with _stage(stages, "write"):
         dump_json(payload, os.path.join(out_dir, "results.json"))
     canonical = json.dumps(config.raw, sort_keys=True).encode()
@@ -478,18 +477,6 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     }
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
     return results
-
-
-def _non_finite(obj, path: str):
-    """The paths of the inf and NaN numbers in a jsonable payload, in order."""
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _non_finite(value, f"{path}.{key}")
-    elif isinstance(obj, list):
-        for k, value in enumerate(obj):
-            yield from _non_finite(value, f"{path}[{k}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        yield path
 
 
 def _versions() -> dict:

@@ -15,31 +15,41 @@ such rows.  All four writers, and ``triads.sample_triad_to_csv``, go through
 kernel costs about half the formatting of its entry count.
 
 JSON payloads are written with sorted keys and a fixed float notation so a
-given result is byte-stable across runs.
+given result is byte-stable across runs; :func:`jsonable` converts a payload
+and refuses its non-finite numbers, and :func:`dump_json` writes what it is given.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .errors import NonFiniteResult
 
 if TYPE_CHECKING:  # the writers only read attributes; a command loads neither module unless it runs it
     from .defects import Contour
     from .dynamics import Trajectory, VariationRecord
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays for deterministic JSON."""
+def jsonable(obj, path: str = "results"):
+    """The payload with numpy scalars and arrays turned into plain numbers and lists, in one walk.
+
+    A non-finite number raises ``NonFiniteResult`` naming its entry from ``path``,
+    for example ``results.energies[2] is not finite``.
+    """
     if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return {k: jsonable(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v, f"{path}[{k}]") for k, v in enumerate(obj)]
     if isinstance(obj, (np.floating, float)):
+        if not math.isfinite(obj):
+            raise NonFiniteResult(f"{path} is not finite")
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -47,8 +57,9 @@ def jsonable(obj):
 
 
 def dump_json(obj, path) -> None:
+    """Write ``obj``, plain JSON values (see :func:`jsonable`), with sorted keys."""
     with open(path, "w") as fh:
-        json.dump(jsonable(obj), fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 

@@ -48,11 +48,11 @@ _NUMBER = {int: numbers.Integral, float: numbers.Real}
 
 @dataclass
 class SliceConfig:
-    """Time-slicing parameters shared by the propagator stack; construction checks every
-    field, and each ``ValueError`` message starts with the name of the field at fault."""
+    """Time-slicing parameters shared by the propagator stack, and the CLI's one statement of the slice keys'
+    rules and defaults; construction checks every field, each ``ValueError`` naming the field at fault first."""
 
-    n_slices: int
-    eps: float
+    n_slices: int = 32
+    eps: float = 0.05
     mass: float = 1.0
     hbar: float = 1.0
     scheme: str = "postpoint"

@@ -1,6 +1,6 @@
 """Mutation check of the kernel builders, the energy rule and its floor, the derivative fallback of fields, the
-RK4 step, the size budgets, the level ceiling, the amplitude file names, the golden references and the one orbit
-bundle of a trajectory.
+RK4 step, the size budgets, the level ceiling, the amplitude file names, the golden references, the one orbit
+bundle of a trajectory and the payload walk that refuses non-finite numbers.
 
     python tests/mutants.py
 
@@ -40,6 +40,7 @@ PROPAGATOR = "torsiongeo/propagator.py"
 CLI = "torsiongeo/cli.py"
 TRIADS = "torsiongeo/triads.py"
 DYNAMICS = "torsiongeo/dynamics.py"
+IO = "torsiongeo/io.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
 FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
 UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
@@ -158,6 +159,9 @@ MUTANTS = [
     ("trajectory steps counted by rounding duration / dt", DYNAMICS,
      "n_steps = whole_steps(duration, dt) if dt > 0 else 0", "n_steps = int(round(duration / dt))",
      ["tests/test_dynamics.py::test_duration_must_be_a_whole_number_of_steps"]),
+    ("payload walk skips list entries", IO,
+     'return [jsonable(v, f"{path}[{k}]") for k, v in enumerate(obj)]', "return list(obj)",
+     ["tests/test_io.py::test_jsonable_names_the_first_non_finite_entry"]),
     ("second derivative differences eval twice, ignoring a given first derivative", TRIADS,
      "_derivative(evals, order - 1, p, dim, step, name)",
      "_derivative((evals[0], None, None), order - 1, p, dim, step, name)",

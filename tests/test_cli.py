@@ -3,6 +3,7 @@
 # orbit bundle per traj run.
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -359,7 +360,7 @@ def test_geom_overflowing_point_exits_1_quietly(tmp_path, cli_env):
         capture_output=True, text=True, cwd=REPO, env=cli_env,
     )
     assert proc.returncode == 1
-    assert "not finite" in proc.stderr
+    assert re.fullmatch(r"error: results\.points\[0\]\.\w+(\[\d\])* is not finite\n", proc.stderr), proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out" / "results.json").exists()
 
@@ -532,3 +533,23 @@ def test_cli_cold_start_loads_only_the_running_command(tmp_path, cli_env):
     for command in ("defect", "circle"):
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["versions"]["scipy"] is None
+
+
+COMPARE_START = """
+import sys
+from torsiongeo import cli
+assert cli.main(["compare-measures", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_compare_reads_its_reference_shift_without_a_random_draw(tmp_path, cli_env):
+    # -V = hbar^2 R / 6M is 1/3 everywhere on the unit sphere; the run reads it at the sample box's centre
+    cfg = write_config(tmp_path, {"geometry": "sphere", "command": "compare-measures", "N": 4, "eps": 0.25,
+                                  "grid_points": 64, "n_levels": 1, "richardson": False})
+    proc = subprocess.run([sys.executable, "-c", COMPARE_START, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=cli_env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+    results = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert results["reference_shift"] == pytest.approx(1 / 3, rel=1e-12)

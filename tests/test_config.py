@@ -22,6 +22,7 @@ from torsiongeo.cli import BUDGETS, KEYS, SPECTRUM, load_config, main
 from torsiongeo.defects import Contour
 from torsiongeo.errors import ValidationError
 from torsiongeo.io import write_contour_csv
+from torsiongeo.slicing import SliceConfig
 
 REPO = Path(__file__).resolve().parent.parent
 NAN, INF = float("nan"), float("inf")
@@ -70,6 +71,8 @@ PROBES = {
     "contour_csv-with-radius": ({"geometry": "dislocation", "command": "defect", "contour_csv": "contour.csv",
                                  "contour_radius": 2.0}, "contour_radius"),
     "propagate-on-plane": ({"geometry": "flat-cartesian", "d": 2, "command": "propagate"}, "geometry"),
+    "geometry-unknown": ({**CIRCLE, "geometry": "moebius"}, "geometry"),
+    "kind-missing": ({k: v for k, v in TRAJ.items() if k != "kind"}, "kind"),
     "q0-short": ({**TRAJ, "q0": [1]}, "q0"),
     "q0-nan": ({**TRAJ, "q0": [NAN, 0]}, "q0"),
     "dt-beyond-duration": ({**TRAJ, "dt": 5, "duration": 1}, "dt"),
@@ -122,6 +125,19 @@ def test_config_probe_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, payl
     assert run_main(tmp_path, payload) == 2
     assert_config_error(capsys.readouterr().err, key)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "top level must be a JSON object"),
+    # main runs geom, so an unknown command in the file must be refused before the command-mismatch check
+    ('{"geometry": "circle", "command": "frobnicate"}', "config key 'command': must be one of"),
+    ('{"geometry": "moebius", "command": "geom"}', "config key 'geometry': unknown geometry 'moebius'"),
+], ids=["top-level-list", "command-unknown", "geometry-unknown"])
+def test_config_faults_before_the_key_table_exit_2(tmp_path, capsys, text, message):
+    (tmp_path / "config.json").write_text(text)
+    assert main(["geom", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and message in err, err
 
 
 def limit_address_space():
@@ -178,6 +194,15 @@ def test_readme_config_table_names_exactly_the_schema_keys():
     named = {m.group(1) for m in re.finditer(r"^\| `([^`]+)` \|", section, re.MULTILINE)}
     params = {p for name in catalog.names() for p in catalog.parameter_names(name)}
     assert named == {"geometry", "command"} | params | set(KEYS)
+
+
+def test_readme_slice_key_defaults_are_slice_config_defaults():
+    # the README's default column for N ... measure states what SliceConfig states, the only source of both
+    section = (REPO / "README.md").read_text().split("### Config format", 1)[1].split("\n### ", 1)[0]
+    # | key | check | default | commands | topology |
+    rows = {line.split("`")[1]: line.rsplit(" | ", 3)[1] for line in section.splitlines() if line.startswith("| `")}
+    defaults = {key: str(getattr(SliceConfig(), attr)) for key, attr in cli._SLICE_FIELDS.items()}
+    assert {key: rows[key].strip("`") for key in defaults} == defaults
 
 
 # -- fuzzer ------------------------------------------------------------------------

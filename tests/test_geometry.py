@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torsiongeo import catalog
-from torsiongeo.errors import ValidationError
+from torsiongeo.errors import DerivativeUnavailable, ValidationError
 from torsiongeo.geometry import (
     Geometry,
     TensorValue,
@@ -315,6 +315,17 @@ def test_metric_compatibility(mode):
             assert np.max(np.abs(out.array)) < 1e-7
 
 
+@pytest.mark.parametrize("field, kwargs, error, message", [
+    (np.array([1.0, 2.0]), {}, DerivativeUnavailable, "field must be callable"),
+    (lambda q: q, {"mode": "levi-civita"}, ValueError, "mode must be"),
+    (lambda q: q, {"variance": ("upper", "upper")}, ValueError, "one position per tensor index"),
+    (lambda q: q, {"variance": ("sideways",)}, ValueError, "variance entries must be"),
+], ids=["not-callable", "mode", "variance-length", "variance-entry"])
+def test_covariant_derivative_rejects_malformed_arguments(field, kwargs, error, message):
+    with pytest.raises(error, match=message):
+        covariant_derivative(catalog.make("polar"), field, [1.2, 0.4], **kwargs)
+
+
 def test_tensor_value_validation():
     with pytest.raises(ValueError):
         TensorValue(("upper",), np.zeros((2, 2)), np.zeros(2))
@@ -393,4 +404,15 @@ def test_catalog_metadata_is_passed_to_the_constructor():
 def test_catalog_make_rejects_malformed_parameters(name, params):
     # d used to be truncated with int(), and a NaN radius passed the a > 0 check
     with pytest.raises(ValidationError, match=next(iter(params))):
+        catalog.make(name, **params)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("circle", {"a": 0.0}, "circle: radius a must be positive"),
+    ("circle", {"a": -1.0}, "circle: radius a must be positive"),
+    ("moebius", {}, "unknown geometry 'moebius'; known: circle"),
+    ("sphere", {"radius": 2.0}, r"geometry 'sphere' does not take parameter\(s\) \['radius'\]"),
+], ids=["radius-zero", "radius-negative", "unknown-name", "unknown-parameter"])
+def test_catalog_make_refuses_names_parameters_and_radii_it_does_not_know(name, params, message):
+    with pytest.raises(ValidationError, match=message):
         catalog.make(name, **params)

@@ -1,10 +1,13 @@
 # CSV writers against the row-by-row csv.writer + repr loops they replace:
 # every output must be byte-identical for any table, symmetric or not, with
-# repeated values, signed zeros, subnormals, infinities and NaN.
+# repeated values, signed zeros, subnormals, infinities and NaN.  The JSON
+# payload walk converts numpy values and names the first non-finite entry.
 
 import csv
+import re
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 from torsiongeo import catalog
 from torsiongeo.defects import Contour
 from torsiongeo.dynamics import Trajectory, VariationRecord
-from torsiongeo.errors import OriginOnContour
-from torsiongeo.io import write_amplitude_csv, write_contour_csv, write_trajectory_csv, write_variation_csv
+from torsiongeo.errors import NonFiniteResult, OriginOnContour
+from torsiongeo.io import jsonable, write_amplitude_csv, write_contour_csv, write_trajectory_csv, write_variation_csv
 
 # -- reference writers: the per-row csv.writer loops, verbatim ------------------
 
@@ -124,3 +127,22 @@ def test_contour_csv_bytes_match_csv_writer(tmp_path_factory, radius, segments, 
     except OriginOnContour:
         assume(False)
     assert same_bytes(tmp_path_factory.mktemp("contour"), write_contour_csv, reference_contour_csv, contour)
+
+
+# -- JSON payloads ----------------------------------------------------------------
+
+
+def test_jsonable_converts_numpy_values_to_plain_ones():
+    out = jsonable({"e": np.float64(0.5), "n": (np.int64(3), [np.arange(2.0)]), "s": "qep", "none": None})
+    assert out == {"e": 0.5, "n": [3, [[0.0, 1.0]]], "s": "qep", "none": None}
+    assert [type(x) for x in (out["e"], out["n"][0], out["n"][1][0][0])] == [float, int, float]
+
+
+@pytest.mark.parametrize("payload, entry", [
+    ({"tau": [0.5], "energies": [0.0, 1.0, float("inf"), float("nan")]}, "results.energies[2]"),
+    ({"points": [{"metric": np.array([[1.0, 0.0], [0.0, np.nan]])}]}, "results.points[0].metric[1][1]"),
+    ({"qep": {"trace": (1.0, np.float64(-np.inf))}}, "results.qep.trace[1]"),
+], ids=["list", "array-in-list", "tuple-in-dict"])
+def test_jsonable_names_the_first_non_finite_entry(payload, entry):
+    with pytest.raises(NonFiniteResult, match=rf"^{re.escape(entry)} is not finite$"):
+        jsonable(payload)

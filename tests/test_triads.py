@@ -133,3 +133,21 @@ def test_csv_grid_rejects_nonuniform(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="uniform"):
         triad_grid_from_csv(path)
+
+
+AXIS = "\n".join(f"{0.1 * k},1.0" for k in range(5))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV"),
+    ("q1,f_1_1\n" + AXIS, "does not match schema"),
+    ("q1,e_1_1\n" + "\n".join(f"{0.1 * k},1.0,0.0" for k in range(5)), "wrong column count"),
+    ("q1,e_1_1\n0.0,1.0\n0.1,1.0\n0.2,1.0", "at least 4 distinct values"),
+    ("q1,q2,e_1_1,e_1_2,e_2_1,e_2_2\n" + "\n".join(f"{0.1 * i},{0.1 * j},1,0,0,1" for i in range(4) for j in range(4)
+                                                   if (i, j) != (3, 3)), "does not fill the rectilinear grid"),
+], ids=["empty", "header", "columns", "three-values", "missing-row"])
+def test_csv_grid_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        triad_grid_from_csv(path)
