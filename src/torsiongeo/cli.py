@@ -309,8 +309,6 @@ def _run_geom(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
 
 
 def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
-    import numpy as np
-
     from .dynamics import evaluate_action, integrate_trajectory
     from .io import write_trajectory_csv
 
@@ -319,10 +317,9 @@ def _run_traj(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     traj = integrate_trajectory(geom, opts["kind"], opts["q0"], opts["v0"], duration, dt)
     with _stage(stages, "write"):
         write_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-    inv = traj.kinetic_invariant()
     return {"command": "traj", "geometry": config.geometry, "kind": opts["kind"], "q0": list(map(float, opts["q0"])),
             "v0": list(map(float, opts["v0"])), "duration": duration, "dt": dt,
-            "action": evaluate_action(geom, traj, 1.0), "invariant_drift": float(np.max(np.abs(inv - inv[0]))),
+            "action": evaluate_action(traj, 1.0), "invariant_drift": traj.invariant_drift,
             "samples": len(traj.t)}
 
 

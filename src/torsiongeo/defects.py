@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalog import TWO_PI
 from .catalog import disclination as _disclination_geometry
 from .catalog import dislocation as _dislocation_geometry
 from .errors import OriginOnContour, ValidationError
 from .geometry import Geometry
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_SEGMENTS = 4096
 ORIGIN_TOL = 1e-9  # closest a contour vertex may come to the origin
 

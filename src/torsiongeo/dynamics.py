@@ -53,15 +53,17 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
+    @cached_property
     def kinetic_invariant(self) -> np.ndarray:
         """g_munu qd^mu qd^nu along the path; constant for both line kinds.  Evaluated once per trajectory."""
-        return self._kinetic_invariant
-
-    @cached_property
-    def _kinetic_invariant(self) -> np.ndarray:
         inv = np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)
         inv.flags.writeable = False  # shared by every caller
         return inv
+
+    @cached_property
+    def invariant_drift(self) -> float:
+        """max |I - I(0)| of the kinetic invariant I over the path."""
+        return float(np.max(np.abs(self.kinetic_invariant - self.kinetic_invariant[0])))
 
 
 @dataclass
@@ -131,25 +133,21 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
 
     traj = Trajectory(kind, ts, ys[:, :d].copy(), ys[:, d:].copy(), geom)
     tol = max(1e-6, 1e3 * dt**4)
-    inv = traj.kinetic_invariant()
+    inv = traj.kinetic_invariant
     finite = np.isfinite(inv)
     if not finite.all():  # an overflowed orbit, which no smaller dt mends
         raise NonFiniteResult(f"kinetic invariant is not finite at t={ts[np.argmin(finite)]:.6g}")
-    drift = np.max(np.abs(inv - inv[0])) / max(abs(inv[0]), 1e-300)
+    drift = traj.invariant_drift / max(abs(inv[0]), 1e-300)
     if drift > 10.0 * tol:
         raise StepTooLarge(f"kinetic invariant drifted by {drift:.3e} (relative); reduce dt")
     return traj
 
 
-def evaluate_action(geom: Geometry, traj: Trajectory, mass: float) -> float:
-    """Composite-Simpson quadrature of the kinetic Lagrangian along the orbit."""
+def evaluate_action(traj: Trajectory, mass: float) -> float:
+    """Composite-Simpson quadrature of the kinetic Lagrangian M I / 2 along the orbit."""
     from scipy.integrate import simpson
 
-    return float(simpson(lagrangian_samples(geom, traj, mass), x=traj.t))
-
-
-def lagrangian_samples(geom: Geometry, traj: Trajectory, mass: float) -> np.ndarray:
-    return 0.5 * mass * traj.kinetic_invariant()
+    return float(simpson(0.5 * mass * traj.kinetic_invariant, x=traj.t))
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:

@@ -139,6 +139,13 @@ def _blocks(n_items: int, entries_per_item: int):
     return (slice(lo, lo + step) for lo in range(0, n_items, step))
 
 
+def _check_resolution(width: float, spacing: float) -> None:
+    """The grid must hold at least MIN_POINTS_PER_SIGMA points per kernel width."""
+    if width / spacing < MIN_POINTS_PER_SIGMA:
+        raise GridResolutionInsufficient(f"kernel width {width:.3g} needs at least {MIN_POINTS_PER_SIGMA} points "
+                                         f"per width, got grid spacing {spacing:.3g}")
+
+
 def _line_nodes(grid) -> tuple[np.ndarray, float]:
     lo, hi, n = grid
     n = int(n)
@@ -160,11 +167,7 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
     points = np.stack([nodes - 0.5 * du, nodes], axis=-1).ravel() if midpoint else nodes
     table = _CoefficientTable(geom, points[:, None], config)
     sigma_u = math.sqrt(config.eps * config.hbar / config.mass) / np.sqrt(table.g[on_nodes])
-    if np.min(sigma_u) / du < MIN_POINTS_PER_SIGMA:
-        raise GridResolutionInsufficient(
-            f"kernel width {np.min(sigma_u):.3g} needs at least {MIN_POINTS_PER_SIGMA} points per width, "
-            f"got grid spacing {du:.3g}"
-        )
+    _check_resolution(float(np.min(sigma_u)), du)
 
     windings = np.zeros((1, 1), dtype=int)
     if period is not None:
@@ -240,10 +243,7 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     theta = np.arccos(x_nodes)[::-1]
     gl_w = x_weights[::-1]
     sigma = math.sqrt(config.eps * config.hbar / config.mass)
-    if (math.pi / n_theta) > (sigma / a) / MIN_POINTS_PER_SIGMA:
-        raise GridResolutionInsufficient(
-            f"sphere grid of {n_theta} nodes under-resolves kernel width {sigma / a:.3g}"
-        )
+    _check_resolution(sigma / a, math.pi / n_theta)
     pref = config.mass / (2.0 * config.eps * config.hbar)
     sin_t = np.sin(theta)
     g_phi = a * a * sin_t**2

@@ -77,7 +77,7 @@ def extract_spectrum(
     design = np.exp(-np.outer(taus, trial) / hbar) / values[:, None]
     amps, _ = nnls(design, np.ones_like(values))
 
-    clusters = _cluster(trial, amps, spacing=trial[1] - trial[0])
+    clusters = _cluster(trial, amps)
     if not clusters:
         raise IllConditionedFit("no decaying components found")
     clusters.sort(key=lambda ea: ea[0])
@@ -120,7 +120,7 @@ def least_squares(fun, x0, **kwargs):
     return solve(fun, x0, **kwargs)
 
 
-def _cluster(trial: np.ndarray, amps: np.ndarray, spacing: float) -> list[tuple[float, float]]:
+def _cluster(trial: np.ndarray, amps: np.ndarray) -> list[tuple[float, float]]:
     """Merge contiguous nonzero trial-grid amplitudes into (energy, weight)."""
     out = []
     current_w = 0.0

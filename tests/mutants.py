@@ -1,6 +1,6 @@
-"""Mutation check of the kernel builders, the energy rule and its floor, the derivative fallback of fields, the
-RK4 step, the size budgets, the level ceiling, the amplitude file names, the golden references, the one orbit
-bundle of a trajectory and the payload walk that refuses non-finite numbers.
+"""Mutation check of the kernel builders and their one resolution rule, the energy rule and its floor, the
+derivative fallback of fields, the RK4 step, the size budgets, the level ceiling, the amplitude file names, the
+golden references, the one orbit bundle of a trajectory and the payload walk that refuses non-finite numbers.
 
     python tests/mutants.py
 
@@ -115,6 +115,9 @@ MUTANTS = [
     ("sector floor without the unphased kernel's scale", PROPAGATOR,
      "floor=rounding_floor(eigenvalues, scale)", "floor=rounding_floor(raw)",
      [SECTOR_FLOOR]),
+    ("resolution bound halved", PROPAGATOR,
+     "if width / spacing < MIN_POINTS_PER_SIGMA:", "if width / spacing < MIN_POINTS_PER_SIGMA / 2:",
+     ["tests/test_propagator.py::test_one_resolution_rule_for_every_builder"]),
     ("no order-2 Nyquist check", PROPAGATOR,
      "if 2 * abs(m) >= n_phi:", "if False:",
      ["tests/test_propagator.py::test_sphere_order_2_rejects_m_beyond_its_nyquist_limit"]),
@@ -150,8 +153,7 @@ MUTANTS = [
      "except (TorsionGeoError, ValueError, OSError) as exc:",
      ["tests/test_cli.py::test_memory_failure_exits_1"]),
     ("kinetic invariant evaluated per call", DYNAMICS,
-     "return self._kinetic_invariant",
-     'return np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)',
+     "@cached_property\n    def kinetic_invariant", "@property\n    def kinetic_invariant",
      ["tests/test_cli.py::test_traj_run_evaluates_its_orbit_once"]),
     ("fourth RK4 stage from k2", DYNAMICS,
      "k4 = rhs(1.0, y + dt * k3)", "k4 = rhs(1.0, y + dt * k2)",

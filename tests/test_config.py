@@ -112,7 +112,7 @@ def run_main(directory: Path, payload: dict):
 def assert_config_error(err: str, key: str):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), err
-    assert key in lines[0], (key, lines[0])
+    assert f"'{key}'" in lines[0], (key, lines[0])
 
 
 @pytest.mark.parametrize("payload, key", PROBES.values(), ids=list(PROBES))

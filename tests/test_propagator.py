@@ -1,6 +1,7 @@
 # Transfer-matrix propagators: flat-line Gaussian reproduction, circle traces
 # against the exact mode sum, sphere sector machinery, measure comparison,
-# spectrum extraction, the assembled slice kernel against the per-point action
+# spectrum extraction, the one resolution rule at its bound on the line, the
+# circle and the sphere, the assembled slice kernel against the per-point action
 # and measure formulas (exact midpoints included, on the bumpy line and on a
 # circle with a varying metric), the 1-d measure exponent that vanishes and
 # the one 1-d kernel both measures get, the symmetry-reduced sphere kernel
@@ -102,6 +103,34 @@ def test_grid_resolution_guard():
     cfg = SliceConfig(n_slices=4, eps=1e-4)
     with pytest.raises(GridResolutionInsufficient):
         propagate(flat_line(), cfg, grid=(-8, 8, 256))
+
+
+def build_at_resolution(topology, n):
+    """A kernel near the resolution bound on ``topology`` at ``n`` nodes.
+
+    The line's kernel width 1/8 over the spacing 2/n is exactly 8 points per width at n = 128, in binary
+    as on paper; the circle at eps 0.04 (width 0.2, spacing 2 pi / n) and the sphere at eps 0.01 (width
+    0.1, spacing pi / n) reach 8 points per width at n = 80 pi = 251.3.
+    """
+    if topology == "sphere":
+        return _build_sphere(catalog.make("sphere"), SliceConfig(eps=0.01), n, 0, (False,))
+    if topology == "circle":
+        return _build_1d(catalog.make("circle"), SliceConfig(eps=0.04), *_line_nodes((0.0, 2 * np.pi, n)), 2 * np.pi)
+    return _build_1d(flat_line(), SliceConfig(eps=1 / 64), *_line_nodes((-1.0, 1.0, n)), None)
+
+
+@pytest.mark.parametrize("topology, enough, too_few, width, spacing", [
+    ("line", (128, 129), 127, "0.125", "0.0157"),
+    ("circle", (252,), 251, "0.2", "0.025"),
+    ("sphere", (252,), 251, "0.1", "0.0125"),
+], ids=["line", "circle", "sphere"])
+def test_one_resolution_rule_for_every_builder(topology, enough, too_few, width, spacing):
+    # both builders refuse a grid below MIN_POINTS_PER_SIGMA points per kernel width with one message
+    for n in enough:
+        build_at_resolution(topology, n)
+    message = f"kernel width {width} needs at least 8.0 points per width, got grid spacing {spacing}$"
+    with pytest.raises(GridResolutionInsufficient, match=message.replace(".", r"\.")):
+        build_at_resolution(topology, too_few)
 
 
 def test_no_topology_rejected():
