@@ -332,14 +332,10 @@ def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dic
                                    center=tuple(opts["contour_center"]), turns=opts["contour_turns"]))
     # the catalog geometry already built; its one parameter is the defect's
     defect = DefectGeometry(config.geom.name, *config.geom.params.values(), config.geom)
-    if defect.kind == "dislocation":
-        value = [float(x) for x in burgers_vector(defect, contour)]
-        payload = {"b": value, "value": value}
-    else:
-        deficit = float(frank_rotation_deficit(defect, contour))
-        payload = {"deficit": deficit, "value": deficit}
+    key, value = (("b", burgers_vector(defect, contour)) if defect.kind == "dislocation"
+                  else ("deficit", frank_rotation_deficit(defect, contour)))
     return {"command": "defect", "kind": defect.kind, "parameter": defect.parameter,
-            "winding": contour.winding_number, **payload}
+            "winding": contour.winding_number, key: value, "value": value}
 
 
 def _eigen_energies(result, cfg, n_levels: int) -> list:
@@ -362,32 +358,31 @@ def _grid_for(config: RunConfig, refined: bool = False):
     return (*map(float, config.options.get("grid_range") or LINE_RANGE), n) if config.geom.topology == "line" else n
 
 
-def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict, measures) -> dict:
-    """The ladder payload of each of ``measures``, from one propagator build per grid for all of them."""
-    from .io import write_amplitude_csv
+def _spectrum_ladders(config: RunConfig, stages: dict, measures, store_taus=()) -> tuple:
+    """``(ladders, results)``: each of ``measures``' ladder payload and propagator result, one build per grid for all.
+
+    compare-measures has no ``extract`` key: its ladders always read levels.
+    """
     from .propagator import propagate_measures
 
-    geom, cfg = config.geom, config.slices
+    geom, cfg, opts = config.geom, config.slices, config.options
     taus = [float(t) for t in opts["tau_values"]]
-    amplitude_taus = [float(t) for t in opts["amplitude_taus"]]
     with _stage(stages, "propagate"):
         results = propagate_measures(geom, cfg, measures, grid=_grid_for(config), taus=taus,
-                                     m_sector=opts["m_sector"], store_taus=amplitude_taus)
-    ladders = {}
-    for measure, result in results.items():
-        ladders[measure] = {
-            "geometry": config.geometry,
-            "measure": measure,
-            "scheme": cfg.scheme,
-            "N": cfg.n_slices,
-            "eps": cfg.eps,
-            "tau": list(map(float, taus)),
-            "trace": [float(v) for v in result.trace],
-            "energies": _eigen_energies(result, cfg, opts["n_levels"]) if opts["extract"] else [],
-            "asymmetry": float(result.asymmetry),
-            "min_eigenvalue": float(result.eigenvalues[-1]),
-            "clipped_eigenvalues": int((result.eigenvalues < -result.floor).sum()),
-        }
+                                     m_sector=opts["m_sector"], store_taus=store_taus)
+    ladders = {measure: {
+        "geometry": config.geometry,
+        "measure": measure,
+        "scheme": cfg.scheme,
+        "N": cfg.n_slices,
+        "eps": cfg.eps,
+        "tau": taus,
+        "trace": result.trace,
+        "energies": _eigen_energies(result, cfg, opts["n_levels"]) if opts.get("extract", True) else [],
+        "asymmetry": result.asymmetry,
+        "min_eigenvalue": result.eigenvalues[-1],
+        "clipped_eigenvalues": (result.eigenvalues < -result.floor).sum(),
+    } for measure, result in results.items()}
     if opts["richardson"]:
         from .spectrum import richardson_pair
 
@@ -398,38 +393,40 @@ def _spectrum_ladders(config: RunConfig, out_dir: str, stages: dict, opts: dict,
         for measure, payload in ladders.items():
             payload["energies_halved_step"] = _eigen_energies(halves[measure], half, opts["n_levels"])
             payload["energies_extrapolated"] = richardson_pair(payload["energies"], payload["energies_halved_step"])
-    with _stage(stages, "write"):
-        for tau in amplitude_taus:  # a propagate key, so one measure: the config's
-            stored = results[cfg.measure]
-            path = os.path.join(out_dir, _amplitude_csv(tau))
-            write_amplitude_csv(stored.grid, stored.amplitudes[tau], tau, path)
-    return ladders
+    return ladders, results
+
+
+def _levels(ladder: dict) -> list:
+    """The levels a ladder reports: its step-halving extrapolation when the run made one, else its energies."""
+    return ladder.get("energies_extrapolated", ladder["energies"])
 
 
 def _run_propagate(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
-    measure = config.slices.measure
-    return {"command": "propagate", **_spectrum_ladders(config, out_dir, stages, config.options, (measure,))[measure]}
+    from .io import write_amplitude_csv
+
+    measure, taus = config.slices.measure, [float(t) for t in config.options["amplitude_taus"]]
+    ladders, results = _spectrum_ladders(config, stages, (measure,), taus)
+    with _stage(stages, "write"):
+        for tau in taus:
+            path = os.path.join(out_dir, _amplitude_csv(tau))
+            write_amplitude_csv(results[measure].grid, results[measure].amplitudes[tau], tau, path)
+    return {"command": "propagate", **ladders[measure]}
 
 
 def _run_compare(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dict:
     from .slicing import MEASURES, effective_potential
 
     cfg = config.slices
-    opts = {**config.options, "extract": True, "amplitude_taus": ()}  # compare-measures takes neither key
-    ladders = _spectrum_ladders(config, out_dir, stages, opts, MEASURES)
-    key = "energies_extrapolated" if "energies_extrapolated" in ladders["qep"] else "energies"
-    e_qep = ladders["qep"][key]
-    e_naive = ladders["naive-dewitt"][key]
+    ladders, _ = _spectrum_ladders(config, stages, MEASURES)
     # the potential is constant on the line, the circle and the sphere: read it at the sample box's centre
     q_ref = [(lo + hi) / 2 for lo, hi in config.geom.sample_box]
-    reference = -effective_potential(config.geom, q_ref, cfg.mass, cfg.hbar)
     return {
         "command": "compare-measures",
         "geometry": config.geometry,
         "qep": ladders["qep"],
         "naive_dewitt": ladders["naive-dewitt"],
-        "difference": [float(b - a) for a, b in zip(e_qep, e_naive)],
-        "reference_shift": float(reference),
+        "difference": [b - a for a, b in zip(_levels(ladders["qep"]), _levels(ladders["naive-dewitt"]))],
+        "reference_shift": -effective_potential(config.geom, q_ref, cfg.mass, cfg.hbar),
     }
 
 
@@ -443,7 +440,7 @@ _RUNNERS = {
 
 
 def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
-    """Execute a validated config, writing results.json + manifest.json.
+    """Execute a validated config, writing results.json + manifest.json; the payload results.json holds.
 
     The manifest's ``stages_s`` holds the perf_counter seconds spent in
     ``propagate`` (kernel build and composition, spectrum commands) and in
@@ -459,8 +456,7 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     stages = {}
     with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite value, refused below
         results = _RUNNERS[config.command](config, str(out_dir), seed, stages)
-    results["seed"] = int(seed)
-    payload = jsonable(results)  # raises NonFiniteResult naming a non-finite entry
+    payload = jsonable({**results, "seed": seed})  # raises NonFiniteResult naming a non-finite entry
     with _stage(stages, "write"):
         dump_json(payload, os.path.join(out_dir, "results.json"))
     canonical = json.dumps(config.raw, sort_keys=True).encode()
@@ -473,7 +469,7 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
-    return results
+    return payload
 
 
 def _versions() -> dict:
@@ -500,26 +496,20 @@ def format_report(results: dict) -> str:
     """Fixed-width summary of a results payload."""
     command = results.get("command", "?")
     lines = [f"torsiongeo {command} report"]
-    if command in ("propagate",):
-        energies = results.get("energies", [])
-        if not energies:
+    if command == "propagate":
+        shown = _levels(results)
+        if not shown:  # extract: false
             lines.append("no results")
         else:
             lines.append(f"{'level':>6} {'energy':>14}")
-            shown = results.get("energies_extrapolated", energies)
             lines += [f"{k:>6} {e:>14.6f}" for k, e in enumerate(shown)]
             if results.get("residuals"):  # payloads from before levels were read from eigenvalues
                 lines.append(f"fit residual {results['residuals'][0]:.3e}")
         lines += _eigen_health([results])
     elif command == "compare-measures":
-        e_q = results["qep"].get("energies_extrapolated", results["qep"]["energies"])
-        e_n = results["naive_dewitt"].get("energies_extrapolated", results["naive_dewitt"]["energies"])
-        if not e_q:
-            lines.append("no results")
-        else:
-            lines.append(f"{'level':>6} {'E_qep':>12} {'E_naive':>12} {'dE':>10} {'reference':>10}")
-            for k, (a, b) in enumerate(zip(e_q, e_n)):
-                lines.append(f"{k:>6} {a:>12.6f} {b:>12.6f} {b - a:>10.6f} {results['reference_shift']:>10.6f}")
+        lines.append(f"{'level':>6} {'E_qep':>12} {'E_naive':>12} {'dE':>10} {'reference':>10}")
+        for k, (a, b) in enumerate(zip(_levels(results["qep"]), _levels(results["naive_dewitt"]))):
+            lines.append(f"{k:>6} {a:>12.6f} {b:>12.6f} {b - a:>10.6f} {results['reference_shift']:>10.6f}")
         lines += _eigen_health([results["qep"], results["naive_dewitt"]])
     elif command == "defect":
         lines.append(f"{'kind':>14} {'parameter':>12} {'winding':>8} {'value':>24}")
@@ -529,14 +519,10 @@ def format_report(results: dict) -> str:
         lines.append(f"{'samples':>8} {'action':>14} {'invariant drift':>16}")
         lines.append(f"{results['samples']:>8d} {results['action']:>14.8f} {results['invariant_drift']:>16.3e}")
     elif command == "geom":
-        pts = results.get("points", [])
-        if not pts:
-            lines.append("no results")
-        else:
-            lines.append(f"{'point':>28} {'sqrt(det g)':>13} {'scalar_R':>10}")
-            for row in pts:
-                pt = ",".join(f"{x:+.4f}" for x in row["point"])
-                lines.append(f"{pt:>28} {row['sqrt_det']:>13.6f} {row['scalar_riemann']:>10.5f}")
+        lines.append(f"{'point':>28} {'sqrt(det g)':>13} {'scalar_R':>10}")
+        for row in results["points"]:
+            pt = ",".join(f"{x:+.4f}" for x in row["point"])
+            lines.append(f"{pt:>28} {row['sqrt_det']:>13.6f} {row['scalar_riemann']:>10.5f}")
     else:
         lines.append("no results")
     return "\n".join(lines)
@@ -548,17 +534,28 @@ def _eigen_health(ladders) -> list:
 
 
 def report(out_dir) -> str:
-    from .io import load_json
-
+    """The report of ``out_dir``'s results.json; a file its command's table cannot read raises ValueError."""
     path = os.path.join(out_dir, "results.json")
     if not os.path.exists(path):
         return "no results"
-    return format_report(load_json(path))
+    try:
+        with open(path) as fh:
+            return format_report(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # not JSON, or not a run's payload
+        raise ValueError(f"cannot report {path}: {type(exc).__name__} {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer from 0 to 2**64 - 1, the seeds numpy's generators take."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (seed := int(text)) < 2**64:
+            return seed
+    raise argparse.ArgumentTypeError(f"must be an integer from 0 to 2**64 - 1, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -568,7 +565,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="torsiongeo-out")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
     p_rep = sub.add_parser("report")
     p_rep.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -583,18 +580,16 @@ def main(argv=None) -> int:
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[name] = str(n_threads)
 
-    if args.command == "report":
-        print(report(args.out))
-        return 0
-
     try:
+        if args.command == "report":
+            print(report(args.out))
+            return 0
         config = load_config(args.config)
         if config.command != args.command:
             raise ValidationError(
                 f"config key 'command': file says '{config.command}' but CLI invoked '{args.command}'"
             )
-        results = run(config, args.out, seed=args.seed)
-        print(format_report(results))
+        print(format_report(run(config, args.out, seed=args.seed)))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

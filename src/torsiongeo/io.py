@@ -1,4 +1,4 @@
-"""CSV and JSON writers/readers with fixed schemas.
+"""CSV writers/readers and the JSON writer, with fixed schemas.
 
 Schemas (column order is part of the contract):
 
@@ -61,11 +61,6 @@ def dump_json(obj, path) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _write_table(path, table, header=None) -> None:

@@ -216,6 +216,11 @@ class MetricField:
             raise TriadUnavailable(f"{self.name}: metric not diagonal at q={bad}; no square-root triad")
 
 
+def _grid_header(dim: int) -> list:
+    """The triad grid CSV header: ``q1..qD`` then the triad entries ``e_i_mu`` in row-major ``[i, mu]`` order."""
+    return [f"q{k + 1}" for k in range(dim)] + [f"e_{i + 1}_{m + 1}" for i in range(dim) for m in range(dim)]
+
+
 def triad_grid_from_csv(path) -> TriadField:
     """
     Load a triad field sampled on a uniform rectilinear grid from CSV.
@@ -234,7 +239,7 @@ def triad_grid_from_csv(path) -> TriadField:
         raise ValueError(f"{path}: empty CSV")
     header = [c.strip() for c in rows[0]]
     dim = sum(1 for c in header if c.startswith("q"))
-    expected = [f"q{k + 1}" for k in range(dim)] + [f"e_{i + 1}_{m + 1}" for i in range(dim) for m in range(dim)]
+    expected = _grid_header(dim)
     if header != expected:
         raise ValueError(f"{path}: header {header} does not match schema {expected}")
     data = np.array([[float(v) for v in row] for row in rows[1:]])
@@ -271,7 +276,6 @@ def sample_triad_to_csv(field: TriadField, axes: Sequence[np.ndarray], path) -> 
     dim = field.dim
     if len(axes) != dim:
         raise ValueError("one axis per chart dimension required")
-    header = [f"q{k + 1}" for k in range(dim)] + [f"e_{i + 1}_{m + 1}" for i in range(dim) for m in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    _write_table(path, np.column_stack([points, field.triad(points).reshape(len(points), -1)]), header)
+    _write_table(path, np.column_stack([points, field.triad(points).reshape(len(points), -1)]), _grid_header(dim))

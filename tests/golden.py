@@ -53,11 +53,10 @@ def _levels(payload):
 
 def _floor(ladder: dict, config) -> float:
     """n eps max(lambda) of the ladder's eigensolve on the config's unrefined grid."""
-    from torsiongeo.propagator import DEFAULT_NODES
+    from torsiongeo.cli import _grid_nodes
 
-    n = config.options["grid_points"] or DEFAULT_NODES[config.geom.topology]
     cfg = config.slices
-    return n * sys.float_info.epsilon * math.exp(-cfg.eps * min(ladder["energies"]) / cfg.hbar)
+    return _grid_nodes(config) * sys.float_info.epsilon * math.exp(-cfg.eps * min(ladder["energies"]) / cfg.hbar)
 
 
 def mismatches(result: dict, reference: dict, config) -> list:

@@ -1,6 +1,7 @@
 """Mutation check of the kernel builders and their one resolution rule, the energy rule and its floor, the
 derivative fallback of fields, the RK4 step, the size budgets, the level ceiling, the amplitude file names, the
-golden references, the one orbit bundle of a trajectory and the payload walk that refuses non-finite numbers.
+golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers, the payload
+``run`` returns, the levels a ladder reports, the report's error handling and the ``--seed`` range.
 
     python tests/mutants.py
 
@@ -130,10 +131,13 @@ MUTANTS = [
      " * abs(result.eigenvalues).max()]",
      [SECTOR_FLOOR]),
     ("clipped count on the sector kernel's own floor", CLI,
-     "int((result.eigenvalues < -result.floor).sum())",
-     "int((result.eigenvalues < -result.eigenvalues.size * 2.220446049250313e-16"
-     " * abs(result.eigenvalues).max()).sum())",
+     "(result.eigenvalues < -result.floor).sum()",
+     "(result.eigenvalues < -result.eigenvalues.size * 2.220446049250313e-16"
+     " * abs(result.eigenvalues).max()).sum()",
      [SECTOR_FLOOR]),
+    ("ladders report their unextrapolated energies", CLI,
+     'return ladder.get("energies_extrapolated", ladder["energies"])', 'return ladder["energies"]',
+     ["tests/test_acceptance.py::test_c13_cli_golden_runs[sphere_compare.json]"]),
     ("grid budget without richardson's refined grid", CLI,
      'size=lambda v, run: _grid_nodes(run, run.options["richardson"])),', "size=lambda v, run: _grid_nodes(run)),",
      ["tests/test_config.py::test_grid_and_slice_budgets_are_checked_before_the_run"]),
@@ -148,6 +152,16 @@ MUTANTS = [
      "_multiples(v, run.slices.eps)\n                          and len(set(map(_amplitude_csv, v))) == len(v),",
      "_multiples(v, run.slices.eps),",
      [PROBE + "[amplitude_taus-repeated]", PROBE + "[amplitude_taus-one-file-name]"]),
+    ("run returns the payload before the walk", CLI,
+     "    return payload\n", "    return results\n",
+     ["tests/test_cli.py::test_run_returns_the_payload_it_writes"]),
+    ("report outside main's error handling", CLI,
+     '    try:\n        if args.command == "report":\n            print(report(args.out))\n            return 0\n',
+     '    if args.command == "report":\n        print(report(args.out))\n        return 0\n    try:\n',
+     ["tests/test_cli.py::test_report_of_a_malformed_results_file_exits_1"]),
+    ("negative seeds accepted", CLI,
+     "if 0 <= (seed := int(text)) < 2**64:", "if (seed := int(text)) < 2**64:",
+     ["tests/test_cli.py::test_seed_is_a_u64_checked_when_the_arguments_are_parsed"]),
     ("MemoryError not caught in main", CLI,
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",

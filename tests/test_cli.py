@@ -241,6 +241,68 @@ def test_report_subcommand_and_empty(tmp_path, capsys):
     assert format_report({"command": "propagate", "energies": []}).endswith("no results")
 
 
+# the perfbench line-amplitudes job: a 1024-point line, no levels, two stored kernels
+LINE_JOB = {"geometry": "flat-cartesian", "d": 1, "command": "propagate", "N": 64, "eps": 1 / 64, "grid_points": 1024,
+            "grid_range": [-8.0, 8.0], "tau_values": [0.25, 0.5, 0.75, 1.0], "extract": False,
+            "amplitude_taus": [0.5, 1.0]}
+RUNS = {**{path.name: path for path in sorted((REPO / "configs").glob("*.json"))},
+        "line-job": LINE_JOB, "geom": {"geometry": "torsion-toy", "command": "geom", "n_points": 3}}
+
+
+def plain(value) -> bool:
+    """Only the values json.load gives: dicts, lists, str, int, float, bool and None."""
+    if type(value) is dict:
+        return all(map(plain, value.values()))
+    if type(value) is list:
+        return all(map(plain, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_run_returns_the_payload_it_writes(tmp_path, name):
+    config = RUNS[name] if isinstance(RUNS[name], Path) else write_config(tmp_path, RUNS[name])
+    results = run(load_config(config), tmp_path / "out", seed=7)
+    text = (tmp_path / "out" / "results.json").read_text()
+    assert plain(results) and results == json.loads(text)
+    assert json.dumps(results, sort_keys=True, indent=1) + "\n" == text
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"command": "traj"}', "[1, 2]", None],
+                         ids=["not-json", "partial-payload", "not-an-object", "directory"])
+def test_report_of_a_malformed_results_file_exits_1(tmp_path, cli_env, text):
+    path = tmp_path / "out" / "results.json"
+    if text is None:
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir()
+        path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "torsiongeo.cli", "report", "--out", str(path.parent)],
+                          capture_output=True, text=True, cwd=REPO, env=cli_env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert str(path) in proc.stderr and "Traceback" not in proc.stderr
+
+
+SEEDED = {"geom": {"geometry": "torsion-toy", "command": "geom", "n_points": 2},
+          "traj": {"geometry": "polar", "command": "traj", "kind": "geodesic", "q0": [1.0, 0.0], "v0": [0.1, 0.4],
+                   "duration": 0.01, "dt": 0.001}}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_seed_is_a_u64_checked_when_the_arguments_are_parsed(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SEEDED[command])
+    for seed in (-1, 2**64):
+        out = tmp_path / f"out{seed}"
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg), "--out", str(out), "--seed", str(seed)])
+        assert exit_.value.code == 2 and not out.exists()
+        assert f"argument --seed: must be an integer from 0 to 2**64 - 1, got '{seed}'" in capsys.readouterr().err
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / f"ok{seed}"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+        assert json.loads((out / "results.json").read_text())["seed"] == seed
+
+
 def test_report_spectrum_table():
     text = format_report(
         {"command": "propagate", "energies": [0.0, 0.5], "residuals": [1e-8]}

@@ -205,6 +205,22 @@ def test_readme_slice_key_defaults_are_slice_config_defaults():
     assert {key: rows[key].strip("`") for key in defaults} == defaults
 
 
+def test_readme_key_table_columns_say_where_each_key_applies():
+    # the commands and topology columns of every row state what KEYS, or the catalog for a geometry parameter, says
+    section = (REPO / "README.md").read_text().split("### Config format", 1)[1].split("\n### ", 1)[0]
+    # | key | check | default | commands | topology |
+    rows = {line.split("`")[1]: line.removesuffix(" |").rsplit(" | ", 2)[1:]
+            for line in section.splitlines() if line.startswith("| `")}
+    words = {"all": set(cli.COMMANDS), "spectrum": set(SPECTRUM), "any": set()}
+    read = {key: tuple(words.get(column, {name.strip("`") for name in column.split(", ")}) for column in columns)
+            for key, columns in rows.items()}
+    params = {p: {name for name in catalog.names() if p in catalog.parameter_names(name)}
+              for name in catalog.names() for p in catalog.parameter_names(name)}
+    assert read == {**dict.fromkeys(("geometry", "command"), (set(cli.COMMANDS), set())),
+                    **{p: (set(cli.COMMANDS), names) for p, names in params.items()},
+                    **{key: (set(spec.commands), set(spec.topologies)) for key, spec in KEYS.items()}}
+
+
 # -- fuzzer ------------------------------------------------------------------------
 
 EPS = (0.0625, 0.1, 0.125, 0.25)

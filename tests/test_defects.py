@@ -47,6 +47,20 @@ def test_contour_validation():
         Contour(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Contour(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])), ValueError,
+     "consecutive contour points must be distinct"),
+    (lambda: Contour.circle(0.0, 16), ValueError, "need positive radius and at least 3 segments"),
+    (lambda: Contour.circle(1.0, 2), ValueError, "need positive radius and at least 3 segments"),
+    (lambda: burgers_vector_chart(disclination_geometry(0.05), Contour.circle(1.0, 64)), ValidationError,
+     "burgers_vector_chart needs a dislocation defect"),
+], ids=["repeated-vertex", "circle-radius", "circle-segments", "chart-burgers-of-a-disclination"])
+def test_defect_guards_name_their_fault(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_burgers_vector_unit_circle():
     defect = DefectGeometry.dislocation(0.01)
     contour = Contour.circle(1.0, 10_000)

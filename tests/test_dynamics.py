@@ -258,6 +258,28 @@ def test_variation_grid_mismatch():
         nonholonomic_variation(geom, traj, dq[:-1])
 
 
+def flat_orbit():
+    return integrate_trajectory(catalog.make("flat-cartesian"), "geodesic", [0.0, 0.0], [1.0, 0.5], 0.1, 0.01)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Trajectory("geodesic", np.array([0.0, 0.1, 0.3]), np.zeros((3, 2)), np.zeros((3, 2)),
+                        catalog.make("flat-cartesian")), "time grid must be strictly increasing and uniform"),
+    (lambda: integrate_trajectory(catalog.make("flat-cartesian"), "straight", [0.0, 0.0], [1.0, 0.0], 0.1, 0.01),
+     "kind must be 'geodesic' or 'autoparallel'"),
+    (lambda: variation_closed_form(catalog.make("flat-cartesian"), flat_orbit(), np.ones((11, 2))),
+     "holonomic variation must vanish at both endpoints"),
+    (lambda: variation_closed_form(catalog.make("flat-cartesian"), flat_orbit(), np.zeros((11, 2)), order=3),
+     "order must be 2 or 4"),
+    (lambda: time_ordered_propagator(np.zeros((3, 2, 2)), 0.1, order=3), "order must be 2 or 4"),
+], ids=["non-uniform-time-grid", "unknown-kind", "variation-at-the-endpoints", "closed-form-order",
+        "ordered-product-order"])
+def test_dynamics_guards_name_their_fault(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert type(raised.value) is ValueError and str(raised.value) == message
+
+
 def test_ordered_product_identity_for_zero_generator():
     G = np.zeros((11, 2, 2))
     assert np.array_equal(time_ordered_propagator(G, 0.1), np.eye(2))

@@ -326,6 +326,16 @@ def test_covariant_derivative_rejects_malformed_arguments(field, kwargs, error, 
         covariant_derivative(catalog.make("polar"), field, [1.2, 0.4], **kwargs)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Geometry(TriadField(1, lambda q: np.ones(np.shape(q) + (1,))), name="unit").random_points(
+        3, np.random.default_rng(0)), "unit: no sample box defined"),
+], ids=["random-points-without-a-sample-box"])
+def test_geometry_guards_name_their_fault(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert type(raised.value) is ValueError and str(raised.value) == message
+
+
 def test_tensor_value_validation():
     with pytest.raises(ValueError):
         TensorValue(("upper",), np.zeros((2, 2)), np.zeros(2))

@@ -455,6 +455,16 @@ def test_extract_rejects_bad_input():
         extract_spectrum(taus, 1.0 + np.sin(8 * taus) ** 2, residual_threshold=1e-6)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([1.0, 0.5, 0.25, 0.125], "taus and values must have equal length"),
+    ([1.0, 0.5, 0.0, 0.1, 0.05], "trace values must be positive on the Euclidean contour"),
+], ids=["lengths", "non-positive-trace"])
+def test_extract_spectrum_guards_name_their_fault(values, message):
+    with pytest.raises(ValueError) as raised:
+        extract_spectrum([0.2, 0.4, 0.6, 0.8, 1.0], values)
+    assert type(raised.value) is ValueError and str(raised.value) == message
+
+
 def test_richardson_pair():
     assert richardson_pair([1.1], [1.05]) == [pytest.approx(1.0)]
 

@@ -31,6 +31,18 @@ def config(scheme="postpoint", order=4, eps=EPS, **kw):
 # -- coordinate-difference expansion ------------------------------------------
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: delta_x_expansion(catalog.make("polar"), [1.2, 0.3], [0.01, 0.02], order=4), "order must be 1, 2 or 3"),
+    (lambda: jacobian_action(catalog.make("polar"), [1.2, 0.3], route="dewitt"),
+     "route must be one of ('naive-affine', 'naive-metric', 'qep')"),
+], ids=["expansion-order", "jacobian-route"])
+def test_slicing_guards_name_their_fault(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert type(raised.value) is ValueError and str(raised.value) == message
+
+
+
 def test_delta_x_flat_is_identity():
     geom = catalog.make("flat-cartesian")
     dq = np.array([0.3, -0.2])

@@ -6,7 +6,7 @@ import pytest
 
 from torsiongeo import catalog
 from torsiongeo.errors import SingularTriad, TriadUnavailable
-from torsiongeo.triads import TriadField, sample_triad_to_csv, triad_grid_from_csv
+from torsiongeo.triads import MetricField, TriadField, sample_triad_to_csv, triad_grid_from_csv
 
 RNG = np.random.default_rng(20260808)
 
@@ -95,6 +95,24 @@ def test_metric_field_rejects_triad_requests_when_not_diagonal():
     field = catalog.make("disclination").field
     with pytest.raises(TriadUnavailable):
         field.triad(np.array([1.0, 0.5]))
+
+
+def skew_metric(q):
+    return np.broadcast_to(np.array([[1.0, 0.5], [0.5, 2.0]]), np.shape(q)[:-1] + (2, 2)).copy()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: TriadField(0, np.eye), ValueError, "dim must be a positive integer"),
+    (lambda tmp: MetricField(2, skew_metric, diagonal=True, name="skew").triad(np.array([0.5, 0.25])),
+     TriadUnavailable, "skew: metric not diagonal at q=[0.5, 0.25]; no square-root triad"),
+    (lambda tmp: sample_triad_to_csv(catalog.make("polar").field, [np.linspace(1.0, 2.0, 4)], tmp / "grid.csv"),
+     ValueError, "one axis per chart dimension required"),
+], ids=["dim", "diagonal-metric-off-diagonal", "sample-axes"])
+def test_triad_guards_name_their_fault(tmp_path, call, error, message):
+    with pytest.raises(error) as raised:
+        call(tmp_path)
+    assert type(raised.value) is error and str(raised.value) == message
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_sphere_diagonal_square_root_triad():
