@@ -19,10 +19,11 @@ the ``BUDGETS`` table; every validation error names the offending key.  Outputs
 are ``results.json`` (byte-stable for a fixed config), ``manifest.json`` (config
 hash, versions, wall time, per-stage seconds; the only file with a timestamp),
 and command-specific CSV files.
-Exit codes: 0 success, 1 computation error, 2 config error.  The environment
-variable ``TORSIONGEO_THREADS`` (a positive integer) caps BLAS/OpenMP
-parallelism: ``main`` copies it into ``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` before numpy is first imported.
+Exit codes: 0 success (also when the reader closes stdout early), 1 computation
+error, 2 config error.  The environment variable ``TORSIONGEO_THREADS`` (a
+positive integer) caps BLAS/OpenMP parallelism: ``main`` copies it into
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` before
+numpy is first imported.
 """
 
 from __future__ import annotations
@@ -442,7 +443,8 @@ _RUNNERS = {
 def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     """Execute a validated config, writing results.json + manifest.json; the payload results.json holds.
 
-    The manifest's ``stages_s`` holds the perf_counter seconds spent in
+    An earlier run's results.json and manifest.json in ``out_dir`` are removed first, so a failed run
+    leaves neither.  The manifest's ``stages_s`` holds the perf_counter seconds spent in
     ``propagate`` (kernel build and composition, spectrum commands) and in
     ``write`` (results.json and the command's CSV files).  A payload holding
     a non-finite number raises ``NonFiniteResult`` before results.json is written.
@@ -452,6 +454,9 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     from .io import dump_json, jsonable
 
     os.makedirs(out_dir, exist_ok=True)
+    for name in ("results.json", "manifest.json"):  # a failed run leaves no earlier run's results behind
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     started = time.time()
     stages = {}
     with np.errstate(all="ignore"):  # an overflow surfaces as a non-finite value, refused below
@@ -582,18 +587,21 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "report":
-            print(report(args.out))
+            print(report(args.out), flush=True)
             return 0
         config = load_config(args.config)
         if config.command != args.command:
             raise ValidationError(
                 f"config key 'command': file says '{config.command}' but CLI invoked '{args.command}'"
             )
-        print(format_report(run(config, args.out, seed=args.seed)))
+        print(format_report(run(config, args.out, seed=args.seed)), flush=True)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout; every file was written before the print
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit finds no pipe
+        return 0
     except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no message
         return 1

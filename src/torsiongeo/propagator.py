@@ -5,9 +5,11 @@ The finite-time kernel is composed from short-time kernels
 
     K_eps(q, q - dq) = (2 pi hbar eps / M)^(-D/2) exp(-A_eps / hbar + dj),
 
-with the slice action A_eps truncated at the configured order and, for the
-difference-measure ("qep") variant, the measure-difference exponent dj added
-(for the position-measure "naive-dewitt" variant dj is absent);
+with the slice action A_eps truncated at the configured order (the 1-d
+builder tabulates the coefficients :mod:`torsiongeo.slicing` states for every
+dimension) and, for the difference-measure ("qep") variant, the
+measure-difference exponent dj added (for the position-measure
+"naive-dewitt" variant dj is absent);
 :func:`propagate_measures` says where dj is nonzero, and so which measures
 share one kernel and one eigensolve.  1-d midpoint references are exact
 points of the half-step lattice of nodes and cell edges.  Composition
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import GridResolutionInsufficient, TorsionGeoError
 from .geometry import Geometry
-from .slicing import MEASURES, SliceConfig, whole_steps
+from .slicing import MEASURES, SliceConfig, _action_coefficients, whole_steps
 
 EXPONENT_CUT = 30.0  # quadratic exponent beyond which corrections are dropped
 TAIL_SIGMA = 7.5  # kernel support half-width in units of the slice width
@@ -91,24 +93,15 @@ def flat_line_kernel(x, xp, tau: float, mass: float = 1.0, hbar: float = 1.0):
 class _CoefficientTable:
     """Slice-action coefficients of a 1-d chart at reference points: (n,) tables g, t3, t4 and sqrt_g.
 
-    The cubic and quartic coefficients already carry their relative signs:
-    the slice action is pref * (g u^2 + t3 u^3 + t4 u^4).  In one dimension the
-    difference-map coefficient H = dGamma + Gamma Gamma_sym is dGamma + Gamma^2.
+    g, t3 and t4 are those of :func:`torsiongeo.slicing._action_coefficients`, with their relative signs:
+    the slice action is pref * (g u^2 + t3 u^3 + t4 u^4).
     """
 
     def __init__(self, geom: Geometry, points: np.ndarray, config: SliceConfig):
-        n = len(points)
         pt = geom.batch(points)
-        self.g, self.sqrt_g = pt.metric.reshape(n), pt.sqrt_metric
-        self.t3 = -pt.affine_first.reshape(n) if config.order >= 3 and config.scheme != "midpoint" else np.zeros(n)
-        self.t4 = np.zeros(n)
-        if config.order >= 4:
-            gam, d_gam = pt.affine.reshape(n), pt.d_affine.reshape(n)
-            t4a = self.g * (d_gam + gam * gam) / 3.0
-            if config.scheme == "midpoint":
-                self.t4 = 0.25 * t4a
-            else:
-                self.t4 = t4a + 0.25 * (pt.affine_first.reshape(n) * gam)
+        coefficients = _action_coefficients(pt, config.scheme, config.order)
+        self.g, self.t3, self.t4 = (t.reshape(len(points)) for t in coefficients)
+        self.sqrt_g = pt.sqrt_metric
 
 
 def _slice_kernel(g, t3, t4, u: np.ndarray, pref: float) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, TorsionPresentWarning
-from .geometry import Geometry, PointGeometry
+from .geometry import Geometry, PointGeometry, lower_last
 
 SCHEMES = ("postpoint", "prepoint", "midpoint")
 MEASURES = ("qep", "naive-dewitt")
@@ -142,17 +142,20 @@ def delta_x_expansion(geom: Geometry, q, dq, order: int = 3) -> np.ndarray:
     return pt.triad @ bracket
 
 
-def _postpoint_terms(pt: PointGeometry, u: np.ndarray, order: int) -> tuple[float, float, float]:
+def _action_coefficients(pt: PointGeometry, scheme: str, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (g, t3, t4) of the slice action (M / 2 eps)(g dq^2 + t3 dq^3 + t4 dq^4) at the reference
+    point(s) of ``pt``, batch axes leading, in postpoint signs (the prepoint scheme contracts them with -dq):
+    t3 = -Gamma_first and t4 = H_first / 3 + Gamma_first Gamma / 4, or 0 and H_first / 12 at the midpoint."""
     g = pt.metric
-    quad = float(u @ g @ u)
-    cubic = quart = 0.0
-    if order >= 3:
-        c2 = -0.5 * np.einsum("mnl,m,n->l", pt.affine, u, u)
-        cubic = float(2.0 * (u @ g @ c2))
+    t3 = -pt.affine_first if order >= 3 and scheme != "midpoint" else np.zeros(g.shape + g.shape[-1:])
+    t4 = np.zeros(g.shape + g.shape[-2:])
     if order >= 4:
-        c3 = np.einsum("mnsl,m,n,s->l", _h_tensor(pt), u, u, u) / 6.0
-        quart = float(2.0 * (u @ g @ c3) + c2 @ g @ c2)
-    return quad, cubic, quart
+        t4a = lower_last(_h_tensor(pt), g[..., None, None, :, :]) / 3.0
+        if scheme == "midpoint":
+            t4 = 0.25 * t4a
+        else:
+            t4 = t4a + 0.25 * np.einsum("...mnk,...slk->...mnsl", pt.affine_first, pt.affine)
+    return g, t3, t4
 
 
 def short_time_action(geom: Geometry, q, dq, config: SliceConfig) -> ActionTerms:
@@ -163,22 +166,14 @@ def short_time_action(geom: Geometry, q, dq, config: SliceConfig) -> ActionTerms
     to ``config.scheme``; ``dq`` is always (later point) - (earlier point).
     The returned terms carry the M / 2 eps prefactor.
     """
-    q = np.asarray(q, dtype=float)
     u = np.asarray(dq, dtype=float)
-    pt = geom.at(q)
+    if config.scheme == "prepoint":
+        u = -u
+    g, t3, t4 = _action_coefficients(geom.at(np.asarray(q, dtype=float)), config.scheme, config.order)
     pref = config.mass / (2.0 * config.eps)
-    if config.scheme == "postpoint":
-        quad, cubic, quart = _postpoint_terms(pt, u, config.order)
-    elif config.scheme == "prepoint":
-        quad, cubic, quart = _postpoint_terms(pt, -u, config.order)
-    else:  # midpoint: no cubic term survives
-        g = pt.metric
-        quad = float(u @ g @ u)
-        cubic = 0.0
-        quart = 0.0
-        if config.order >= 4:
-            c3 = np.einsum("mnsl,m,n,s->l", _h_tensor(pt), u, u, u) / 6.0
-            quart = float(0.5 * (u @ g @ c3))
+    quad = float(u @ g @ u)
+    cubic = float(np.einsum("mns,m,n,s->", t3, u, u, u))
+    quart = float(np.einsum("mnsl,m,n,s,l->", t4, u, u, u, u))
     return ActionTerms(pref * quad, pref * cubic, pref * quart)
 
 

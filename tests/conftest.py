@@ -6,9 +6,13 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
+
+# tests/mutants.py loads this profile: a mutant is killed by a failing example, not by its smallest one
+settings.register_profile("mutants", phases=[phase for phase in Phase if phase not in (Phase.shrink, Phase.explain)])
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
-"""Mutation check of the kernel builders and their one resolution rule, the energy rule and its floor, the
-derivative fallback of fields, the RK4 step, the size budgets, the level ceiling, the amplitude file names, the
-golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers, the payload
-``run`` returns, the levels a ladder reports, the report's error handling and the ``--seed`` range.
+"""Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the energy
+rule and its floor, the derivative fallback of fields, the RK4 step, the size budgets, the level ceiling, the amplitude
+file names, the golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite
+numbers, the payload ``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range,
+the removal of an earlier run's results and a reader that closes stdout early.
 
     python tests/mutants.py
 
@@ -37,12 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 2  # pytest processes at a time
 TEST_TIMEOUT_S = 600  # per pytest process; a mutant that hangs its tests stops the check with an error
 
+SLICING = "torsiongeo/slicing.py"
 PROPAGATOR = "torsiongeo/propagator.py"
 CLI = "torsiongeo/cli.py"
 TRIADS = "torsiongeo/triads.py"
 DYNAMICS = "torsiongeo/dynamics.py"
 IO = "torsiongeo/io.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
+ORBIT_ACTION = "tests/test_slicing.py::test_postpoint_action_converges_to_orbit_action"
+VARYING_1D = "tests/test_propagator.py::test_schemes_agree_on_varying_1d_metric"
 FULL_PERIOD = "tests/test_propagator.py::test_build_sphere_matches_full_period_reference"
 UNCUT = "tests/test_propagator.py::test_build_sphere_matches_uncut_4000_point_build"
 SECTOR_FLOOR = "tests/test_cli.py::test_sphere_sector_floor_comes_from_the_unphased_kernel"
@@ -63,12 +67,15 @@ MUTANTS = [
     ("one winding image fewer", PROPAGATOR,
      "windings = np.arange(-w_max, w_max + 1)[:, None]", "windings = np.arange(-w_max, w_max)[:, None]",
      [ENTRIES]),
-    ("flipped cubic sign", PROPAGATOR,
-     "t3 = -pt.affine_first", "t3 = pt.affine_first",
-     [ENTRIES]),
-    ("Gamma^2 dropped from the 1-d quartic coefficient", PROPAGATOR,
-     "t4a = self.g * (d_gam + gam * gam) / 3.0", "t4a = self.g * d_gam / 3.0",
-     [ENTRIES]),
+    ("flipped cubic sign", SLICING,
+     "t3 = -pt.affine_first if", "t3 = pt.affine_first if",
+     [ORBIT_ACTION, VARYING_1D]),
+    ("Gamma_first Gamma / 4 dropped from the quartic coefficient", SLICING,
+     't4 = t4a + 0.25 * np.einsum("...mnk,...slk->...mnsl", pt.affine_first, pt.affine)', "t4 = t4a",
+     [ORBIT_ACTION, VARYING_1D]),
+    ("a stack's metrics not broadcast over H's leading indices", SLICING,
+     "lower_last(_h_tensor(pt), g[..., None, None, :, :])", "lower_last(_h_tensor(pt), g)",
+     ["tests/test_batched.py::test_action_coefficients_of_a_stack_match_the_per_point_call"]),
     ("first-order 1-d correction factor", PROPAGATOR,
      "factor = 1.0 + c + 0.5 * c**2", "factor = 1.0 + c",
      ["tests/test_propagator.py::test_slice_kernel_terms_against_hand_sum"]),
@@ -156,12 +163,18 @@ MUTANTS = [
      "    return payload\n", "    return results\n",
      ["tests/test_cli.py::test_run_returns_the_payload_it_writes"]),
     ("report outside main's error handling", CLI,
-     '    try:\n        if args.command == "report":\n            print(report(args.out))\n            return 0\n',
-     '    if args.command == "report":\n        print(report(args.out))\n        return 0\n    try:\n',
+     '    try:\n        if args.command == "report":\n            print(report(args.out), flush=True)\n            return 0\n',
+     '    if args.command == "report":\n        print(report(args.out), flush=True)\n        return 0\n    try:\n',
      ["tests/test_cli.py::test_report_of_a_malformed_results_file_exits_1"]),
     ("negative seeds accepted", CLI,
      "if 0 <= (seed := int(text)) < 2**64:", "if (seed := int(text)) < 2**64:",
      ["tests/test_cli.py::test_seed_is_a_u64_checked_when_the_arguments_are_parsed"]),
+    ("removal of an earlier run's results skipped", CLI,
+     "            os.remove(os.path.join(out_dir, name))", "            pass",
+     ["tests/test_cli.py::test_a_run_leaves_no_earlier_results_and_a_config_error_touches_none"]),
+    ("closed stdout reported as a failure", CLI,
+     "    except BrokenPipeError:", "    except ZeroDivisionError:",
+     ["tests/test_cli.py::test_a_reader_closing_stdout_early_is_no_failure"]),
     ("MemoryError not caught in main", CLI,
      "except (TorsionGeoError, ValueError, OSError, MemoryError) as exc:",
      "except (TorsionGeoError, ValueError, OSError) as exc:",
@@ -192,6 +205,7 @@ def run_tests(src: Path, workdir: Path, tests) -> set:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+         "--hypothesis-profile=mutants",
          "--rootdir", str(ROOT), *(str(ROOT / test) for test in tests)],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=TEST_TIMEOUT_S,
     )

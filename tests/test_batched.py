@@ -1,5 +1,6 @@
 # Property tests of the stacked geometry bundle: Geometry.batch against
-# Geometry.at, the C01 tensor identities at drawn points, Burgers-vector
+# Geometry.at, the slice-action coefficients of a stack against the per-point
+# call, the C01 tensor identities at drawn points, Burgers-vector
 # linearity and contour invariance, and the stacked closure-failure solvers
 # against a per-step reference.
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from torsiongeo import catalog, dynamics
 from torsiongeo.defects import Contour, DefectGeometry, burgers_vector
 from torsiongeo.geometry import Geometry, lower_last
+from torsiongeo.slicing import SCHEMES, _action_coefficients
 from torsiongeo.triads import TriadField
 
 
@@ -69,6 +71,23 @@ def test_batch_matches_per_point_bundle(name, data):
         assert batched.shape == single.shape, prop
         scale = max(1.0, float(np.max(np.abs(single))))
         assert np.max(np.abs(batched - single)) <= 1e-14 * scale, prop
+
+
+@pytest.mark.parametrize("name", catalog.names())
+@PROPERTY
+@given(data=st.data())
+def test_action_coefficients_of_a_stack_match_the_per_point_call(name, data):
+    # the 1-d kernel builder reads the stacked call, short_time_action the per-point one
+    geom = CASES[name]
+    pts = data.draw(points_in(geom))
+    stacked = geom.batch(pts)
+    for scheme in SCHEMES:
+        for order in (2, 3, 4):
+            batched = _action_coefficients(stacked, scheme, order)
+            for row, q in enumerate(pts):
+                for b, s in zip(batched, _action_coefficients(geom.at(q), scheme, order)):
+                    assert b[row].shape == s.shape, (scheme, order)
+                    assert np.max(np.abs(b[row] - s)) <= 1e-12 * np.max(np.abs(s)), (scheme, order)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

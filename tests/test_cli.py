@@ -283,6 +283,40 @@ def test_report_of_a_malformed_results_file_exits_1(tmp_path, cli_env, text):
     assert str(path) in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_a_run_leaves_no_earlier_results_and_a_config_error_touches_none(tmp_path, capsys):
+    golden = REPO / "configs" / "circle_spectrum.json"
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(golden), "--out", str(out)]) == 0
+    written = {name: (out / name).read_bytes() for name in ("results.json", "manifest.json")}
+    invalid = write_config(tmp_path, {**json.loads(golden.read_text()), "eps": -1.0}, "invalid.json")
+    assert main(["propagate", "--config", str(invalid), "--out", str(out)]) == 2
+    assert main(["defect", "--config", str(golden), "--out", str(out)]) == 2
+    assert {name: (out / name).read_bytes() for name in written} == written
+    # a valid config whose run fails: 31 levels above the rounding floor, 200 asked for
+    failing = write_config(tmp_path, {**json.loads(golden.read_text()), "eps": 0.25, "N": 16, "n_levels": 200},
+                           "failing.json")
+    assert main(["propagate", "--config", str(failing), "--out", str(out)]) == 1
+    assert not any((out / name).exists() for name in written)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "no results\n"
+
+
+def test_a_reader_closing_stdout_early_is_no_failure(tmp_path, cli_env):
+    # a 3000-point geom report, about 160 KB, outgrows the pipe, so the print meets the closed pipe
+    cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "n_points": 3000})
+    out = str(tmp_path / "out")
+    for args in (["geom", "--config", str(cfg), "--out", out], ["report", "--out", out]):
+        proc = subprocess.Popen([sys.executable, "-m", "torsiongeo.cli", *args], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, cwd=REPO, env=cli_env)
+        assert proc.stdout.readline() == b"torsiongeo geom report\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0 and err == b"", (args[0], err)
+    assert len(json.loads((tmp_path / "out" / "results.json").read_text())["points"]) == 3000
+
+
 SEEDED = {"geom": {"geometry": "torsion-toy", "command": "geom", "n_points": 2},
           "traj": {"geometry": "polar", "command": "traj", "kind": "geodesic", "q0": [1.0, 0.0], "v0": [0.1, 0.4],
                    "duration": 0.01, "dt": 0.001}}
