@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import hashlib
 import json
 import math
@@ -443,8 +444,8 @@ _RUNNERS = {
 def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     """Execute a validated config, writing results.json + manifest.json; the payload results.json holds.
 
-    An earlier run's results.json and manifest.json in ``out_dir`` are removed first, so a failed run
-    leaves neither.  The manifest's ``stages_s`` holds the perf_counter seconds spent in
+    An earlier run's results.json, manifest.json and CSV files in ``out_dir`` are removed first, so a
+    failed run leaves none of them.  The manifest's ``stages_s`` holds the perf_counter seconds spent in
     ``propagate`` (kernel build and composition, spectrum commands) and in
     ``write`` (results.json and the command's CSV files).  A payload holding
     a non-finite number raises ``NonFiniteResult`` before results.json is written.
@@ -454,7 +455,8 @@ def run(config: RunConfig, out_dir, seed: int = 0) -> dict:
     from .io import dump_json, jsonable
 
     os.makedirs(out_dir, exist_ok=True)
-    for name in ("results.json", "manifest.json"):  # a failed run leaves no earlier run's results behind
+    earlier = ["results.json", "manifest.json", "trajectory.csv", *glob.glob("amplitude_tau_*.csv", root_dir=out_dir)]
+    for name in earlier:  # a failed run leaves no earlier run's results behind
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
     started = time.time()

@@ -42,7 +42,7 @@ class Contour:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4 or not np.isfinite(pts).all():
             raise ValueError("contour needs an (n, 2) array of finite numbers with at least 4 rows")
-        if not np.allclose(pts[0], pts[-1], atol=1e-12):
+        if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-12):  # numpy's rtol would close a far contour
             raise ValueError("contour must close on itself (first row == last row)")
         if np.any(np.all(np.abs(np.diff(pts[:-1], axis=0)) < 1e-15, axis=1)):
             raise ValueError("consecutive contour points must be distinct")

@@ -11,8 +11,8 @@ dimension) and, for the difference-measure ("qep") variant, the
 measure-difference exponent dj added (for the position-measure
 "naive-dewitt" variant dj is absent);
 :func:`propagate_measures` says where dj is nonzero, and so which measures
-share one kernel and one eigensolve.  1-d midpoint references are exact
-points of the half-step lattice of nodes and cell edges.  Composition
+share one kernel and one eigensolve.  Every 1-d scheme reads the half-step
+lattice of nodes and cell edges, of which midpoints are exact points.  Composition
 weights carry sqrt(g) at the integrated point; in the similarity frame
 
     B = W^(1/2) K W^(1/2),   W_j = sqrt(g_j) * (node weight),
@@ -150,36 +150,32 @@ def _build_1d(geom: Geometry, config: SliceConfig, nodes: np.ndarray, du: float,
     """Transfer matrix of the line (``period`` None) or the circle: ``({False: (B, None)}, weights, nodes)``,
     the record of :func:`_build_sphere` with the one kernel, which carries no measure term and no scale.
 
-    Midpoint coefficients are evaluated once on the half-step lattice of cell edges and nodes (2n points);
-    the midpoint of nodes i and j under winding w is lattice point (i + j + 1 - w n) mod 2n.
+    Every scheme's coefficients are evaluated once on the half-step lattice of cell edges and nodes (2n points),
+    where node i is lattice point 2 i + 1; the midpoint of nodes i and j under winding w is lattice point
+    (i + j + 1 - w n) mod 2n.  The line is the circle without winding images.
     """
     n = nodes.size
     pref = config.mass / (2.0 * config.eps * config.hbar)
-    midpoint = config.scheme == "midpoint"
-    on_nodes = np.s_[1::2] if midpoint else np.s_[:]
-    points = np.stack([nodes - 0.5 * du, nodes], axis=-1).ravel() if midpoint else nodes
-    table = _CoefficientTable(geom, points[:, None], config)
-    sigma_u = math.sqrt(config.eps * config.hbar / config.mass) / np.sqrt(table.g[on_nodes])
+    table = _CoefficientTable(geom, np.stack([nodes - 0.5 * du, nodes], axis=-1).reshape(-1, 1), config)
+    sigma_u = math.sqrt(config.eps * config.hbar / config.mass) / np.sqrt(table.g[1::2])
     _check_resolution(float(np.min(sigma_u)), du)
 
-    windings = np.zeros((1, 1), dtype=int)
-    if period is not None:
-        w_max = int(math.ceil((TAIL_SIGMA * float(np.max(sigma_u)) + period / 2) / period))
-        if 2 * w_max + 1 > MAX_WINDING_IMAGES:
-            raise TorsionGeoError(f"kernel width {np.max(sigma_u):.3g} needs {2 * w_max + 1} winding images of "
-                                  f"period {period:.3g}, more than {MAX_WINDING_IMAGES}; reduce eps")
-        windings = np.arange(-w_max, w_max + 1)[:, None]
+    w_max = 0 if period is None else int(math.ceil((TAIL_SIGMA * float(np.max(sigma_u)) + period / 2) / period))
+    if 2 * w_max + 1 > MAX_WINDING_IMAGES:
+        raise TorsionGeoError(f"kernel width {np.max(sigma_u):.3g} needs {2 * w_max + 1} winding images of "
+                              f"period {period:.3g}, more than {MAX_WINDING_IMAGES}; reduce eps")
+    windings = np.arange(-w_max, w_max + 1)[:, None]
     shifts = windings * (period or 0.0)
 
     kernel = np.empty((n, n))
     index = np.arange(n)
     for rows in _blocks(n, n * windings.size):
         i = index[rows, None, None]
-        ref = (i + index + 1 - n * windings) % (2 * n) if midpoint else i
+        ref = (i + index + 1 - n * windings) % (2 * n) if config.scheme == "midpoint" else 2 * i + 1
         at = [t[ref] for t in (table.g, table.t3, table.t4)]
         kernel[rows] = _slice_kernel(*at, nodes[rows, None, None] - nodes + shifts, pref).sum(axis=1)
     norm = (2 * np.pi * config.hbar * config.eps / config.mass) ** -0.5
-    weights = table.sqrt_g[on_nodes] * du
+    weights = table.sqrt_g[1::2] * du
     scale = norm * np.sqrt(np.outer(weights, weights))
     # prepoint rows hold the reference point and its outgoing difference;
     # indexing by (later, earlier) with the sign flip of the difference is the
@@ -215,7 +211,7 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     build: True adds the measure exponent R (P + Q) / 12 at order >= 3, False
     builds without it, and order 2 builds the bare chart quadratic for either.
     Each block evaluates the Gaussian core and the pair forms once, then the
-    correction factor and the phase integral per term.
+    correction factor (exactly 1 at order 2) and the phase integral per term.
 
     The zeta grid: at order >= 3 the integrand, exp(-x (1 - cos zeta)) with
     x = 2 pref a^2 sin(theta_a) sin(theta_b) times a degree-4 polynomial in
@@ -241,8 +237,9 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     sin_t = np.sin(theta)
     g_phi = a * a * sin_t**2
     quartic = pref / a**2 if config.order >= 4 else 0.0
-    ricci = {term: geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann if term
-             else np.zeros(n_theta) for term in set(terms)}
+    terms = sorted(set(terms))
+    ricci = np.stack([geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
+                      if term and config.order >= 3 else np.zeros(n_theta) for term in terms])
 
     if config.order == 2:
         n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
@@ -258,34 +255,28 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     rows, cols = np.divmod(np.arange(n_theta**2), n_theta) if config.order == 2 else np.triu_indices(n_theta)
 
     # blocks of (node pair, zeta) entries, integrated against the phase columns
-    sums = {term: np.empty((phase.shape[1], n_theta, n_theta)) for term in ricci}
+    sums = np.empty((len(terms), phase.shape[1], n_theta, n_theta))
     for block in _blocks(rows.size, zeta.size):
         i, j = rows[block], cols[block]
+        # the Gaussian core, shared by every term: the bare chart quadratic at order 2, else the resummed form
         p_form = a * a * (theta[i] - theta[j]) ** 2
-        if config.order == 2:  # the bare chart quadratic carries no measure term
-            gauss = np.exp(-pref * (p_form[:, None] + g_phi[i, None] * zeta**2))
-            for kernel in sums.values():
-                kernel[:, i, j] = (gauss @ phase).T * (2.0 * dzeta)
-            continue
-        # the Gaussian core, shared by every term
-        q_form = (2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None] * one_minus_cos
+        q_form = (g_phi[i, None] * zeta**2 if config.order == 2
+                  else (2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None] * one_minus_cos)
         gauss = np.exp(-pref * (p_form[:, None] + q_form))
         quartic_q = quartic / 12.0 * q_form
-        for term, kernel in sums.items():
-            # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
-            r_mean = (ricci[term][i] + ricci[term][j]) / 24.0
-            lin, const = r_mean - quartic * p_form / 6.0, r_mean * p_form
-            c = q_form * (lin[:, None] - quartic_q) + const[:, None]
+        # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
+        r_mean = (ricci[:, i] + ricci[:, j]) / 24.0
+        lin, const = r_mean - quartic * p_form / 6.0, r_mean * p_form
+        for kernel, lin_t, const_t in zip(sums, lin, const):
+            c = q_form * (lin_t[:, None] - quartic_q) + const_t[:, None]
             kernel[:, i, j] = (gauss * (1.0 + c + 0.5 * (c * c)) @ phase).T * (2.0 * dzeta)
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
     weights = a * a * gl_w
-    scale = norm * np.sqrt(np.outer(weights, weights))
-    for kernel in sums.values():
-        if config.order >= 3:
-            kernel[:, cols, rows] = kernel[:, rows, cols]
-        kernel *= scale
+    if config.order >= 3:
+        sums[..., cols, rows] = sums[..., rows, cols]
+    sums *= norm * np.sqrt(np.outer(weights, weights))
     return ({term: (s[0], float(np.max(s[1].sum(axis=0) + s[1].sum(axis=1))) / 2 if m else None)
-             for term, s in sums.items()}, weights, theta)
+             for term, s in zip(terms, sums)}, weights, theta)
 
 
 # ---------------------------------------------------------------------------

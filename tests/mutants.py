@@ -2,7 +2,8 @@
 rule and its floor, the derivative fallback of fields, the RK4 step, the size budgets, the level ceiling, the amplitude
 file names, the golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite
 numbers, the payload ``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range,
-the removal of an earlier run's results and a reader that closes stdout early.
+the removal of an earlier run's results and CSV files, the closure of a contour and a reader that closes stdout
+early.
 
     python tests/mutants.py
 
@@ -44,6 +45,7 @@ CLI = "torsiongeo/cli.py"
 TRIADS = "torsiongeo/triads.py"
 DYNAMICS = "torsiongeo/dynamics.py"
 IO = "torsiongeo/io.py"
+DEFECTS = "torsiongeo/defects.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
 ORBIT_ACTION = "tests/test_slicing.py::test_postpoint_action_converges_to_orbit_action"
 VARYING_1D = "tests/test_propagator.py::test_schemes_agree_on_varying_1d_metric"
@@ -64,6 +66,12 @@ MUTANTS = [
     ("no prepoint transpose", PROPAGATOR,
      'scale * (kernel.T if config.scheme == "prepoint" else kernel)', "scale * kernel",
      [ENTRIES]),
+    ("node i read at lattice point 2 i, a cell edge", PROPAGATOR,
+     "else 2 * i + 1", "else 2 * i",
+     [VARYING_1D]),
+    ("one winding image on each side of the line", PROPAGATOR,
+     "w_max = 0 if period is None", "w_max = 1 if period is None",
+     ["tests/test_propagator.py::test_flat_line_matches_exact_gaussian"]),
     ("one winding image fewer", PROPAGATOR,
      "windings = np.arange(-w_max, w_max + 1)[:, None]", "windings = np.arange(-w_max, w_max)[:, None]",
      [ENTRIES]),
@@ -90,20 +98,23 @@ MUTANTS = [
      "(gauss * (1.0 + c + 0.5 * (c * c)) @ phase)",
      "(gauss * np.where(pref * (p_form[:, None] + q_form) >= EXPONENT_CUT, 1.0, 1.0 + c + 0.5 * (c * c)) @ phase)",
      [UNCUT]),
+    ("order 2 taking the resummed Q", PROPAGATOR,
+     "g_phi[i, None] * zeta**2 if config.order == 2", "g_phi[i, None] * zeta**2 if False",
+     ["tests/test_propagator.py::test_sphere_expansion_order_ablation"]),
     ("n_phi without 2|m|", PROPAGATOR,
      "+ 2 * abs(m) + 8) / 2)", "+ 8) / 2)",
      ["tests/test_propagator.py::test_sphere_zeta_grid_grows_with_m"]),
-    ("dzeta for 2 dzeta at order >= 3", PROPAGATOR,
-     "@ phase).T * (2.0 * dzeta)\n    norm", "@ phase).T * dzeta\n    norm",
+    ("dzeta for 2 dzeta", PROPAGATOR,
+     "@ phase).T * (2.0 * dzeta)", "@ phase).T * dzeta",
      [FULL_PERIOD, UNCUT]),
     ("quarter-step zeta offset", PROPAGATOR,
      "zeta = dzeta * (np.arange(n_phi // 2) + 0.5)", "zeta = dzeta * (np.arange(n_phi // 2) + 0.25)",
      [FULL_PERIOD, UNCUT]),
     ("sphere mirror dropped", PROPAGATOR,
-     "        if config.order >= 3:\n            kernel[:, cols, rows] = kernel[:, rows, cols]\n", "",
+     "    if config.order >= 3:\n        sums[..., cols, rows] = sums[..., rows, cols]\n", "",
      [FULL_PERIOD]),
     ("measure term's sign flipped", PROPAGATOR,
-     "r_mean = (ricci[term][i] + ricci[term][j]) / 24.0", "r_mean = -(ricci[term][i] + ricci[term][j]) / 24.0",
+     "r_mean = (ricci[:, i] + ricci[:, j]) / 24.0", "r_mean = -(ricci[:, i] + ricci[:, j]) / 24.0",
      [FULL_PERIOD, UNCUT]),
     ("qep's curvature term for every measure", PROPAGATOR,
      'terms = {measure: measure == "qep" and geom.topology',
@@ -172,6 +183,9 @@ MUTANTS = [
     ("removal of an earlier run's results skipped", CLI,
      "            os.remove(os.path.join(out_dir, name))", "            pass",
      ["tests/test_cli.py::test_a_run_leaves_no_earlier_results_and_a_config_error_touches_none"]),
+    ("removal of an earlier run's CSV files skipped", CLI,
+     '"trajectory.csv", *glob.glob("amplitude_tau_*.csv", root_dir=out_dir)]', "]",
+     ["tests/test_cli.py::test_a_run_leaves_no_earlier_results_and_a_config_error_touches_none"]),
     ("closed stdout reported as a failure", CLI,
      "    except BrokenPipeError:", "    except ZeroDivisionError:",
      ["tests/test_cli.py::test_a_reader_closing_stdout_early_is_no_failure"]),
@@ -188,6 +202,9 @@ MUTANTS = [
     ("trajectory steps counted by rounding duration / dt", DYNAMICS,
      "n_steps = whole_steps(duration, dt) if dt > 0 else 0", "n_steps = int(round(duration / dt))",
      ["tests/test_dynamics.py::test_duration_must_be_a_whole_number_of_steps"]),
+    ("contour closure checked with numpy's default rtol", DEFECTS,
+     "np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-12)", "np.allclose(pts[0], pts[-1], atol=1e-12)",
+     ["tests/test_defects.py::test_contour_validation"]),
     ("payload walk skips list entries", IO,
      'return [jsonable(v, f"{path}[{k}]") for k, v in enumerate(obj)]', "return list(obj)",
      ["tests/test_io.py::test_jsonable_names_the_first_non_finite_entry"]),

@@ -284,22 +284,30 @@ def test_report_of_a_malformed_results_file_exits_1(tmp_path, cli_env, text):
 
 
 def test_a_run_leaves_no_earlier_results_and_a_config_error_touches_none(tmp_path, capsys):
-    golden = REPO / "configs" / "circle_spectrum.json"
+    golden = json.loads((REPO / "configs" / "circle_spectrum.json").read_text())
     out = tmp_path / "out"
-    assert main(["propagate", "--config", str(golden), "--out", str(out)]) == 0
-    written = {name: (out / name).read_bytes() for name in ("results.json", "manifest.json")}
-    invalid = write_config(tmp_path, {**json.loads(golden.read_text()), "eps": -1.0}, "invalid.json")
+    amplitudes = write_config(tmp_path, {**golden, "amplitude_taus": [0.5, 1.0]}, "amplitudes.json")
+    assert main(["propagate", "--config", str(amplitudes), "--out", str(out)]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written) == 4  # results.json, manifest.json and the two amplitude CSVs
+    invalid = write_config(tmp_path, {**golden, "eps": -1.0}, "invalid.json")
     assert main(["propagate", "--config", str(invalid), "--out", str(out)]) == 2
-    assert main(["defect", "--config", str(golden), "--out", str(out)]) == 2
-    assert {name: (out / name).read_bytes() for name in written} == written
+    assert main(["defect", "--config", str(amplitudes), "--out", str(out)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
     # a valid config whose run fails: 31 levels above the rounding floor, 200 asked for
-    failing = write_config(tmp_path, {**json.loads(golden.read_text()), "eps": 0.25, "N": 16, "n_levels": 200},
-                           "failing.json")
+    failing = write_config(tmp_path, {**golden, "eps": 0.25, "N": 16, "n_levels": 200}, "failing.json")
     assert main(["propagate", "--config", str(failing), "--out", str(out)]) == 1
-    assert not any((out / name).exists() for name in written)
+    assert not any(out.iterdir())
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "no results\n"
+    # a trajectory that overflows at t = 0 leaves no earlier trajectory.csv either
+    traj = REPO / "configs" / "torsion_toy_traj.json"
+    assert main(["traj", "--config", str(traj), "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+    overflow = write_config(tmp_path, {**json.loads(traj.read_text()), "v0": [1e200, 0]}, "overflow.json")
+    assert main(["traj", "--config", str(overflow), "--out", str(out)]) == 1
+    assert not any(out.iterdir())
 
 
 def test_a_reader_closing_stdout_early_is_no_failure(tmp_path, cli_env):

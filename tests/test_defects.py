@@ -45,6 +45,11 @@ def test_contour_validation():
         Contour(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="close"):
         Contour(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.5, 0.5]]))
+    # a 5e-4 gap about (100, 0) is within numpy's default rtol of 1e-5; a run would report it as b = [5e-4, 0]
+    far = Contour.circle(1.0, 64, center=(100.0, 0.0)).points
+    far[-1, 0] += 5e-4
+    with pytest.raises(ValueError, match="close"):
+        Contour(far)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -422,7 +422,9 @@ def test_catalog_make_rejects_malformed_parameters(name, params):
     ("circle", {"a": -1.0}, "circle: radius a must be positive"),
     ("moebius", {}, "unknown geometry 'moebius'; known: circle"),
     ("sphere", {"radius": 2.0}, r"geometry 'sphere' does not take parameter\(s\) \['radius'\]"),
-], ids=["radius-zero", "radius-negative", "unknown-name", "unknown-parameter"])
+    ("torsion-toy", {"s0": 1.0}, r"torsion-toy: \|s0\| must be below 1 to keep the triad invertible"),
+    ("torsion-toy", {"s0": -1.0}, r"torsion-toy: \|s0\| must be below 1 to keep the triad invertible"),
+], ids=["radius-zero", "radius-negative", "unknown-name", "unknown-parameter", "s0-one", "s0-minus-one"])
 def test_catalog_make_refuses_names_parameters_and_radii_it_does_not_know(name, params, message):
     with pytest.raises(ValidationError, match=message):
         catalog.make(name, **params)
