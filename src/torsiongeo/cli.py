@@ -509,14 +509,15 @@ def format_report(results: dict) -> str:
             lines.append("no results")
         else:
             lines.append(f"{'level':>6} {'energy':>14}")
-            lines += [f"{k:>6} {e:>14.6f}" for k, e in enumerate(shown)]
+            lines += [f"{k:>6} {_unsigned_zero(e):>14.6f}" for k, e in enumerate(shown)]
             if results.get("residuals"):  # payloads from before levels were read from eigenvalues
                 lines.append(f"fit residual {results['residuals'][0]:.3e}")
         lines += _eigen_health([results])
     elif command == "compare-measures":
         lines.append(f"{'level':>6} {'E_qep':>12} {'E_naive':>12} {'dE':>10} {'reference':>10}")
         for k, (a, b) in enumerate(zip(_levels(results["qep"]), _levels(results["naive_dewitt"]))):
-            lines.append(f"{k:>6} {a:>12.6f} {b:>12.6f} {b - a:>10.6f} {results['reference_shift']:>10.6f}")
+            a, b, d = map(_unsigned_zero, (a, b, b - a))
+            lines.append(f"{k:>6} {a:>12.6f} {b:>12.6f} {d:>10.6f} {results['reference_shift']:>10.6f}")
         lines += _eigen_health([results["qep"], results["naive_dewitt"]])
     elif command == "defect":
         lines.append(f"{'kind':>14} {'parameter':>12} {'winding':>8} {'value':>24}")
@@ -533,6 +534,11 @@ def format_report(results: dict) -> str:
     else:
         lines.append("no results")
     return "\n".join(lines)
+
+
+def _unsigned_zero(value: float) -> float:
+    """``value`` rounded to the tables' 6 decimals, with -0.0 made 0.0: no entry prints as -0.000000."""
+    return round(value, 6) + 0.0
 
 
 def _eigen_health(ladders) -> list:

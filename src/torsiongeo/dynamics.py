@@ -31,7 +31,7 @@ from .errors import ChartSingularity, GridMismatch, GridTooCoarse, NonFiniteResu
 from .geometry import Geometry
 from .slicing import whole_steps
 
-SINGULAR_TOL = 1e-8  # |det e| (or the least metric eigenvalue) at which a path has reached a chart singularity
+SINGULAR_TOL = 1e-8  # |PointGeometry.chart_scale| at which a path has reached a chart singularity
 
 
 @dataclass
@@ -93,11 +93,10 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
     number of ``dt`` steps (``slicing.whole_steps``), by ``_rk4_step`` on [q, v].
 
     Raises ``ValueError`` when ``duration`` is no positive whole number of steps,
-    ``ChartSingularity`` when the path reaches a singular chart point (triad
-    determinant below ``SINGULAR_TOL`` or changing sign between steps; degenerate
-    metric for metric-only geometries), ``NonFiniteResult`` when the kinetic
-    invariant overflows, and ``StepTooLarge`` when it drifts by more than ten
-    times the tolerance ``max(1e-6, 1e3 dt^4)`` relative.
+    ``ChartSingularity`` when the path reaches a singular chart point (the bundle's
+    ``chart_scale`` below ``SINGULAR_TOL`` or changing sign between steps),
+    ``NonFiniteResult`` when the kinetic invariant overflows, and ``StepTooLarge``
+    when it drifts by more than ten times the tolerance ``max(1e-6, 1e3 dt^4)`` relative.
     """
     if kind not in ("geodesic", "autoparallel"):
         raise ValueError("kind must be 'geodesic' or 'autoparallel'")
@@ -109,12 +108,6 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
     ys = np.empty((n_steps + 1, 2 * d))  # the stacked states [q, v]
     ys[0] = np.ravel([q0, v0])  # a ragged pair raises
 
-    def chart_scale(qq) -> float:
-        pt = geom.at(qq)
-        if geom.metric_only:
-            return float(np.linalg.eigvalsh(pt.metric).min())
-        return float(np.linalg.det(pt.triad))
-
     def rhs(frac, yy):
         q, v = yy[:d], yy[d:]
         try:
@@ -124,10 +117,10 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
             raise ChartSingularity(str(exc)) from exc
         return np.concatenate([v, -np.einsum("abc,a,b->c", conn, v, v)])
 
-    scale0 = chart_scale(ys[0, :d])
+    scale0 = geom.at(ys[0, :d]).chart_scale
     for k in range(n_steps):
         ys[k + 1] = _rk4_step(rhs, ys[k], dt)
-        scale = chart_scale(ys[k + 1, :d])  # Geometry.at keeps this bundle for the next step's k1
+        scale = geom.at(ys[k + 1, :d]).chart_scale  # Geometry.at keeps this bundle for the next step's k1
         if abs(scale) < SINGULAR_TOL or scale * scale0 < 0.0:
             raise ChartSingularity(f"chart became singular near q={ys[k + 1, :d].tolist()} at t={ts[k + 1]:.6g}")
 
@@ -145,9 +138,20 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
 
 def evaluate_action(traj: Trajectory, mass: float) -> float:
     """Composite-Simpson quadrature of the kinetic Lagrangian M I / 2 along the orbit."""
-    from scipy.integrate import simpson
+    return _simpson(0.5 * mass * traj.kinetic_invariant, traj.dt)
 
-    return float(simpson(0.5 * mass * traj.kinetic_invariant, x=traj.t))
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of the samples ``y`` on a uniform grid of step ``h``.  An odd
+    number of steps ends on a 3/8 panel; one step is the trapezoid."""
+    n = len(y) - 1
+    if n == 1:
+        return float(0.5 * h * (y[0] + y[1]))
+    m = n - 3 if n % 2 else n  # the steps Simpson's 1/3 rule covers
+    total = h / 3.0 * (y[0] + 4.0 * y[1:m:2].sum() + 2.0 * y[2:m:2].sum() + y[m]) if m else 0.0
+    if n % 2:
+        total += 3.0 * h / 8.0 * (y[m] + 3.0 * (y[m + 1] + y[m + 2]) + y[m + 3])
+    return float(total)
 
 
 def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:

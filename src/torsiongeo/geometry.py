@@ -24,9 +24,9 @@ stage, share one); ``batch`` keeps nothing.
 Raising and lowering is never implicit; use :func:`raise_last` /
 :func:`lower_last` or the ``*_first`` properties.
 
-A geometry built from a :class:`~torsiongeo.triads.MetricField` has no torsion
-content: its affine connection *is* the Christoffel symbol and torsion and
-contortion vanish identically.
+:class:`Geometry` chooses one bundle class per field kind.  A
+:class:`~torsiongeo.triads.MetricField`'s is :class:`_TorsionFreePoint`: its
+affine side *is* its Riemann side, and torsion and contortion vanish identically.
 
 Every connection derivative is formed from the field's ``d_triad`` and
 ``dd_triad`` (or ``d_metric`` and ``dd_metric``); the bundle takes no finite
@@ -92,13 +92,6 @@ class PointGeometry:
         self.geometry = geometry
         self.q = np.asarray(q, dtype=float)
 
-    @property
-    def dim(self) -> int:
-        return self.geometry.dim
-
-    def _zeros(self, rank: int) -> np.ndarray:
-        return np.zeros(self.q.shape[:-1] + (self.dim,) * rank)
-
     # -- triad level -------------------------------------------------------
 
     @cached_property
@@ -123,12 +116,15 @@ class PointGeometry:
         # partial_l e_i^m = -e_j^m e^j_{r,l} e_i^r
         return -np.einsum("...jm,...jrl,...ir->...iml", self.triad_inverse, self.d_triad, self.triad_inverse)
 
+    @cached_property
+    def chart_scale(self):
+        """det e: its zero or change of sign marks a singular chart point."""
+        return _scalar(np.linalg.det(self.triad))
+
     # -- metric level ------------------------------------------------------
 
     @cached_property
     def metric(self) -> np.ndarray:
-        if self.geometry.metric_only:
-            return self.geometry.field.metric(self.q)
         e = self.triad
         return np.swapaxes(e, -1, -2) @ e
 
@@ -146,15 +142,11 @@ class PointGeometry:
 
     @cached_property
     def d_metric(self) -> np.ndarray:
-        if self.geometry.metric_only:
-            return self.geometry.field.d_metric(self.q)
         a = np.einsum("...ims,...in->...mns", self.d_triad, self.triad)  # e^i_{m,s} e^i_n
         return a + np.swapaxes(a, -3, -2)
 
     @cached_property
     def dd_metric(self) -> np.ndarray:
-        if self.geometry.metric_only:
-            return self.geometry.field.dd_metric(self.q)
         # e^i_{m,st} e^i_n + e^i_{m,s} e^i_{n,t}, plus the second with s <-> t and the first with m <-> n
         a = np.einsum("...imst,...in->...mnst", self.dd_triad, self.triad)
         b = np.einsum("...ims,...int->...mnst", self.d_triad, self.d_triad)
@@ -178,17 +170,12 @@ class PointGeometry:
 
     @cached_property
     def affine(self) -> np.ndarray:
-        """Gamma_{ab}^c = e_i^c e^i_{b,a}; equals the Christoffel symbol for
-        metric-only geometries (torsion-free by construction)."""
-        if self.geometry.metric_only:
-            return self.christoffel
+        """Gamma_{ab}^c = e_i^c e^i_{b,a}."""
         return np.einsum("...ic,...iba->...abc", self.triad_inverse, self.d_triad)
 
     @cached_property
     def affine_from_inverse(self) -> np.ndarray:
         """Alternative form Gamma_{ab}^c = -e^i_b partial_a e_i^c."""
-        if self.geometry.metric_only:
-            return self.christoffel
         return -np.einsum("...ib,...ica->...abc", self.triad, self.d_triad_inverse)
 
     @cached_property
@@ -197,8 +184,6 @@ class PointGeometry:
 
     @cached_property
     def torsion(self) -> np.ndarray:
-        if self.geometry.metric_only:
-            return self._zeros(3)
         c = self.affine
         return 0.5 * (c - np.swapaxes(c, -3, -2))
 
@@ -225,8 +210,6 @@ class PointGeometry:
     @cached_property
     def d_affine(self) -> np.ndarray:
         """partial_s Gamma_{ab}^c, derivative index last."""
-        if self.geometry.metric_only:
-            return self.d_christoffel
         dei, de, dde = self.d_triad_inverse, self.d_triad, self.dd_triad
         return np.einsum("...ics,...iba->...abcs", dei, de) + np.einsum(
             "...ic,...ibas->...abcs", self.triad_inverse, dde
@@ -242,8 +225,6 @@ class PointGeometry:
 
     @cached_property
     def d_contortion(self) -> np.ndarray:
-        if self.geometry.metric_only:
-            return self._zeros(4)
         dc = self.d_affine
         ds = 0.5 * (dc - np.swapaxes(dc, -4, -3))
         ds_first = np.einsum("...abds,...dc->...abcs", ds, self.metric) + np.einsum(
@@ -288,6 +269,28 @@ class PointGeometry:
         return self.ricci_riemann - 0.5 * self.metric * np.asarray(self.scalar_riemann)[..., None, None]
 
 
+class _TorsionFreePoint(PointGeometry):
+    """The bundle of a metric-only geometry: torsion-free by construction, so each
+    affine-side quantity is the Riemann-side one itself."""
+
+    metric = cached_property(lambda self: self.geometry.field.metric(self.q))
+    d_metric = cached_property(lambda self: self.geometry.field.d_metric(self.q))
+    dd_metric = cached_property(lambda self: self.geometry.field.dd_metric(self.q))
+    affine = property(lambda self: self.christoffel)
+    affine_from_inverse = property(lambda self: self.christoffel)
+    d_affine = property(lambda self: self.d_christoffel)
+    curvature = property(lambda self: self.curvature_riemann)
+    ricci = property(lambda self: self.ricci_riemann)
+    scalar = property(lambda self: self.scalar_riemann)
+    torsion = cached_property(lambda self: np.zeros_like(self.d_metric))  # S_{ab}^c, shaped as g_{ab,c}
+    d_contortion = cached_property(lambda self: np.zeros(self.torsion.shape + self.torsion.shape[-1:]))
+
+    @cached_property
+    def chart_scale(self):
+        """The least metric eigenvalue: the metric degenerates where it reaches zero."""
+        return _scalar(np.linalg.eigvalsh(self.metric)[..., 0])
+
+
 def _curvature_from(conn: np.ndarray, d_conn: np.ndarray) -> np.ndarray:
     curl = np.einsum("...nlkm->...mnlk", d_conn) - np.einsum("...mlkn->...mnlk", d_conn)
     comm = np.einsum("...mls,...nsk->...mnlk", conn, conn) - np.einsum("...nls,...msk->...mnlk", conn, conn)
@@ -309,6 +312,7 @@ class Geometry:
         self.field = field
         self.dim = field.dim
         self.metric_only = isinstance(field, MetricField)
+        self._point = _TorsionFreePoint if self.metric_only else PointGeometry
         self.name = name if name is not None else getattr(field, "name", "geometry")
         self.params = dict(params or {})
         self.topology = topology
@@ -324,7 +328,7 @@ class Geometry:
         last = self._last  # read and replaced as one tuple: a concurrent caller still gets its own point
         if last is not None and last[0] == key:
             return last[1]
-        pt = PointGeometry(self, q.copy())
+        pt = self._point(self, q.copy())
         self._last = (key, pt)
         return pt
 
@@ -333,7 +337,7 @@ class Geometry:
         points = np.array(points, dtype=float)  # a copy: the bundle is evaluated lazily
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ValueError(f"{self.name}: points must have shape (n, {self.dim}), got {points.shape}")
-        return PointGeometry(self, points)
+        return self._point(self, points)
 
     def random_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw points from the catalog sample box (set for catalog entries)."""

@@ -1,9 +1,9 @@
 """Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the energy
-rule and its floor, the derivative fallback of fields, the RK4 step, the size budgets, the level ceiling, the amplitude
-file names, the golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite
-numbers, the payload ``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range,
-the removal of an earlier run's results and CSV files, the closure of a contour and a reader that closes stdout
-early.
+rule and its floor, the derivative fallback of fields, the RK4 step, the action's Simpson rule, the size budgets, the
+level ceiling, the amplitude file names, the golden references, the one orbit bundle of a trajectory, the payload walk
+that refuses non-finite numbers, the payload ``run`` returns, the levels a ladder reports, the report's error handling,
+the ``--seed`` range, the removal of an earlier run's results and CSV files, the closure of a contour and a reader that
+closes stdout early.
 
     python tests/mutants.py
 
@@ -199,6 +199,10 @@ MUTANTS = [
     ("fourth RK4 stage from k2", DYNAMICS,
      "k4 = rhs(1.0, y + dt * k3)", "k4 = rhs(1.0, y + dt * k2)",
      ["tests/test_dynamics.py::test_autoparallel_conserves_anholonomic_velocity"]),
+    ("Simpson weight 2 in place of 4", DYNAMICS,
+     "4.0 * y[1:m:2].sum()", "2.0 * y[1:m:2].sum()",
+     ["tests/test_dynamics.py::test_simpson_matches_scipy_on_even_step_counts",
+      "tests/test_dynamics.py::test_simpson_is_exact_on_cubics"]),
     ("trajectory steps counted by rounding duration / dt", DYNAMICS,
      "n_steps = whole_steps(duration, dt) if dt > 0 else 0", "n_steps = int(round(duration / dt))",
      ["tests/test_dynamics.py::test_duration_must_be_a_whole_number_of_steps"]),

@@ -352,6 +352,17 @@ def test_report_spectrum_table():
     assert "level" in text and "energy" in text and "residual" in text
 
 
+def test_report_prints_a_level_that_rounds_to_zero_unsigned():
+    # the circle golden's ground level is -3.55e-15 in results.json
+    ladder = {"energies": [-3.55e-15, 0.5]}
+    propagate = format_report({"command": "propagate", **ladder}).splitlines()
+    assert propagate[2].split() == ["0", "0.000000"]
+    compare = format_report({"command": "compare-measures", "qep": ladder, "naive_dewitt": {"energies": [-1e-9, 0.8]},
+                             "reference_shift": 0.3}).splitlines()
+    assert compare[2].split()[:3] == ["0", "0.000000", "0.000000"]
+    assert "-0.000000" not in "\n".join(propagate + compare)
+
+
 def test_console_entry_point(tmp_path, cli_env):
     cfg = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
                                   "contour_radius": 1.0, "contour_segments": 2048})
@@ -595,22 +606,32 @@ def test_sphere_amplitudes_use_m_sector_and_one_propagate(tmp_path, monkeypatch)
 
 COLD_START = """
 import sys
-from torsiongeo import cli, defects, io, propagator, slicing, spectrum
-defect_cfg, circle_cfg, out = sys.argv[1:]
-assert cli.main(["defect", "--config", defect_cfg, "--out", out + "/defect"]) == 0
-assert cli.main(["propagate", "--config", circle_cfg, "--out", out + "/circle"]) == 0
-print(sorted({"scipy.optimize", "scipy.integrate", "scipy.linalg"} & set(sys.modules)))
+from pathlib import Path
+from torsiongeo import cli, defects, dynamics, io, propagator, slicing, spectrum
+out, *configs = sys.argv[1:]
+for config in map(Path, configs):  # each file is named after its command
+    assert cli.main([config.stem, "--config", str(config), "--out", f"{out}/{config.stem}"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 """
 
 
 def test_cli_cold_path_imports_no_scipy_solvers(tmp_path, cli_env):
-    defect = write_config(tmp_path, {"geometry": "dislocation", "epsilon": 0.02, "command": "defect",
-                                     "contour_segments": 512}, "defect.json")
-    circle = write_config(tmp_path, {**MINIMAL, "N": 16, "n_levels": 2}, "circle.json")
-    proc = subprocess.run([sys.executable, "-c", COLD_START, str(defect), str(circle), str(tmp_path)],
+    # every CLI command, run in one fresh interpreter that has imported every module the commands use, leaves no
+    # scipy module loaded, and each manifest records no scipy version
+    configs = [write_config(tmp_path, config, f"{config['command']}.json") for config in (
+        {"geometry": "dislocation", "epsilon": 0.02, "command": "defect", "contour_segments": 512},
+        {**MINIMAL, "N": 16, "n_levels": 2},
+        {"geometry": "sphere", "command": "geom", "n_points": 3},
+        {"geometry": "torsion-toy", "command": "traj", "kind": "autoparallel", "q0": [0.0, 0.0], "v0": [0.5, 0.3],
+         "duration": 0.1, "dt": 0.01},
+        {**MINIMAL, "command": "compare-measures", "N": 16, "n_levels": 2})]
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path), *map(str, configs)],
                           capture_output=True, text=True, env=cli_env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+    for config in configs:
+        manifest = json.loads((tmp_path / config.stem / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] is None
 
 
 COMMAND_SIZED_START = """

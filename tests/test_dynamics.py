@@ -157,6 +157,25 @@ def test_flat_action_value():
     assert evaluate_action(traj, mass) == pytest.approx(0.5 * mass * 1.0 * 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 10, 50, 1000])
+def test_simpson_matches_scipy_on_even_step_counts(n):
+    from scipy.integrate import simpson
+
+    t = np.linspace(0.0, 1.3, n + 1)
+    y = np.exp(np.sin(3.0 * t))
+    assert dynamics._simpson(y, t[1] - t[0]) == pytest.approx(simpson(y, x=t), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_simpson_is_exact_on_cubics(n):
+    # x^3 - x on [0, 1.3]: Simpson's panels and the closing 3/8 panel integrate a cubic exactly; one step is the
+    # trapezoid
+    t = 1.3 * np.arange(n + 1) / n
+    y = t**3 - t
+    exact = 0.5 * 1.3 * y[1] if n == 1 else 1.3**4 / 4 - 1.3**2 / 2
+    assert dynamics._simpson(y, t[1] - t[0]) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
 def test_action_is_chart_invariant():
     # One physical straight line, evaluated in Cartesian and polar charts.
     flat = catalog.make("flat-cartesian")

@@ -391,6 +391,33 @@ def test_batch_takes_a_stack_of_points():
             geom.batch(bad)
 
 
+@pytest.mark.parametrize("name", ["sphere", "disclination"])
+def test_metric_only_bundle_is_its_own_riemann_side(name):
+    # torsion-free by construction: each affine-side quantity is the Riemann-side object itself, torsion and the
+    # contortion derivative are exact zeros, and the chart scale is the least metric eigenvalue
+    geom = catalog.make(name)
+    pts = geom.random_points(4, np.random.default_rng(7))
+    for pt in (geom.at(pts[0]), geom.batch(pts)):
+        stack = pt.q.shape[:-1]
+        for affine, riemann in (("affine", "christoffel"), ("affine_from_inverse", "christoffel"),
+                                ("d_affine", "d_christoffel"), ("curvature", "curvature_riemann"),
+                                ("ricci", "ricci_riemann"), ("scalar", "scalar_riemann")):
+            assert getattr(pt, affine) is getattr(pt, riemann), affine
+        assert pt.torsion.shape == stack + (2,) * 3 and not pt.torsion.any()
+        assert pt.d_contortion.shape == stack + (2,) * 4 and not pt.d_contortion.any()
+        assert np.shape(pt.chart_scale) == stack
+        assert np.array_equal(pt.chart_scale, np.linalg.eigvalsh(pt.metric).min(axis=-1))
+
+
+@pytest.mark.parametrize("name", ["torsion-toy", "polar"])
+def test_triad_bundle_chart_scale_is_the_triad_determinant(name):
+    geom = catalog.make(name)
+    pts = geom.random_points(4, np.random.default_rng(7))
+    for pt in (geom.at(pts[0]), geom.batch(pts)):
+        assert np.shape(pt.chart_scale) == pt.q.shape[:-1]
+        assert np.array_equal(pt.chart_scale, np.linalg.det(pt.triad))
+
+
 def test_evaluator_shape_is_checked_against_the_stack():
     # a per-point closed form that ignores the batch axis is caught, not broadcast
     field = TriadField(1, lambda q: np.array([[1.0 + q[..., 0].sum()]]), name="scalar-only")
