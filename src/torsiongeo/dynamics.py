@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChartSingularity, GridMismatch, GridTooCoarse, NonFiniteResult, SingularTriad, StepTooLarge
+from .errors import (ChartSingularity, GridMismatch, GridTooCoarse, MetricNotPositiveDefinite, NonFiniteResult,
+                     SingularTriad, StepTooLarge)
 from .geometry import Geometry
 from .slicing import whole_steps
 
@@ -93,8 +94,9 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
     number of ``dt`` steps (``slicing.whole_steps``), by ``_rk4_step`` on [q, v].
 
     Raises ``ValueError`` when ``duration`` is no positive whole number of steps,
-    ``ChartSingularity`` when the path reaches a singular chart point (the bundle's
-    ``chart_scale`` below ``SINGULAR_TOL`` or changing sign between steps),
+    ``ChartSingularity`` when the path starts at or reaches a singular chart point (a
+    field guard fails at the start point or an RK4 stage, or the bundle's ``chart_scale``
+    falls below ``SINGULAR_TOL`` or changes sign between steps),
     ``NonFiniteResult`` when the kinetic invariant overflows, and ``StepTooLarge``
     when it drifts by more than ten times the tolerance ``max(1e-6, 1e3 dt^4)`` relative.
     """
@@ -110,19 +112,19 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
 
     def rhs(frac, yy):
         q, v = yy[:d], yy[d:]
-        try:
-            pt = geom.at(q)
-            conn = pt.christoffel if kind == "geodesic" else pt.affine
-        except SingularTriad as exc:
-            raise ChartSingularity(str(exc)) from exc
+        pt = geom.at(q)
+        conn = pt.christoffel if kind == "geodesic" else pt.affine
         return np.concatenate([v, -np.einsum("abc,a,b->c", conn, v, v)])
 
-    scale0 = geom.at(ys[0, :d]).chart_scale
-    for k in range(n_steps):
-        ys[k + 1] = _rk4_step(rhs, ys[k], dt)
-        scale = geom.at(ys[k + 1, :d]).chart_scale  # Geometry.at keeps this bundle for the next step's k1
-        if abs(scale) < SINGULAR_TOL or scale * scale0 < 0.0:
-            raise ChartSingularity(f"chart became singular near q={ys[k + 1, :d].tolist()} at t={ts[k + 1]:.6g}")
+    try:
+        scale0 = geom.at(ys[0, :d]).chart_scale
+        for k in range(n_steps):
+            ys[k + 1] = _rk4_step(rhs, ys[k], dt)
+            scale = geom.at(ys[k + 1, :d]).chart_scale  # Geometry.at keeps this bundle for the next step's k1
+            if abs(scale) < SINGULAR_TOL or scale * scale0 < 0.0:
+                raise ChartSingularity(f"chart became singular near q={ys[k + 1, :d].tolist()} at t={ts[k + 1]:.6g}")
+    except (SingularTriad, MetricNotPositiveDefinite) as exc:
+        raise ChartSingularity(str(exc)) from exc
 
     traj = Trajectory(kind, ts, ys[:, :d].copy(), ys[:, d:].copy(), geom)
     tol = max(1e-6, 1e3 * dt**4)

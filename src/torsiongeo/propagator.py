@@ -227,22 +227,22 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     of the symmetrized unphased B, integrated beside it: a Gershgorin bound
     on its eigenvalues, as it is nonnegative.  At m = 0 ``scale`` is None.
     """
-    a = float(geom.params.get("a", 1.0))
     x_nodes, x_weights = np.polynomial.legendre.leggauss(int(n_theta))
     theta = np.arccos(x_nodes)[::-1]
     gl_w = x_weights[::-1]
+    pt = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1))
+    a2 = float(pt.metric[0, 0, 0])  # g_theta_theta = a^2 of the round sphere, g_phi_phi = a^2 sin^2 theta
     sigma = math.sqrt(config.eps * config.hbar / config.mass)
-    _check_resolution(sigma / a, math.pi / n_theta)
+    _check_resolution(sigma / math.sqrt(a2), math.pi / n_theta)
     pref = config.mass / (2.0 * config.eps * config.hbar)
     sin_t = np.sin(theta)
-    g_phi = a * a * sin_t**2
-    quartic = pref / a**2 if config.order >= 4 else 0.0
+    g_phi = a2 * sin_t**2
+    quartic = pref / a2 if config.order >= 4 else 0.0
     terms = sorted(set(terms))
-    ricci = np.stack([geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1)).scalar_riemann
-                      if term and config.order >= 3 else np.zeros(n_theta) for term in terms])
+    ricci = np.stack([pt.scalar_riemann if term and config.order >= 3 else np.zeros(n_theta) for term in terms])
 
     if config.order == 2:
-        n_phi = max(64, int(2 * math.ceil(math.pi * a * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
+        n_phi = max(64, int(2 * math.ceil(math.pi * math.sqrt(a2) * MIN_POINTS_PER_SIGMA * 1.5 / sigma)))
         if 2 * abs(m) >= n_phi:
             raise TorsionGeoError(f"sector m={m} is at or beyond the Nyquist limit of the {n_phi}-point "
                                   f"order-2 azimuth grid")
@@ -259,9 +259,9 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     for block in _blocks(rows.size, zeta.size):
         i, j = rows[block], cols[block]
         # the Gaussian core, shared by every term: the bare chart quadratic at order 2, else the resummed form
-        p_form = a * a * (theta[i] - theta[j]) ** 2
+        p_form = a2 * (theta[i] - theta[j]) ** 2
         q_form = (g_phi[i, None] * zeta**2 if config.order == 2
-                  else (2.0 * a * a * (sin_t[i] * sin_t[j]))[:, None] * one_minus_cos)
+                  else (2.0 * a2 * (sin_t[i] * sin_t[j]))[:, None] * one_minus_cos)
         gauss = np.exp(-pref * (p_form[:, None] + q_form))
         quartic_q = quartic / 12.0 * q_form
         # c = -quartic (P Q/6 + Q^2/12) + R (P+Q)/12 = q (lin - quartic q/12) + const per pair
@@ -271,7 +271,7 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
             c = q_form * (lin_t[:, None] - quartic_q) + const_t[:, None]
             kernel[:, i, j] = (gauss * (1.0 + c + 0.5 * (c * c)) @ phase).T * (2.0 * dzeta)
     norm = config.mass / (2 * np.pi * config.hbar * config.eps)
-    weights = a * a * gl_w
+    weights = a2 * gl_w
     if config.order >= 3:
         sums[..., cols, rows] = sums[..., rows, cols]
     sums *= norm * np.sqrt(np.outer(weights, weights))

@@ -14,7 +14,8 @@ returns arrays with the same leading (batch) axes, ``(..., D, D)``,
 ``(..., D, D, D)`` or ``(..., D, D, D, D)``.  A single point of shape ``(D,)``
 has batch shape ``()`` and gets the per-point arrays; a stack of n points
 ``(n, D)`` is evaluated in one call.  Every field checks the returned shape,
-and its ``|det e|`` and positive-definiteness guards run over the whole stack.
+and its ``|det e|`` and positive-definiteness guards run over the whole stack;
+a NaN fails them.
 Index conventions, after the batch axes:
 
 * ``triad(q)[..., i, mu]``          -> e^i_mu
@@ -128,9 +129,9 @@ class TriadField:
     def triad(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         e = _checked(self._eval(q), q, self.dim, 2, self.name)
-        bad = _first(q, np.abs(np.linalg.det(e)) < DET_THRESHOLD)
+        bad = _first(q, ~(np.abs(np.linalg.det(e)) >= DET_THRESHOLD))
         if bad is not None:
-            raise SingularTriad(f"{self.name}: |det e| below {DET_THRESHOLD} at q={bad}")
+            raise SingularTriad(f"{self.name}: |det e| below {DET_THRESHOLD} or NaN at q={bad}")
         return e
 
     def d_triad(self, q) -> np.ndarray:
@@ -169,7 +170,7 @@ class MetricField:
     def metric(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         g = _checked(self._metric(q), q, self.dim, 2, self.name)
-        bad = _first(q, np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2))).min(axis=-1) <= 0.0)
+        bad = _first(q, ~(np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2))).min(axis=-1) > 0.0))
         if bad is not None:
             raise MetricNotPositiveDefinite(f"{self.name}: metric not positive definite at q={bad}")
         return g

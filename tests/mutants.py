@@ -1,9 +1,9 @@
-"""Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the energy
-rule and its floor, the derivative fallback of fields, the RK4 step, the action's Simpson rule, the size budgets, the
-level ceiling, the amplitude file names, the golden references, the one orbit bundle of a trajectory, the payload walk
-that refuses non-finite numbers, the payload ``run`` returns, the levels a ladder reports, the report's error handling,
-the ``--seed`` range, the removal of an earlier run's results and CSV files, the closure of a contour and a reader that
-closes stdout early.
+"""Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the sphere's
+radius, the energy rule and its floor, the derivative fallback of fields, the triad guard, the RK4 step and the
+singular points an orbit meets, the action's Simpson rule, the size budgets, the level ceiling, the amplitude file
+names, the golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers,
+the payload ``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range, the removal
+of an earlier run's results and CSV files, the closure of a contour and a reader that closes stdout early.
 
     python tests/mutants.py
 
@@ -212,6 +212,15 @@ MUTANTS = [
     ("payload walk skips list entries", IO,
      'return [jsonable(v, f"{path}[{k}]") for k, v in enumerate(obj)]', "return list(obj)",
      ["tests/test_io.py::test_jsonable_names_the_first_non_finite_entry"]),
+    ("sphere radius read from the catalog params", PROPAGATOR,
+     "a2 = float(pt.metric[0, 0, 0])", 'a2 = float(geom.params.get("a", 1.0)) ** 2',
+     ["tests/test_propagator.py::test_sphere_builder_reads_its_radius_from_the_metric"]),
+    ("field guards turned into ChartSingularity for a singular triad alone", DYNAMICS,
+     "except (SingularTriad, MetricNotPositiveDefinite) as exc:", "except SingularTriad as exc:",
+     ["tests/test_dynamics.py::test_orbit_from_a_singular_start_point_is_a_chart_singularity"]),
+    ("triad guard that a NaN determinant passes", TRIADS,
+     "~(np.abs(np.linalg.det(e)) >= DET_THRESHOLD)", "np.abs(np.linalg.det(e)) < DET_THRESHOLD",
+     ["tests/test_triads.py::test_nan_triad_is_singular"]),
     ("second derivative differences eval twice, ignoring a given first derivative", TRIADS,
      "_derivative(evals, order - 1, p, dim, step, name)",
      "_derivative((evals[0], None, None), order - 1, p, dim, step, name)",

@@ -33,6 +33,7 @@ from torsiongeo.spectrum import extract_spectrum, richardson_pair
 from torsiongeo.triads import TriadField
 
 import golden  # tests/golden.py: the committed references and their comparison
+from bundle_oracles import curvature_relation_residual, sphere_dyad
 
 RNG = np.random.default_rng(1996)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -42,19 +43,10 @@ def _passline(num, text):
     print(f"\n[criterion {num:02d}] PASS - {text}")
 
 
-def sphere_dyad_geometry():
-    base = catalog.make("sphere").field
-    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, name="sphere-dyad")
-    geom = Geometry(field)
-    geom.sample_box = [(0.3, np.pi - 0.3), (0.0, 2 * np.pi)]
-    geom.name = "sphere-dyad"
-    return geom
-
-
 def test_c01_tensor_identity_suite():
     started = time.time()
     triad_geoms = [catalog.make(n) for n in ("flat-cartesian", "polar", "circle", "dislocation", "torsion-toy")]
-    triad_geoms.append(sphere_dyad_geometry())
+    triad_geoms.append(sphere_dyad())
     metric_geoms = [catalog.make(n) for n in ("sphere", "disclination")]
     worst = {"k_antisym": 0.0, "decomp": 0.0, "trace": 0.0, "forms": 0.0}
     for geom in triad_geoms:
@@ -84,27 +76,13 @@ def test_c01_tensor_identity_suite():
     _passline(1, f"identities on 100 pts x 8 geometries, worst residuals {worst}, {elapsed:.2f}s")
 
 
-def _curvature_relation_residual(pt):
-    k, dk, gbar = pt.contortion, pt.d_contortion, pt.christoffel
-    dbar = (
-        np.einsum("nlkm->mnlk", dk)
-        + np.einsum("msk,nls->mnlk", gbar, k)
-        - np.einsum("mns,slk->mnlk", gbar, k)
-        - np.einsum("mls,nsk->mnlk", gbar, k)
-    )
-    curl = dbar - np.einsum("nmlk->mnlk", dbar)
-    comm = np.einsum("mls,nsk->mnlk", k, k) - np.einsum("nls,msk->mnlk", k, k)
-    return np.max(np.abs(pt.curvature - (pt.curvature_riemann + curl - comm)))
-
-
 def test_c02_curvature_relation():
     started = time.time()
     geom = catalog.make("torsion-toy")
-    worst = max(_curvature_relation_residual(geom.at(q)) for q in geom.random_points(100, RNG))
+    worst = max(curvature_relation_residual(geom.at(q)) for q in geom.random_points(100, RNG))
     assert worst < 1e-8
-    fd_geom = Geometry(TriadField(2, geom.field.triad, fd_step=1e-5))
-    fd_geom.sample_box = geom.sample_box
-    worst_fd = max(_curvature_relation_residual(fd_geom.at(q)) for q in fd_geom.random_points(25, RNG))
+    fd_geom = Geometry(TriadField(2, geom.field.triad, fd_step=1e-5), sample_box=geom.sample_box)
+    worst_fd = max(curvature_relation_residual(fd_geom.at(q)) for q in fd_geom.random_points(25, RNG))
     assert worst_fd < 1e-5
     elapsed = time.time() - started
     assert elapsed < 10.0

@@ -15,12 +15,7 @@ from torsiongeo.geometry import Geometry, lower_last
 from torsiongeo.slicing import SCHEMES, _action_coefficients
 from torsiongeo.triads import TriadField
 
-
-def sphere_dyad() -> Geometry:
-    """The diagonal square root of the sphere metric as a torsion-carrying dyad."""
-    base = catalog.make("sphere").field
-    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, name="sphere-dyad")
-    return Geometry(field, sample_box=[(0.3, np.pi - 0.3), (0.0, 2 * np.pi)])
+from bundle_oracles import curvature_relation_residual, sphere_dyad
 
 
 def toy_fd() -> Geometry:
@@ -41,14 +36,6 @@ TRIAD_SIDE = ("triad", "triad_inverse", "d_triad", "dd_triad", "d_triad_inverse"
               "torsion_first", "torsion_trace", "contortion_first")
 
 PROPERTY = settings(max_examples=20, deadline=None)
-
-
-def covariant_curl_of_contortion(pt):
-    """Dbar_m K_{nl}^k - Dbar_n K_{ml}^k on a stack, Dbar the Levi-Civita derivative (cf. test_geometry)."""
-    k, dk, gbar = pt.contortion, pt.d_contortion, pt.christoffel
-    dbar = (np.einsum("...nlkm->...mnlk", dk) + np.einsum("...msk,...nls->...mnlk", gbar, k)
-            - np.einsum("...mns,...slk->...mnlk", gbar, k) - np.einsum("...mls,...nsk->...mnlk", gbar, k))
-    return dbar - np.swapaxes(dbar, -4, -3)
 
 
 def points_in(geom: Geometry):
@@ -104,10 +91,7 @@ def test_c01_identities_at_drawn_points(name, data):
     assert np.max(np.abs(pt.affine - pt.christoffel - pt.contortion)) < tol
     assert np.max(np.abs(pt.affine - pt.affine_from_inverse)) < tol
     # R = Rbar + covariant curl of K - [K, K]
-    k = pt.contortion
-    commutator = np.einsum("...mls,...nsk->...mnlk", k, k) - np.einsum("...nls,...msk->...mnlk", k, k)
-    rhs = pt.curvature_riemann + covariant_curl_of_contortion(pt) - commutator
-    assert np.max(np.abs(pt.curvature - rhs)) < (1e-5 if name == "toy-fd" else 1e-8)
+    assert curvature_relation_residual(pt) < (1e-5 if name == "toy-fd" else 1e-8)
 
 
 def deformed_loop(radius: float, amplitude: float, k: int, phase: float, vertices: int = 10_000) -> Contour:

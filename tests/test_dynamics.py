@@ -92,6 +92,19 @@ def test_chart_singularity_at_polar_origin():
         integrate_trajectory(geom, "autoparallel", [1.0, 0.0], [-1.5, 0.0], 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("name", ["polar", "sphere"])
+def test_orbit_from_a_singular_start_point_is_a_chart_singularity(name):
+    # the polar triad is singular at the origin, the sphere metric degenerate at its pole
+    with pytest.raises(ChartSingularity):
+        integrate_trajectory(catalog.make(name), "geodesic", [0.0, 0.0], [1.0, 0.0], 1.0, 1e-3)
+
+
+def test_polar_orbit_whose_rk4_stage_lands_on_the_origin_is_a_chart_singularity():
+    # the last stage of the step from r = 1e-3 reaches r ~ 1e-16, where the triad guard fires inside the rhs
+    with pytest.raises(ChartSingularity, match="det e"):
+        integrate_trajectory(catalog.make("polar"), "autoparallel", [1.0, 0.0], [-1.0, 0.0], 2.0, 1e-3)
+
+
 def test_zero_step_run_is_rejected():
     # round(duration / dt) = 0 used to return a one-sample orbit that evaluate_action could not integrate
     with pytest.raises(ValueError, match="dt"):

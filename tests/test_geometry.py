@@ -19,26 +19,17 @@ from torsiongeo.geometry import (
 )
 from torsiongeo.triads import MetricField, TriadField
 
+from bundle_oracles import curvature_relation_residual, sphere_dyad
+
 RNG = np.random.default_rng(42)
 
 TRIAD_GEOMETRIES = ["flat-cartesian", "polar", "circle", "dislocation", "torsion-toy"]
 ALL_GEOMETRIES = TRIAD_GEOMETRIES + ["sphere", "disclination"]
 
 
-def sphere_dyad_as_triad() -> Geometry:
-    """The diagonal square root of the sphere metric, treated as a genuine
-    (nonholonomic, torsion-carrying) dyad field."""
-    base = catalog.make("sphere").field
-    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, name="sphere-dyad")
-    geom = Geometry(field)
-    geom.sample_box = [(0.3, np.pi - 0.3), (0.0, 2 * np.pi)]
-    geom.name = "sphere-dyad"
-    return geom
-
-
 def triad_cases():
     cases = [catalog.make(name) for name in TRIAD_GEOMETRIES]
-    cases.append(sphere_dyad_as_triad())
+    cases.append(sphere_dyad())
     return cases
 
 
@@ -191,24 +182,10 @@ def test_holonomic_triads_have_zero_affine_curvature_and_rbar_matches():
 
 
 def test_curvature_antisymmetric_first_pair():
-    geom = sphere_dyad_as_triad()
+    geom = sphere_dyad()
     for q in geom.random_points(5, RNG):
         r = geom.at(q).curvature_riemann
         assert np.allclose(r, -np.swapaxes(r, 0, 1), atol=1e-10)
-
-
-def _covariant_curl_of_contortion(pt):
-    """Dbar_m K_{n l}^k - Dbar_n K_{m l}^k with the full covariant derivative."""
-    k, dk, gbar = pt.contortion, pt.d_contortion, pt.christoffel
-    # Dbar_m K_{nl}^k = d_m K + Gammabar_{ms}^k K_{nl}^s
-    #                 - Gammabar_{mn}^s K_{sl}^k - Gammabar_{ml}^s K_{ns}^k
-    dbar = (
-        np.einsum("nlkm->mnlk", dk)
-        + np.einsum("msk,nls->mnlk", gbar, k)
-        - np.einsum("mns,slk->mnlk", gbar, k)
-        - np.einsum("mls,nsk->mnlk", gbar, k)
-    )
-    return dbar - np.einsum("nmlk->mnlk", dbar)
 
 
 def test_curvature_relation_between_affine_and_riemann():
@@ -217,22 +194,14 @@ def test_curvature_relation_between_affine_and_riemann():
     # vanishes, which makes the check sharp.
     geom = catalog.make("torsion-toy")
     for q in geom.random_points(10, RNG):
-        pt = geom.at(q)
-        k = pt.contortion
-        comm = np.einsum("mls,nsk->mnlk", k, k) - np.einsum("nls,msk->mnlk", k, k)
-        rhs = pt.curvature_riemann + _covariant_curl_of_contortion(pt) - comm
-        assert np.max(np.abs(pt.curvature - rhs)) < 1e-8
+        assert curvature_relation_residual(geom.at(q)) < 1e-8
 
 
 def test_curvature_relation_with_finite_differences():
     geom = catalog.make("torsion-toy")
     fd_geom = Geometry(TriadField(2, geom.field.triad, fd_step=1e-5))
     for q in geom.random_points(3, RNG):
-        pt = fd_geom.at(q)
-        k = pt.contortion
-        comm = np.einsum("mls,nsk->mnlk", k, k) - np.einsum("nls,msk->mnlk", k, k)
-        rhs = pt.curvature_riemann + _covariant_curl_of_contortion(pt) - comm
-        assert np.max(np.abs(pt.curvature - rhs)) < 1e-5
+        assert curvature_relation_residual(fd_geom.at(q)) < 1e-5
 
 
 FD_ORACLE_PROPERTIES = ("d_affine", "d_christoffel", "d_contortion", "curvature", "curvature_riemann",

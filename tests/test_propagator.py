@@ -6,8 +6,9 @@
 # circle with a varying metric), the 1-d measure exponent that vanishes and
 # the one 1-d kernel both measures get, the symmetry-reduced sphere kernel
 # against its full-period reference and an uncut 4000-point build, the
-# sphere's zeta grid growing with m, the stored amplitudes' exact symmetry,
-# the rounding floor and the negative-eigenvalue count below it, the one build
+# sphere's zeta grid growing with m, its radius read from the metric, the
+# stored amplitudes' exact symmetry, the rounding floor and the
+# negative-eigenvalue count below it, the one build
 # shared by both measures against one-measure builds, one eigensolve per
 # distinct kernel (one for both measures on the order-2 sphere), and the taus
 # checked before any kernel is built.
@@ -212,11 +213,7 @@ def bumpy_line_geometry():
     def dd_evaluate(q):
         return (-0.25 * np.sin(q[..., 0]))[..., None, None, None, None]
 
-    field = TriadField(1, evaluate, d_evaluate, dd_evaluate, name="bumpy-line")
-    geom = Geometry(field)
-    geom.name = "bumpy-line"
-    geom.topology = "line"
-    return geom
+    return Geometry(TriadField(1, evaluate, d_evaluate, dd_evaluate, name="bumpy-line"), topology="line")
 
 
 def test_schemes_agree_on_varying_1d_metric():
@@ -266,9 +263,7 @@ def _bumpy_line():
 @functools.lru_cache(maxsize=None)
 def _varying_circle():
     """The bumpy line's triad 1 + 0.25 sin(phi), which is 2 pi periodic, on the circle."""
-    geom = bumpy_line_geometry()
-    geom.name, geom.topology = "varying-circle", "circle"
-    return geom
+    return Geometry(bumpy_line_geometry().field, name="varying-circle", topology="circle")
 
 
 def _kernel_entry_oracle(geom, cfg, later, earlier, period, w_max):
@@ -501,6 +496,17 @@ def test_sphere_radius_scaling():
     Ls = np.arange(0, 60)
     oracle = np.array([np.exp(-t * Ls * (Ls + 1) / 8.0).sum() for t in taus])
     assert np.max(np.abs(np.log(res.trace / oracle))) < 5e-3
+
+
+def test_sphere_builder_reads_its_radius_from_the_metric():
+    # a sphere made from the catalog field alone carries no params: the builder reads a^2 from g_theta_theta,
+    # so its levels are l (l + 1) / 2 a^2 of the a = 2 sphere, not the unit sphere's l (l + 1) / 2
+    cfg = SliceConfig(n_slices=8, eps=0.05)
+    sphere = catalog.make("sphere", a=2.0)
+    bare = propagate(Geometry(sphere.field, topology="sphere"), cfg, grid=240)
+    assert np.array_equal(bare.eigenvalues, propagate(sphere, cfg, grid=240).eigenvalues)
+    levels = -np.log(bare.eigenvalues[:4]) / cfg.eps
+    assert levels == pytest.approx([0.0, 0.25, 0.75, 1.5], abs=5e-3)
 
 
 def test_sphere_expansion_order_ablation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torsiongeo import catalog
-from torsiongeo.errors import SingularTriad, TriadUnavailable
+from torsiongeo.errors import MetricNotPositiveDefinite, SingularTriad, TriadUnavailable
 from torsiongeo.triads import MetricField, TriadField, sample_triad_to_csv, triad_grid_from_csv
 
 RNG = np.random.default_rng(20260808)
@@ -89,6 +89,24 @@ def test_singular_triad_detected():
     field = catalog.make("polar").field
     with pytest.raises(SingularTriad):
         field.triad(np.array([0.0, 0.3]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field divides by zero at its core
+def test_nan_triad_is_singular():
+    # the dislocation triad at its core is [[1, 0], [nan, nan]]: a NaN determinant fails the guard
+    field = catalog.make("dislocation").field
+    with pytest.raises(SingularTriad, match=r"q=\[0.0, 0.0\]"):
+        field.triad(np.array([[1.0, 0.5], [0.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field divides by zero at its core
+def test_nan_metric_is_not_positive_definite():
+    # the disclination metric at its core is all NaN: it fails the guard instead of reaching the bundle
+    geom = catalog.make("disclination")
+    with pytest.raises(MetricNotPositiveDefinite, match=r"q=\[0.0, 0.0\]"):
+        geom.field.metric(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(MetricNotPositiveDefinite):
+        geom.at([0.0, 0.0]).scalar_riemann
 
 
 def test_metric_field_rejects_triad_requests_when_not_diagonal():
