@@ -36,6 +36,8 @@ from .triads import MetricField, TriadField
 
 TWO_PI = 2.0 * math.pi
 OMEGA_BOUND = 0.1  # largest |omega| of a disclination: the metric is a leading-order expansion in omega
+# The defect evaluators divide by zero at the core; the field guards name that point, so numpy stays silent there.
+_AT_CORE = np.errstate(divide="ignore", invalid="ignore")
 
 # Fixed deformation pattern of the torsion toy; asymmetry in the lower pair
 # of e^i_{mu,nu} = s0 * t[i, mu, nu] is what generates the torsion.
@@ -57,6 +59,7 @@ def _zeros(q: np.ndarray, *shape: int) -> np.ndarray:
     return np.zeros(np.shape(q)[:-1] + shape)
 
 
+@_AT_CORE
 def angle_gradient(q: np.ndarray) -> np.ndarray:
     """Gradient of the polar angle atan2(q2, q1); single-valued off the origin."""
     u, v = q[..., 0], q[..., 1]
@@ -64,6 +67,7 @@ def angle_gradient(q: np.ndarray) -> np.ndarray:
     return np.stack([-v / rho2, u / rho2], axis=-1)
 
 
+@_AT_CORE
 def angle_hessian(q: np.ndarray) -> np.ndarray:
     u, v = q[..., 0], q[..., 1]
     rho4 = (u * u + v * v) ** 2
@@ -74,6 +78,7 @@ def angle_hessian(q: np.ndarray) -> np.ndarray:
     return out / rho4[..., None, None]
 
 
+@_AT_CORE
 def angle_third(q: np.ndarray) -> np.ndarray:
     u, v = q[..., 0], q[..., 1]
     rho6 = (u * u + v * v) ** 3
@@ -154,7 +159,7 @@ def sphere(a: float = 1.0) -> Geometry:
         ddg[..., 1, 1, 0, 0] = 2 * a2 * np.cos(2 * q[..., 0])
         return ddg
 
-    field = MetricField(2, metric, d_metric, dd_metric, diagonal=True, name="sphere")
+    field = MetricField(2, metric, d_metric, dd_metric, name="sphere")
     return Geometry(field, name="sphere", params={"a": float(a)}, topology="sphere",
                     sample_box=[(0.3, math.pi - 0.3), (0.0, TWO_PI)])
 
@@ -212,15 +217,18 @@ def disclination(omega: float = 0.05) -> Geometry:
         ew = eps2[:, None, :] * w[..., None, :, None]  # [m, n, s] = eps2[m, s] w[n]
         return rho2, w[..., :, None] * w[..., None, :], ew + np.swapaxes(ew, -3, -2)
 
+    @_AT_CORE
     def metric(q):
         rho2, ww, _ = parts(q)
         return np.eye(2) - (2 * om / rho2) * ww
 
+    @_AT_CORE
     def d_metric(q):
         rho2, ww, sym = parts(q)
         r2 = rho2[..., None]
         return -2 * om * (sym / r2 - 2 * q[..., None, None, :] * ww[..., None] / r2**2)
 
+    @_AT_CORE
     def dd_metric(q):
         rho2, ww, sym = parts(q)
         r2, ww4 = rho2[..., None, None], ww[..., None, None]
@@ -232,7 +240,7 @@ def disclination(omega: float = 0.05) -> Geometry:
         term = term + 8 * qs * qt * ww4 / r2**3
         return -2 * om * term
 
-    field = MetricField(2, metric, d_metric, dd_metric, diagonal=False, name="disclination")
+    field = MetricField(2, metric, d_metric, dd_metric, name="disclination")
     return Geometry(field, name="disclination", params={"omega": om},
                     sample_box=[(0.4, 2.4), (0.4, 2.4)])
 

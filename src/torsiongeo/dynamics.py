@@ -123,7 +123,7 @@ def integrate_trajectory(geom: Geometry, kind: str, q0, v0, duration: float, dt:
             scale = geom.at(ys[k + 1, :d]).chart_scale  # Geometry.at keeps this bundle for the next step's k1
             if abs(scale) < SINGULAR_TOL or scale * scale0 < 0.0:
                 raise ChartSingularity(f"chart became singular near q={ys[k + 1, :d].tolist()} at t={ts[k + 1]:.6g}")
-    except (SingularTriad, MetricNotPositiveDefinite) as exc:
+    except (SingularTriad, MetricNotPositiveDefinite, NonFiniteResult) as exc:
         raise ChartSingularity(str(exc)) from exc
 
     traj = Trajectory(kind, ts, ys[:, :d].copy(), ys[:, d:].copy(), geom)

@@ -5,9 +5,9 @@ A triad field supplies the D x D matrix e^i_mu(q) relating flat differentials
 dx^i to chart differentials dq^mu, together with its first and second partial
 derivatives.  Everything else (metric, connections, torsion, curvature) is
 derived from it.  A metric field supplies g_munu(q) and its derivatives
-directly; it can serve every Riemann-side operation, but torsion-side
-operations need a genuine triad and will raise ``TriadUnavailable`` unless the
-metric is diagonal (in which case the diagonal square root is used).
+directly: its bundle is torsion-free (the affine connection is the Christoffel
+symbol), and the field has no triad, so asking it for one raises
+``TriadUnavailable``.
 
 Evaluator contract: every evaluator takes points of shape ``(..., D)`` and
 returns arrays with the same leading (batch) axes, ``(..., D, D)``,
@@ -15,7 +15,7 @@ returns arrays with the same leading (batch) axes, ``(..., D, D)``,
 has batch shape ``()`` and gets the per-point arrays; a stack of n points
 ``(n, D)`` is evaluated in one call.  Every field checks the returned shape,
 and its ``|det e|`` and positive-definiteness guards run over the whole stack;
-a NaN fails them.
+a NaN fails them.  A derivative that is not finite raises ``NonFiniteResult``.
 Index conventions, after the batch axes:
 
 * ``triad(q)[..., i, mu]``          -> e^i_mu
@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import MetricNotPositiveDefinite, SingularTriad, TriadUnavailable
+from .errors import MetricNotPositiveDefinite, NonFiniteResult, SingularTriad, TriadUnavailable
 from .io import _write_table
 
 DEFAULT_FD_STEP = 1e-5
@@ -74,11 +74,17 @@ def _checked(values, q: np.ndarray, dim: int, rank: int, name: str) -> np.ndarra
 
 def _derivative(evals: tuple, order: int, q, dim: int, step: float, name: str) -> np.ndarray:
     """Derivative of the given ``order`` of ``evals[0]`` at ``q``: the analytic ``evals[order]``
-    when supplied, else the central difference of the derivative one order lower."""
+    when supplied, else the central difference of the derivative one order lower.  A value that
+    is not finite raises ``NonFiniteResult`` naming the first point that has one."""
     q = np.asarray(q, dtype=float)
     if evals[order] is not None:
-        return _checked(evals[order](q), q, dim, 2 + order, name)
-    return _central_diff(lambda p: _derivative(evals, order - 1, p, dim, step, name), q, step)
+        values = _checked(evals[order](q), q, dim, 2 + order, name)
+    else:
+        values = _central_diff(lambda p: _derivative(evals, order - 1, p, dim, step, name), q, step)
+    if not np.isfinite(values).all():
+        bad = _first(q, ~np.isfinite(values).all(axis=tuple(range(q.ndim - 1, values.ndim))))
+        raise NonFiniteResult(f"{name}: derivative of order {order} is not finite at q={bad}")
+    return values
 
 
 def _first(q: np.ndarray, bad: np.ndarray) -> Optional[list]:
@@ -129,7 +135,9 @@ class TriadField:
     def triad(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         e = _checked(self._eval(q), q, self.dim, 2, self.name)
-        bad = _first(q, ~(np.abs(np.linalg.det(e)) >= DET_THRESHOLD))
+        with np.errstate(invalid="ignore"):  # a NaN triad fails the guard below, without a warning
+            det = np.linalg.det(e)
+        bad = _first(q, ~(np.abs(det) >= DET_THRESHOLD))
         if bad is not None:
             raise SingularTriad(f"{self.name}: |det e| below {DET_THRESHOLD} or NaN at q={bad}")
         return e
@@ -143,11 +151,9 @@ class TriadField:
 
 class MetricField:
     """
-    Geometry specified by a metric alone (no torsion content).
-
-    Serves g, its derivatives, and, for diagonal metrics, the diagonal
-    square-root triad e = diag(sqrt(g_11), ..., sqrt(g_DD)) used by
-    operations that need flat-index components.
+    Geometry specified by a metric alone.  Its bundle is torsion-free by
+    construction, and the field has no triad: ``triad``, ``d_triad`` and
+    ``dd_triad`` raise ``TriadUnavailable``.
     """
 
     def __init__(
@@ -157,14 +163,12 @@ class MetricField:
         d_metric: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         dd_metric: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         *,
-        diagonal: bool = False,
         name: str = "metric",
     ):
         self.dim = int(dim)
         self._metric = metric
         self._d_metric = d_metric
         self._dd_metric = dd_metric
-        self.diagonal = bool(diagonal)
         self.name = name
 
     def metric(self, q) -> np.ndarray:
@@ -181,40 +185,10 @@ class MetricField:
     def dd_metric(self, q) -> np.ndarray:
         return _derivative((self._metric, self._d_metric, self._dd_metric), 2, q, self.dim, DEFAULT_FD_STEP, self.name)
 
-    def _root(self, q) -> np.ndarray:
-        """e^i_i = sqrt(g_ii) at every point, (..., D); the triad's derivatives sit on its (i, i) diagonal."""
-        g = self.metric(q)
-        self._require_diagonal(g, q)
-        return np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
-
     def triad(self, q) -> np.ndarray:
-        return self._root(q)[..., None] * np.eye(self.dim)
+        raise TriadUnavailable(f"{self.name}: a metric field has no triad")
 
-    def d_triad(self, q) -> np.ndarray:
-        root = self._root(q)
-        idx = np.arange(self.dim)
-        dg = self.d_metric(q)[..., idx, idx, :]  # g_{ii,s}
-        out = np.zeros(dg.shape[:-2] + (self.dim,) * 3)
-        out[..., idx, idx, :] = dg / (2.0 * root[..., None])
-        return out
-
-    def dd_triad(self, q) -> np.ndarray:
-        root = self._root(q)[..., None, None]
-        idx = np.arange(self.dim)
-        dg = self.d_metric(q)[..., idx, idx, :]
-        ddg = self.dd_metric(q)[..., idx, idx, :, :]
-        out = np.zeros(dg.shape[:-2] + (self.dim,) * 4)
-        out[..., idx, idx, :, :] = ddg / (2.0 * root) - (dg[..., :, None] * dg[..., None, :]) / (4.0 * root**3)
-        return out
-
-    def _require_diagonal(self, g: np.ndarray, q: np.ndarray) -> None:
-        if not self.diagonal:
-            raise TriadUnavailable(f"{self.name}: geometry was given as a (non-diagonal) metric; "
-                                   "torsion-side operations need an explicit triad")
-        off = np.abs(np.where(np.eye(self.dim, dtype=bool), 0.0, g)).max(axis=(-2, -1))
-        bad = _first(np.asarray(q, dtype=float), off > 1e-12 * np.maximum(1.0, np.abs(g).max(axis=(-2, -1))))
-        if bad is not None:
-            raise TriadUnavailable(f"{self.name}: metric not diagonal at q={bad}; no square-root triad")
+    d_triad = dd_triad = triad
 
 
 def _grid_header(dim: int) -> list:

@@ -1,18 +1,33 @@
-# Oracles shared by the geometry tests: the sphere's diagonal dyad as a
-# torsion-carrying triad field, and the curvature relation between the affine
-# and the Riemann side of a bundle, at one point or on a stack.
+# Oracles shared by the geometry tests: the unit sphere's dyad diag(1, sin theta)
+# as a torsion-carrying triad field, and the curvature relation between the
+# affine and the Riemann side of a bundle, at one point or on a stack.
 
 import numpy as np
 
-from torsiongeo import catalog
 from torsiongeo.geometry import Geometry
 from torsiongeo.triads import TriadField
 
 
 def sphere_dyad() -> Geometry:
-    """The diagonal square root of the sphere metric, treated as a genuine (nonholonomic, torsion-carrying) dyad."""
-    base = catalog.make("sphere").field
-    field = TriadField(2, base.triad, base.d_triad, base.dd_triad, name="sphere-dyad")
+    """The unit sphere's dyad e = diag(1, sin theta), in closed form, treated as a genuine (nonholonomic,
+    torsion-carrying) dyad: its metric is the sphere's, its connection e^-1 de is not the Christoffel symbol."""
+
+    def evaluate(q):
+        e = np.zeros(np.shape(q)[:-1] + (2, 2))
+        e[..., 0, 0], e[..., 1, 1] = 1.0, np.sin(q[..., 0])
+        return e
+
+    def d_evaluate(q):
+        de = np.zeros(np.shape(q)[:-1] + (2, 2, 2))
+        de[..., 1, 1, 0] = np.cos(q[..., 0])
+        return de
+
+    def dd_evaluate(q):
+        dde = np.zeros(np.shape(q)[:-1] + (2, 2, 2, 2))
+        dde[..., 1, 1, 0, 0] = -np.sin(q[..., 0])
+        return dde
+
+    field = TriadField(2, evaluate, d_evaluate, dd_evaluate, name="sphere-dyad")
     return Geometry(field, sample_box=[(0.3, np.pi - 0.3), (0.0, 2 * np.pi)])
 
 

@@ -1,9 +1,10 @@
 """Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the sphere's
-radius, the energy rule and its floor, the derivative fallback of fields, the triad guard, the RK4 step and the
-singular points an orbit meets, the action's Simpson rule, the size budgets, the level ceiling, the amplitude file
-names, the golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers,
-the payload ``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range, the removal
-of an earlier run's results and CSV files, the closure of a contour and a reader that closes stdout early.
+radius, the energy rule and its floor, the derivative fallback of fields, the triad guard, the finiteness of field
+derivatives and the silence of the defect evaluators at their core, the RK4 step and the singular points an orbit
+meets, the action's Simpson rule, the size budgets, the level ceiling, the amplitude file names, the golden
+references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers, the payload
+``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range, the removal of an
+earlier run's results and CSV files, the closure of a contour and a reader that closes stdout early.
 
     python tests/mutants.py
 
@@ -46,6 +47,7 @@ TRIADS = "torsiongeo/triads.py"
 DYNAMICS = "torsiongeo/dynamics.py"
 IO = "torsiongeo/io.py"
 DEFECTS = "torsiongeo/defects.py"
+CATALOG = "torsiongeo/catalog.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
 ORBIT_ACTION = "tests/test_slicing.py::test_postpoint_action_converges_to_orbit_action"
 VARYING_1D = "tests/test_propagator.py::test_schemes_agree_on_varying_1d_metric"
@@ -216,15 +218,25 @@ MUTANTS = [
      "a2 = float(pt.metric[0, 0, 0])", 'a2 = float(geom.params.get("a", 1.0)) ** 2',
      ["tests/test_propagator.py::test_sphere_builder_reads_its_radius_from_the_metric"]),
     ("field guards turned into ChartSingularity for a singular triad alone", DYNAMICS,
-     "except (SingularTriad, MetricNotPositiveDefinite) as exc:", "except SingularTriad as exc:",
+     "except (SingularTriad, MetricNotPositiveDefinite, NonFiniteResult) as exc:", "except SingularTriad as exc:",
      ["tests/test_dynamics.py::test_orbit_from_a_singular_start_point_is_a_chart_singularity"]),
+    ("non-finite field derivative not turned into ChartSingularity", DYNAMICS,
+     "except (SingularTriad, MetricNotPositiveDefinite, NonFiniteResult) as exc:",
+     "except (SingularTriad, MetricNotPositiveDefinite) as exc:",
+     ["tests/test_dynamics.py::test_disclination_orbit_whose_rk4_stage_lands_on_the_core_is_a_chart_singularity"]),
     ("triad guard that a NaN determinant passes", TRIADS,
-     "~(np.abs(np.linalg.det(e)) >= DET_THRESHOLD)", "np.abs(np.linalg.det(e)) < DET_THRESHOLD",
+     "~(np.abs(det) >= DET_THRESHOLD)", "np.abs(det) < DET_THRESHOLD",
      ["tests/test_triads.py::test_nan_triad_is_singular"]),
     ("second derivative differences eval twice, ignoring a given first derivative", TRIADS,
      "_derivative(evals, order - 1, p, dim, step, name)",
      "_derivative((evals[0], None, None), order - 1, p, dim, step, name)",
      ["tests/test_geometry.py::test_finite_difference_fields_match_the_analytic_catalog"]),
+    ("field derivatives returned without the finiteness guard", TRIADS,
+     "if not np.isfinite(values).all():", "if False:",
+     ["tests/test_triads.py::test_field_derivative_at_a_core_is_a_named_error"]),
+    ("angle gradient evaluated with numpy's warnings on at the core", CATALOG,
+     "@_AT_CORE\ndef angle_gradient(", "def angle_gradient(",
+     ["tests/test_triads.py::test_nan_triad_is_singular"]),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+?)(?: - .*)?$", re.MULTILINE)

@@ -105,6 +105,13 @@ def test_polar_orbit_whose_rk4_stage_lands_on_the_origin_is_a_chart_singularity(
         integrate_trajectory(catalog.make("polar"), "autoparallel", [1.0, 0.0], [-1.0, 0.0], 2.0, 1e-3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_disclination_orbit_whose_rk4_stage_lands_on_the_core_is_a_chart_singularity():
+    # the second stage of the first step sits exactly on the core, where the metric's derivative is not finite
+    with pytest.raises(ChartSingularity, match=r"derivative of order 1 is not finite at q=\[0.0, 0.0\]"):
+        integrate_trajectory(catalog.make("disclination"), "geodesic", [0.0005, 0.0], [-1.0, 0.0], 0.01, 1e-3)
+
+
 def test_zero_step_run_is_rejected():
     # round(duration / dt) = 0 used to return a one-sample orbit that evaluate_action could not integrate
     with pytest.raises(ValueError, match="dt"):

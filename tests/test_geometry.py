@@ -95,7 +95,7 @@ def test_metric_positive_definite_and_inverse():
             assert np.all(np.linalg.eigvalsh(pt.metric) > 0)
             assert np.allclose(pt.metric, pt.metric.T, atol=1e-14)
             assert np.allclose(pt.metric_inverse @ pt.metric, np.eye(geom.dim), atol=1e-12)
-            if geom.name != "disclination":  # no square-root triad for a non-diagonal metric
+            if not geom.metric_only:  # a metric field has no triad
                 assert pt.sqrt_metric == pytest.approx(abs(np.linalg.det(pt.triad)), rel=1e-12)
 
 
@@ -212,7 +212,7 @@ def _rebuilt(field, first: bool):
     """``field`` from its evaluator alone, or with its analytic first derivative; both at step 1e-5
     (``DEFAULT_FD_STEP`` for a metric field)."""
     if isinstance(field, MetricField):
-        return MetricField(field.dim, field.metric, field.d_metric if first else None, diagonal=field.diagonal)
+        return MetricField(field.dim, field.metric, field.d_metric if first else None)
     return TriadField(field.dim, field.triad, field.d_triad if first else None, fd_step=1e-5)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from torsiongeo import catalog
-from torsiongeo.errors import MetricNotPositiveDefinite, SingularTriad, TriadUnavailable
-from torsiongeo.triads import MetricField, TriadField, sample_triad_to_csv, triad_grid_from_csv
+from torsiongeo.errors import MetricNotPositiveDefinite, NonFiniteResult, SingularTriad, TriadUnavailable
+from torsiongeo.triads import TriadField, sample_triad_to_csv, triad_grid_from_csv
 
 RNG = np.random.default_rng(20260808)
 
@@ -91,7 +91,7 @@ def test_singular_triad_detected():
         field.triad(np.array([0.0, 0.3]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field divides by zero at its core
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the field divides by zero at its core, silently
 def test_nan_triad_is_singular():
     # the dislocation triad at its core is [[1, 0], [nan, nan]]: a NaN determinant fails the guard
     field = catalog.make("dislocation").field
@@ -99,7 +99,7 @@ def test_nan_triad_is_singular():
         field.triad(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field divides by zero at its core
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the field divides by zero at its core, silently
 def test_nan_metric_is_not_positive_definite():
     # the disclination metric at its core is all NaN: it fails the guard instead of reaching the bundle
     geom = catalog.make("disclination")
@@ -109,44 +109,36 @@ def test_nan_metric_is_not_positive_definite():
         geom.at([0.0, 0.0]).scalar_riemann
 
 
-def test_metric_field_rejects_triad_requests_when_not_diagonal():
-    field = catalog.make("disclination").field
-    with pytest.raises(TriadUnavailable):
-        field.triad(np.array([1.0, 0.5]))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name, prop", [("dislocation", "d_triad"), ("dislocation", "dd_triad"),
+                                        ("disclination", "d_metric"), ("disclination", "dd_metric")])
+def test_field_derivative_at_a_core_is_a_named_error(name, prop):
+    # the analytic derivatives divide by zero at the defect core: NaN there is an error, not a value
+    geom = catalog.make(name)
+    with pytest.raises(NonFiniteResult, match=r"q=\[0.0, 0.0\]"):
+        getattr(geom.field, prop)(np.array([[1.0, 0.5], [0.0, 0.0]]))
+    with pytest.raises(NonFiniteResult, match=r"is not finite at q=\[0.0, 0.0\]"):
+        getattr(geom.at([0.0, 0.0]), prop)
 
 
-def skew_metric(q):
-    return np.broadcast_to(np.array([[1.0, 0.5], [0.5, 2.0]]), np.shape(q)[:-1] + (2, 2)).copy()
+@pytest.mark.parametrize("name", METRIC_GEOMETRIES)
+def test_metric_field_has_no_triad(name):
+    field = catalog.make(name).field
+    for method in (field.triad, field.d_triad, field.dd_triad):
+        with pytest.raises(TriadUnavailable, match=f"^{name}: a metric field has no triad$"):
+            method(np.array([1.0, 0.5]))
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda tmp: TriadField(0, np.eye), ValueError, "dim must be a positive integer"),
-    (lambda tmp: MetricField(2, skew_metric, diagonal=True, name="skew").triad(np.array([0.5, 0.25])),
-     TriadUnavailable, "skew: metric not diagonal at q=[0.5, 0.25]; no square-root triad"),
     (lambda tmp: sample_triad_to_csv(catalog.make("polar").field, [np.linspace(1.0, 2.0, 4)], tmp / "grid.csv"),
      ValueError, "one axis per chart dimension required"),
-], ids=["dim", "diagonal-metric-off-diagonal", "sample-axes"])
+], ids=["dim", "sample-axes"])
 def test_triad_guards_name_their_fault(tmp_path, call, error, message):
     with pytest.raises(error) as raised:
         call(tmp_path)
     assert type(raised.value) is error and str(raised.value) == message
     assert not (tmp_path / "grid.csv").exists()
-
-
-def test_sphere_diagonal_square_root_triad():
-    field = catalog.make("sphere", a=2.0).field
-    q = np.array([0.9, 0.2])
-    e = field.triad(q)
-    assert np.allclose(e, np.diag([2.0, 2.0 * np.sin(0.9)]))
-    # Derivatives of the diagonal root match finite differences of it.
-    h = 1e-6
-    de_num = np.empty((2, 2, 2))
-    for s in range(2):
-        qp, qm = q.copy(), q.copy()
-        qp[s] += h
-        qm[s] -= h
-        de_num[..., s] = (field.triad(qp) - field.triad(qm)) / (2 * h)
-    assert np.allclose(field.d_triad(q), de_num, atol=1e-8)
 
 
 def test_csv_grid_roundtrip(tmp_path):
