@@ -23,13 +23,12 @@ equivalent time-ordered product solution
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import (ChartSingularity, GridMismatch, GridTooCoarse, MetricNotPositiveDefinite, NonFiniteResult,
                      SingularTriad, StepTooLarge)
-from .geometry import Geometry
+from .geometry import Geometry, _memo
 from .slicing import whole_steps
 
 SINGULAR_TOL = 1e-8  # |PointGeometry.chart_scale| at which a path has reached a chart singularity
@@ -54,14 +53,14 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    @cached_property
+    @_memo
     def kinetic_invariant(self) -> np.ndarray:
         """g_munu qd^mu qd^nu along the path; constant for both line kinds.  Evaluated once per trajectory."""
         inv = np.einsum("km,kmn,kn->k", self.v, self.geometry.batch(self.q).metric, self.v)
         inv.flags.writeable = False  # shared by every caller
         return inv
 
-    @cached_property
+    @_memo
     def invariant_drift(self) -> float:
         """max |I - I(0)| of the kinetic invariant I over the path."""
         return float(np.max(np.abs(self.kinetic_invariant - self.kinetic_invariant[0])))

@@ -37,13 +37,12 @@ of the next lower one (:mod:`torsiongeo.triads`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DerivativeUnavailable
-from .triads import MetricField, TriadField, _central_diff
+from .errors import DerivativeUnavailable, MetricNotPositiveDefinite, NonFiniteResult
+from .triads import MetricField, TriadField, _central_diff, _first
 
 Field = Union[TriadField, MetricField]
 
@@ -64,6 +63,35 @@ def raise_last(tensor: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
 def _scalar(value):
     """A Python float at a single point, the (n,) array on a stack."""
     return float(value) if np.ndim(value) == 0 else value
+
+
+class _memo:
+    """A property computed once per instance: the first read stores its value in the instance
+    ``__dict__``, where every later read finds it without reaching this descriptor.  Unlike
+    ``functools.cached_property`` on Python 3.11 it takes no lock: two threads reading one
+    property at once may both compute it, and each stores an equal value."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+def _first_singular(q: np.ndarray, g: np.ndarray) -> list:
+    """The first point of ``q`` (..., D) whose own matrix in ``g`` (..., D, D) numpy cannot invert."""
+    for index in np.ndindex(q.shape[:-1]):
+        try:
+            np.linalg.inv(g[index])
+        except np.linalg.LinAlgError:
+            return q[index].tolist()
 
 
 @dataclass
@@ -94,120 +122,130 @@ class PointGeometry:
 
     # -- triad level -------------------------------------------------------
 
-    @cached_property
+    @_memo
     def triad(self) -> np.ndarray:
         return self.geometry.field.triad(self.q)
 
-    @cached_property
+    @_memo
     def triad_inverse(self) -> np.ndarray:
         # einv[i, mu] = e_i^mu, so that sum_i einv[i, mu] e[i, nu] = delta.
-        return np.swapaxes(np.linalg.inv(self.triad), -1, -2)
+        return np.linalg.inv(self.triad).swapaxes(-1, -2)
 
-    @cached_property
+    @_memo
     def d_triad(self) -> np.ndarray:
         return self.geometry.field.d_triad(self.q)
 
-    @cached_property
+    @_memo
     def dd_triad(self) -> np.ndarray:
         return self.geometry.field.dd_triad(self.q)
 
-    @cached_property
+    @_memo
     def d_triad_inverse(self) -> np.ndarray:
         # partial_l e_i^m = -e_j^m e^j_{r,l} e_i^r
         return -np.einsum("...jm,...jrl,...ir->...iml", self.triad_inverse, self.d_triad, self.triad_inverse)
 
-    @cached_property
+    @_memo
     def chart_scale(self):
         """det e: its zero or change of sign marks a singular chart point."""
         return _scalar(np.linalg.det(self.triad))
 
     # -- metric level ------------------------------------------------------
 
-    @cached_property
+    @_memo
     def metric(self) -> np.ndarray:
         e = self.triad
-        return np.swapaxes(e, -1, -2) @ e
+        return e.swapaxes(-1, -2) @ e
 
-    @cached_property
+    @_memo
     def metric_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.metric)
+        """g^-1; a metric singular in floating point raises ``MetricNotPositiveDefinite``."""
+        try:
+            return np.linalg.inv(self.metric)
+        except np.linalg.LinAlgError:
+            bad = _first_singular(self.q, self.metric)
+            raise MetricNotPositiveDefinite(f"{self.geometry.name}: metric singular at q={bad}") from None
 
-    @cached_property
+    @_memo
     def det_metric(self):
         return _scalar(np.linalg.det(self.metric))
 
-    @cached_property
+    @_memo
     def sqrt_metric(self):
         return _scalar(np.sqrt(self.det_metric))
 
-    @cached_property
+    @_memo
     def d_metric(self) -> np.ndarray:
         a = np.einsum("...ims,...in->...mns", self.d_triad, self.triad)  # e^i_{m,s} e^i_n
-        return a + np.swapaxes(a, -3, -2)
+        return a + a.swapaxes(-3, -2)
 
-    @cached_property
+    @_memo
     def dd_metric(self) -> np.ndarray:
         # e^i_{m,st} e^i_n + e^i_{m,s} e^i_{n,t}, plus the second with s <-> t and the first with m <-> n
         a = np.einsum("...imst,...in->...mnst", self.dd_triad, self.triad)
         b = np.einsum("...ims,...int->...mnst", self.d_triad, self.d_triad)
-        return a + b + np.swapaxes(b, -2, -1) + np.swapaxes(a, -4, -3)
+        return a + b + b.swapaxes(-2, -1) + a.swapaxes(-4, -3)
 
-    @cached_property
+    @_memo
     def d_metric_inverse(self) -> np.ndarray:
+        """partial_s g^mn; one that overflows (near a pole of the sphere) raises ``NonFiniteResult``."""
         gi, dg = self.metric_inverse, self.d_metric
-        return -np.einsum("...ma,...abs,...bn->...mns", gi, dg, gi)
+        d = -np.einsum("...ma,...abs,...bn->...mns", gi, dg, gi)
+        if not np.isfinite(d).all():
+            bad = _first(self.q, ~np.isfinite(d).all(axis=(-3, -2, -1)))
+            raise NonFiniteResult(f"{self.geometry.name}: derivative of the inverse metric is not finite at q={bad}")
+        return d
 
     # -- connections -------------------------------------------------------
 
-    @cached_property
+    @_memo
     def christoffel_first(self) -> np.ndarray:
         dg = self.d_metric
         return 0.5 * (np.einsum("...bca->...abc", dg) + np.einsum("...acb->...abc", dg) - dg)
 
-    @cached_property
+    @_memo
     def christoffel(self) -> np.ndarray:
         return raise_last(self.christoffel_first, self.metric_inverse[..., None, :, :])
 
-    @cached_property
+    @_memo
     def affine(self) -> np.ndarray:
         """Gamma_{ab}^c = e_i^c e^i_{b,a}."""
         return np.einsum("...ic,...iba->...abc", self.triad_inverse, self.d_triad)
 
-    @cached_property
+    @_memo
     def affine_from_inverse(self) -> np.ndarray:
         """Alternative form Gamma_{ab}^c = -e^i_b partial_a e_i^c."""
         return -np.einsum("...ib,...ica->...abc", self.triad, self.d_triad_inverse)
 
-    @cached_property
+    @_memo
     def affine_first(self) -> np.ndarray:
         return lower_last(self.affine, self.metric[..., None, :, :])
 
-    @cached_property
+    @_memo
     def torsion(self) -> np.ndarray:
         c = self.affine
-        return 0.5 * (c - np.swapaxes(c, -3, -2))
+        return 0.5 * (c - c.swapaxes(-3, -2))
 
-    @cached_property
+    @_memo
     def torsion_first(self) -> np.ndarray:
         return lower_last(self.torsion, self.metric[..., None, :, :])
 
-    @cached_property
+    @_memo
     def torsion_trace(self) -> np.ndarray:
         """S_a = S_{ab}^b."""
         return np.einsum("...abb->...a", self.torsion)
 
-    @cached_property
+    @_memo
     def contortion_first(self) -> np.ndarray:
         s = self.torsion_first
         return s - np.einsum("...bca->...abc", s) + np.einsum("...cab->...abc", s)
 
-    @cached_property
+    @_memo
     def contortion(self) -> np.ndarray:
         return raise_last(self.contortion_first, self.metric_inverse[..., None, :, :])
 
     # -- connection derivatives --------------------------------------------
 
-    @cached_property
+    @_memo
     def d_affine(self) -> np.ndarray:
         """partial_s Gamma_{ab}^c, derivative index last."""
         dei, de, dde = self.d_triad_inverse, self.d_triad, self.dd_triad
@@ -215,7 +253,7 @@ class PointGeometry:
             "...ic,...ibas->...abcs", self.triad_inverse, dde
         )
 
-    @cached_property
+    @_memo
     def d_christoffel(self) -> np.ndarray:
         ddg = self.dd_metric
         d_first = 0.5 * (np.einsum("...bcas->...abcs", ddg) + np.einsum("...acbs->...abcs", ddg) - ddg)
@@ -223,10 +261,10 @@ class PointGeometry:
             "...cd,...abds->...abcs", self.metric_inverse, d_first
         )
 
-    @cached_property
+    @_memo
     def d_contortion(self) -> np.ndarray:
         dc = self.d_affine
-        ds = 0.5 * (dc - np.swapaxes(dc, -4, -3))
+        ds = 0.5 * (dc - dc.swapaxes(-4, -3))
         ds_first = np.einsum("...abds,...dc->...abcs", ds, self.metric) + np.einsum(
             "...abd,...dcs->...abcs", self.torsion, self.d_metric
         )
@@ -237,33 +275,33 @@ class PointGeometry:
 
     # -- curvature ---------------------------------------------------------
 
-    @cached_property
+    @_memo
     def curvature(self) -> np.ndarray:
         """R_{mnl}^k from the affine connection."""
         return _curvature_from(self.affine, self.d_affine)
 
-    @cached_property
+    @_memo
     def curvature_riemann(self) -> np.ndarray:
         """Rbar_{mnl}^k from the Christoffel symbol."""
         return _curvature_from(self.christoffel, self.d_christoffel)
 
-    @cached_property
+    @_memo
     def ricci(self) -> np.ndarray:
         return np.einsum("...mnlm->...nl", self.curvature)
 
-    @cached_property
+    @_memo
     def ricci_riemann(self) -> np.ndarray:
         return np.einsum("...mnlm->...nl", self.curvature_riemann)
 
-    @cached_property
+    @_memo
     def scalar(self):
         return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci))
 
-    @cached_property
+    @_memo
     def scalar_riemann(self):
         return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci_riemann))
 
-    @cached_property
+    @_memo
     def einstein(self) -> np.ndarray:
         """G_munu = Rbar_munu - g_munu Rbar / 2 (diagnostic tensor only)."""
         return self.ricci_riemann - 0.5 * self.metric * np.asarray(self.scalar_riemann)[..., None, None]
@@ -273,19 +311,19 @@ class _TorsionFreePoint(PointGeometry):
     """The bundle of a metric-only geometry: torsion-free by construction, so each
     affine-side quantity is the Riemann-side one itself."""
 
-    metric = cached_property(lambda self: self.geometry.field.metric(self.q))
-    d_metric = cached_property(lambda self: self.geometry.field.d_metric(self.q))
-    dd_metric = cached_property(lambda self: self.geometry.field.dd_metric(self.q))
+    metric = _memo(lambda self: self.geometry.field.metric(self.q))
+    d_metric = _memo(lambda self: self.geometry.field.d_metric(self.q))
+    dd_metric = _memo(lambda self: self.geometry.field.dd_metric(self.q))
     affine = property(lambda self: self.christoffel)
     affine_from_inverse = property(lambda self: self.christoffel)
     d_affine = property(lambda self: self.d_christoffel)
     curvature = property(lambda self: self.curvature_riemann)
     ricci = property(lambda self: self.ricci_riemann)
     scalar = property(lambda self: self.scalar_riemann)
-    torsion = cached_property(lambda self: np.zeros_like(self.d_metric))  # S_{ab}^c, shaped as g_{ab,c}
-    d_contortion = cached_property(lambda self: np.zeros(self.torsion.shape + self.torsion.shape[-1:]))
+    torsion = _memo(lambda self: np.zeros_like(self.d_metric))  # S_{ab}^c, shaped as g_{ab,c}
+    d_contortion = _memo(lambda self: np.zeros(self.torsion.shape + self.torsion.shape[-1:]))
 
-    @cached_property
+    @_memo
     def chart_scale(self):
         """The least metric eigenvalue: the metric degenerates where it reaches zero."""
         return _scalar(np.linalg.eigvalsh(self.metric)[..., 0])

@@ -1,10 +1,11 @@
 """Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the sphere's
 radius, the energy rule and its floor, the derivative fallback of fields, the triad guard, the finiteness of field
-derivatives and the silence of the defect evaluators at their core, the RK4 step and the singular points an orbit
-meets, the action's Simpson rule, the size budgets, the level ceiling, the amplitude file names, the golden
-references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers, the payload
-``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range, the removal of an
-earlier run's results and CSV files, the closure of a contour and a reader that closes stdout early.
+derivatives and the silence of the defect evaluators at their core, the bundle memo, the named errors of a singular
+metric and of an overflowing inverse-metric derivative, the RK4 step and the singular points an orbit meets, the
+action's Simpson rule, the size budgets, the level ceiling, the amplitude file names, the golden references, the one
+orbit bundle of a trajectory, the payload walk that refuses non-finite numbers, the payload ``run`` returns, the
+levels a ladder reports, the report's error handling, the ``--seed`` range, the removal of an earlier run's results
+and CSV files, the closure of a contour and a reader that closes stdout early.
 
     python tests/mutants.py
 
@@ -48,6 +49,7 @@ DYNAMICS = "torsiongeo/dynamics.py"
 IO = "torsiongeo/io.py"
 DEFECTS = "torsiongeo/defects.py"
 CATALOG = "torsiongeo/catalog.py"
+GEOMETRY = "torsiongeo/geometry.py"
 ENTRIES = "tests/test_propagator.py::test_build_1d_entries_match_per_entry_formula"
 ORBIT_ACTION = "tests/test_slicing.py::test_postpoint_action_converges_to_orbit_action"
 VARYING_1D = "tests/test_propagator.py::test_schemes_agree_on_varying_1d_metric"
@@ -196,7 +198,7 @@ MUTANTS = [
      "except (TorsionGeoError, ValueError, OSError) as exc:",
      ["tests/test_cli.py::test_memory_failure_exits_1"]),
     ("kinetic invariant evaluated per call", DYNAMICS,
-     "@cached_property\n    def kinetic_invariant", "@property\n    def kinetic_invariant",
+     "@_memo\n    def kinetic_invariant", "@property\n    def kinetic_invariant",
      ["tests/test_cli.py::test_traj_run_evaluates_its_orbit_once"]),
     ("fourth RK4 stage from k2", DYNAMICS,
      "k4 = rhs(1.0, y + dt * k3)", "k4 = rhs(1.0, y + dt * k2)",
@@ -237,6 +239,17 @@ MUTANTS = [
     ("angle gradient evaluated with numpy's warnings on at the core", CATALOG,
      "@_AT_CORE\ndef angle_gradient(", "def angle_gradient(",
      ["tests/test_triads.py::test_nan_triad_is_singular"]),
+    ("bundle memo returns without storing", GEOMETRY,
+     "value = instance.__dict__[self.name] = self.func(instance)", "value = self.func(instance)",
+     ["tests/test_geometry.py::test_each_bundle_property_is_computed_once_per_bundle"]),
+    ("numpy's LinAlgError from a singular metric left unconverted", GEOMETRY,
+     "except np.linalg.LinAlgError:\n            bad = _first_singular",
+     "except ZeroDivisionError:\n            bad = _first_singular",
+     ["tests/test_geometry.py::test_metric_singular_in_floating_point_is_a_named_error",
+      "tests/test_cli.py::test_geom_at_a_metric_singular_in_floating_point_exits_1_naming_the_point"]),
+    ("inverse metric derivative returned without the finiteness guard", GEOMETRY,
+     "if not np.isfinite(d).all():", "if False:",
+     ["tests/test_geometry.py::test_connection_derivative_near_a_sphere_pole_is_a_named_error"]),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+?)(?: - .*)?$", re.MULTILINE)

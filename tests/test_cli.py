@@ -469,15 +469,27 @@ def test_geom_malformed_points_are_config_errors(tmp_path, capsys, points):
 
 
 def test_geom_overflowing_point_exits_1_quietly(tmp_path, cli_env):
-    cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "points": [[1e300, 1e300]]})
-    proc = subprocess.run(
-        [sys.executable, "-m", "torsiongeo.cli", "geom", "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd=REPO, env=cli_env,
-    )
-    assert proc.returncode == 1
-    assert re.fullmatch(r"error: results\.points\[0\]\.\w+(\[\d\])* is not finite\n", proc.stderr), proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
-    assert not (tmp_path / "out" / "results.json").exists()
+    # the bundle refuses an inverse-metric derivative that overflows; the payload walk, a determinant that does
+    for point, message in (
+        ([1e300, 1e300],
+         re.escape("error: torsion-toy: derivative of the inverse metric is not finite at q=[1e+300, 1e+300]")),
+        ([6e78, 8e78], r"error: results\.points\[0\]\.\w+(\[\d\])* is not finite"),
+    ):
+        cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "points": [point]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsiongeo.cli", "geom", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=REPO, env=cli_env,
+        )
+        assert proc.returncode == 1
+        assert re.fullmatch(message + "\n", proc.stderr), proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out" / "results.json").exists()
+
+
+def test_geom_at_a_metric_singular_in_floating_point_exits_1_naming_the_point(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"geometry": "dislocation", "command": "geom", "points": [[6e-13, 8e-13]]})
+    assert main(["geom", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: dislocation: metric singular at q=[6e-13, 8e-13]\n"
 
 
 # -- energies from the transfer matrix ------------------------------------------

@@ -2,14 +2,22 @@
 # torsion/contortion identities, curvature, finite-difference fields against
 # the analytic catalog, and covariant derivatives.
 
+import re
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from torsiongeo import catalog
-from torsiongeo.errors import DerivativeUnavailable, ValidationError
+from torsiongeo.errors import (DerivativeUnavailable, MetricNotPositiveDefinite, NonFiniteResult, TriadUnavailable,
+                               ValidationError)
 from torsiongeo.geometry import (
     Geometry,
+    PointGeometry,
     TensorValue,
+    _memo,
     connection_bundle,
     covariant_derivative,
     curvature_bundle,
@@ -376,6 +384,94 @@ def test_metric_only_bundle_is_its_own_riemann_side(name):
         assert pt.d_contortion.shape == stack + (2,) * 4 and not pt.d_contortion.any()
         assert np.shape(pt.chart_scale) == stack
         assert np.array_equal(pt.chart_scale, np.linalg.eigvalsh(pt.metric).min(axis=-1))
+
+
+def _counting(calls, order, evaluator):
+    def counted(q):
+        calls[order] += 1
+        return evaluator(q)
+    return counted
+
+
+@pytest.mark.parametrize("name, kind", [("torsion-toy", TriadField), ("sphere", MetricField)])
+def test_each_bundle_property_is_computed_once_per_bundle(name, kind):
+    # the memo is the only thing between a bundle and its field: each evaluator runs once per derivative order,
+    # however often and in whatever order the properties are read
+    geom = catalog.make(name)
+    field = geom.field
+    evaluators = (field.triad, field.d_triad, field.dd_triad) if kind is TriadField else (
+        field.metric, field.d_metric, field.dd_metric)
+    calls = Counter()
+    counted = Geometry(kind(2, *(_counting(calls, k, f) for k, f in enumerate(evaluators))))
+    pts = geom.random_points(3, np.random.default_rng(5))
+    first = counted.at(pts[0])
+    names = {n for cls in type(first).__mro__ for n, attr in vars(cls).items() if isinstance(attr, (_memo, property))}
+    for pt in (first, counted.batch(pts)):
+        calls.clear()
+        unavailable = set()
+        for _ in range(2):
+            for prop in sorted(names):
+                try:
+                    getattr(pt, prop)
+                except TriadUnavailable:
+                    unavailable.add(prop)
+        assert calls == {0: 1, 1: 1, 2: 1}
+        assert unavailable == (set() if kind is TriadField else
+                               {"triad", "triad_inverse", "d_triad", "dd_triad", "d_triad_inverse"})
+    # read on the class, a memoized property is its descriptor, with the function's docstring
+    assert PointGeometry.affine is vars(PointGeometry)["affine"]
+    assert PointGeometry.affine.__doc__ == "Gamma_{ab}^c = e_i^c e^i_{b,a}."
+
+
+def test_threads_reading_one_bundle_see_the_values_of_a_lone_reader():
+    # the memo takes no lock: threads reading one bundle at once may each compute a property, and store equal values
+    geom = catalog.make("torsion-toy")
+    pts = geom.random_points(16, np.random.default_rng(3))
+    names = sorted(n for n, attr in vars(PointGeometry).items() if isinstance(attr, _memo))
+    alone = geom.batch(pts)
+    expected = {n: getattr(alone, n) for n in names}
+    shared = geom.batch(pts)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: seen.append({n: getattr(shared, n) for n in names}))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(seen) == 4
+    for values in seen:
+        for n in names:
+            assert np.array_equal(values[n], expected[n]), n
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_metric_singular_in_floating_point_is_a_named_error():
+    # near the dislocation core |det e| passes the triad guard, yet e^T e rounds to a singular matrix
+    geom = catalog.make("dislocation")
+    with pytest.raises(MetricNotPositiveDefinite, match=r"^dislocation: metric singular at q=\[6e-13, 8e-13\]$"):
+        geom.at([6e-13, 8e-13]).christoffel
+    # on a stack, the first point whose own metric cannot be inverted
+    with pytest.raises(MetricNotPositiveDefinite, match=r"at q=\[6e-13, 8e-13\]$"):
+        geom.batch([[1.0, 1.0], [6e-13, 8e-13], [6e-14, 8e-14]]).metric_inverse
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [2e-162, 1e-150, 1e-120, 2.2e-103])
+def test_connection_derivative_near_a_sphere_pole_is_a_named_error(theta):
+    # g^phiphi = 1/sin^2 theta is finite there, but its derivative overflows
+    geom = catalog.make("sphere")
+    message = "^" + re.escape(f"sphere: derivative of the inverse metric is not finite at q=[{theta}, 0.3]") + "$"
+    for prop in ("d_christoffel", "curvature", "ricci", "scalar_riemann", "einstein"):
+        with pytest.raises(NonFiniteResult, match=message):
+            getattr(geom.at([theta, 0.3]), prop)
+    with pytest.raises(NonFiniteResult, match=message):
+        geom.batch([[1.0, 0.3], [theta, 0.3]]).scalar_riemann
+    assert np.isfinite(geom.at([3e-103, 0.3]).scalar_riemann)
 
 
 @pytest.mark.parametrize("name", ["torsion-toy", "polar"])
