@@ -332,11 +332,11 @@ def _run_defect(config: RunConfig, out_dir: str, seed: int, stages: dict) -> dic
     contour = (opts["contour_csv"] if opts["contour_csv"] is not None  # the Contour its key check read
                else Contour.circle(float(opts["contour_radius"]), opts["contour_segments"],
                                    center=tuple(opts["contour_center"]), turns=opts["contour_turns"]))
-    # the catalog geometry already built; its one parameter is the defect's
-    defect = DefectGeometry(config.geom.name, *config.geom.params.values(), config.geom)
-    key, value = (("b", burgers_vector(defect, contour)) if defect.kind == "dislocation"
+    defect = DefectGeometry(config.geom)  # the catalog geometry already built: its name is the kind
+    (parameter,) = config.geom.params.values()
+    key, value = (("b", burgers_vector(defect, contour)) if config.geom.name == "dislocation"
                   else ("deficit", frank_rotation_deficit(defect, contour)))
-    return {"command": "defect", "kind": defect.kind, "parameter": defect.parameter,
+    return {"command": "defect", "kind": config.geom.name, "parameter": parameter,
             "winding": contour.winding_number, key: value, "value": value}
 
 

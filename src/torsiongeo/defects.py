@@ -5,9 +5,9 @@ The dislocation dyad carries torsion concentrated at the origin; the loop
 integral of the dyad around a contour (the closure failure of the mapped-back
 path, i.e. the Burgers vector) measures the torsion flux through the contour.
 The disclination chart removes an angular sector; its metric is single-valued
-and flat off the origin, but the local rotation field is multivalued and its
-loop integral (the Frank rotation deficit) measures the concentrated
-curvature.
+and flat off the origin, but the local rotation field -omega phi is
+multivalued: its loop integral, the Frank rotation deficit, restates the
+strength as -2 pi omega per winding.  A defect is its catalog geometry.
 
 Distributional statements are implemented only in integrated (loop) form; the
 concentrated sources are never evaluated pointwise.  The multivalued angle is
@@ -18,7 +18,7 @@ arctangent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,29 +86,20 @@ def multivalued_angle_along(contour: Contour) -> np.ndarray:
 
 @dataclass
 class DefectGeometry:
-    """A dislocation or disclination together with its geometry bundle."""
+    """A dislocation or disclination: its catalog geometry, named by its kind, with its strength as one parameter."""
 
-    kind: str
-    parameter: float
-    geometry: Geometry = field(repr=False)
+    geometry: Geometry
 
     @classmethod
     def dislocation(cls, epsilon: float = 0.01) -> "DefectGeometry":
-        return cls("dislocation", float(epsilon), _dislocation_geometry(epsilon))
-
-    def rotation_field_along(self, contour: Contour) -> np.ndarray:
-        """Local rotation angle (antisymmetric part of the displacement
-        gradient) branch-continued along the contour; disclination only."""
-        if self.kind != "disclination":
-            raise ValidationError("rotation field is defined for disclinations")
-        return -self.parameter * multivalued_angle_along(contour)
+        return cls(_dislocation_geometry(epsilon))
 
 
 def disclination_geometry(omega: float) -> DefectGeometry:
     """Wedge disclination with a missing sector of angle 2 pi omega (to
     leading order in omega): single-valued metric, zero torsion, curvature
     concentrated at the origin."""
-    return DefectGeometry("disclination", float(omega), _disclination_geometry(omega))
+    return DefectGeometry(_disclination_geometry(omega))
 
 
 def burgers_vector(defect: DefectGeometry, contour: Contour) -> np.ndarray:
@@ -117,7 +108,7 @@ def burgers_vector(defect: DefectGeometry, contour: Contour) -> np.ndarray:
     trapezoidal rule on the contour vertices.  A contour winding once around
     the origin of a dislocation of modulus epsilon yields (0, epsilon).
     """
-    if defect.kind != "dislocation":
+    if defect.geometry.name != "dislocation":
         raise ValidationError("burgers_vector needs a dislocation defect")
     pts = contour.points
     triads = defect.geometry.batch(pts).triad  # (K+1, 2, 2)
@@ -135,7 +126,7 @@ def burgers_vector_chart(defect: DefectGeometry, contour: Contour) -> np.ndarray
     """
     from .dynamics import _rk4_step  # here: the defect command loads no dynamics
 
-    if defect.kind != "dislocation":
+    if defect.geometry.name != "dislocation":
         raise ValidationError("burgers_vector_chart needs a dislocation defect")
     geom = defect.geometry
     x_pts = contour.points
@@ -147,9 +138,12 @@ def burgers_vector_chart(defect: DefectGeometry, contour: Contour) -> np.ndarray
 
 def frank_rotation_deficit(defect: DefectGeometry, contour: Contour) -> float:
     """
-    Loop integral of the local rotation field along the contour: the Frank
-    rotation deficit, equal to -2 pi omega per winding about the origin.
-    This is the surface-integrated concentrated curvature of the defect.
+    Loop integral of the local rotation field -omega phi along the contour, in
+    closed form: the Frank rotation deficit -2 pi omega w, for the contour's
+    winding number w about the origin.  This is the surface-integrated
+    concentrated curvature of the defect.
     """
-    omega_samples = defect.rotation_field_along(contour)
-    return float(omega_samples[-1] - omega_samples[0])
+    if defect.geometry.name != "disclination":
+        raise ValidationError("frank_rotation_deficit needs a disclination defect")
+    (omega,) = defect.geometry.params.values()
+    return -TWO_PI * omega * contour.winding_number + 0.0

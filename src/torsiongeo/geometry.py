@@ -165,6 +165,8 @@ class PointGeometry:
             bad = _first_singular(self.q, self.metric)
             raise MetricNotPositiveDefinite(f"{self.geometry.name}: metric singular at q={bad}") from None
 
+    _inverse = property(lambda self: self.metric_inverse)  # the curvature side's g^-1, unchecked if metric-only
+
     @_memo
     def det_metric(self):
         return _scalar(np.linalg.det(self.metric))
@@ -188,7 +190,7 @@ class PointGeometry:
     @_memo
     def d_metric_inverse(self) -> np.ndarray:
         """partial_s g^mn; one that overflows (near a pole of the sphere) raises ``NonFiniteResult``."""
-        gi, dg = self.metric_inverse, self.d_metric
+        gi, dg = self._inverse, self.d_metric
         d = -np.einsum("...ma,...abs,...bn->...mns", gi, dg, gi)
         if not np.isfinite(d).all():
             bad = _first(self.q, ~np.isfinite(d).all(axis=(-3, -2, -1)))
@@ -278,12 +280,12 @@ class PointGeometry:
     @_memo
     def curvature(self) -> np.ndarray:
         """R_{mnl}^k from the affine connection."""
-        return _curvature_from(self.affine, self.d_affine)
+        return _curvature_from(self.d_affine, self.affine)
 
     @_memo
     def curvature_riemann(self) -> np.ndarray:
         """Rbar_{mnl}^k from the Christoffel symbol."""
-        return _curvature_from(self.christoffel, self.d_christoffel)
+        return _curvature_from(self.d_christoffel, self.christoffel)
 
     @_memo
     def ricci(self) -> np.ndarray:
@@ -295,11 +297,11 @@ class PointGeometry:
 
     @_memo
     def scalar(self):
-        return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci))
+        return _scalar(np.einsum("...nl,...nl->...", self._inverse, self.ricci))
 
     @_memo
     def scalar_riemann(self):
-        return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci_riemann))
+        return _scalar(np.einsum("...nl,...nl->...", self._inverse, self.ricci_riemann))
 
     @_memo
     def einstein(self) -> np.ndarray:
@@ -322,6 +324,16 @@ class _TorsionFreePoint(PointGeometry):
     scalar = property(lambda self: self.scalar_riemann)
     torsion = _memo(lambda self: np.zeros_like(self.d_metric))  # S_{ab}^c, shaped as g_{ab,c}
     d_contortion = _memo(lambda self: np.zeros(self.torsion.shape + self.torsion.shape[-1:]))
+    _inverse = _memo(PointGeometry.metric_inverse.func)  # unchecked: d_metric_inverse names its overflow
+
+    @_memo
+    def metric_inverse(self) -> np.ndarray:
+        """g^-1; one that overflows (near a pole of the sphere) raises ``NonFiniteResult``."""
+        gi = self._inverse
+        if not np.isfinite(gi).all():
+            bad = _first(self.q, ~np.isfinite(gi).all(axis=(-2, -1)))
+            raise NonFiniteResult(f"{self.geometry.name}: inverse metric is not finite at q={bad}")
+        return gi
 
     @_memo
     def chart_scale(self):
@@ -329,7 +341,7 @@ class _TorsionFreePoint(PointGeometry):
         return _scalar(np.linalg.eigvalsh(self.metric)[..., 0])
 
 
-def _curvature_from(conn: np.ndarray, d_conn: np.ndarray) -> np.ndarray:
+def _curvature_from(d_conn: np.ndarray, conn: np.ndarray) -> np.ndarray:
     curl = np.einsum("...nlkm->...mnlk", d_conn) - np.einsum("...mlkn->...mnlk", d_conn)
     comm = np.einsum("...mls,...nsk->...mnlk", conn, conn) - np.einsum("...nls,...msk->...mnlk", conn, conn)
     return curl - comm

@@ -232,11 +232,14 @@ def _build_sphere(geom: Geometry, config: SliceConfig, n_theta: int, m: int, ter
     gl_w = x_weights[::-1]
     pt = geom.batch(np.stack([theta, np.zeros_like(theta)], axis=-1))
     a2 = float(pt.metric[0, 0, 0])  # g_theta_theta = a^2 of the round sphere, g_phi_phi = a^2 sin^2 theta
+    sin_t = np.sin(theta)
+    g_phi = a2 * sin_t**2
+    if not np.allclose(pt.metric, np.stack([np.full_like(g_phi, a2), g_phi], axis=-1)[:, None] * np.eye(2),
+                       rtol=1e-12, atol=0.0):
+        raise TorsionGeoError(f"{geom.name}: the sphere builder needs the round metric diag(a^2, a^2 sin^2 theta)")
     sigma = math.sqrt(config.eps * config.hbar / config.mass)
     _check_resolution(sigma / math.sqrt(a2), math.pi / n_theta)
     pref = config.mass / (2.0 * config.eps * config.hbar)
-    sin_t = np.sin(theta)
-    g_phi = a2 * sin_t**2
     quartic = pref / a2 if config.order >= 4 else 0.0
     terms = sorted(set(terms))
     ricci = np.stack([pt.scalar_riemann if term and config.order >= 3 else np.zeros(n_theta) for term in terms])

@@ -1,11 +1,11 @@
 """Mutation check of the slice-action coefficients, the kernel builders and their one resolution rule, the sphere's
-radius, the energy rule and its floor, the derivative fallback of fields, the triad guard, the finiteness of field
-derivatives and the silence of the defect evaluators at their core, the bundle memo, the named errors of a singular
-metric and of an overflowing inverse-metric derivative, the RK4 step and the singular points an orbit meets, the
-action's Simpson rule, the size budgets, the level ceiling, the amplitude file names, the golden references, the one
-orbit bundle of a trajectory, the payload walk that refuses non-finite numbers, the payload ``run`` returns, the
-levels a ladder reports, the report's error handling, the ``--seed`` range, the removal of an earlier run's results
-and CSV files, the closure of a contour and a reader that closes stdout early.
+radius and round form, the energy rule and its floor, the derivative fallback of fields, the triad and metric guards,
+the finiteness of field derivatives and the silence of the defect evaluators at their core, the bundle memo, the
+named errors of a singular metric and of an overflowing inverse metric or its derivative, the RK4 step and the
+singular points an orbit meets, the action's Simpson rule, the size budgets, the level ceiling, the amplitude file
+names, the golden references, the one orbit bundle of a trajectory, the payload walk that refuses non-finite numbers,
+the payload ``run`` returns, the levels a ladder reports, the report's error handling, the ``--seed`` range, the
+removal of an earlier run's results and CSV files, the closure of a contour and a reader that closes stdout early.
 
     python tests/mutants.py
 
@@ -250,6 +250,17 @@ MUTANTS = [
     ("inverse metric derivative returned without the finiteness guard", GEOMETRY,
      "if not np.isfinite(d).all():", "if False:",
      ["tests/test_geometry.py::test_connection_derivative_near_a_sphere_pole_is_a_named_error"]),
+    ("metric-only inverse metric returned without the finiteness guard", GEOMETRY,
+     "if not np.isfinite(gi).all():", "if False:",
+     ["tests/test_geometry.py::test_inverse_metric_near_a_sphere_pole_is_a_named_error",
+      "tests/test_geometry.py::test_every_bundle_property_is_finite_or_a_named_error"]),
+    ("sphere builder without the round-form check", PROPAGATOR,
+     "if not np.allclose(pt.metric,", "if False and not np.allclose(pt.metric,",
+     ["tests/test_propagator.py::test_sphere_builder_refuses_a_metric_not_of_the_round_form"]),
+    ("metric guard that a NaN metric passes", TRIADS,
+     "~(np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2))).min(axis=-1) > 0.0)",
+     "np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2))).min(axis=-1) <= 0.0",
+     ["tests/test_triads.py::test_nan_metric_is_not_positive_definite"]),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+?)(?: - .*)?$", re.MULTILINE)

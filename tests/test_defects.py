@@ -1,5 +1,7 @@
-# Dislocation / disclination maps: branch-continued angles, Burgers vectors,
-# and Frank rotation deficits measured by discrete loop integrals.
+# Dislocation / disclination maps: branch-continued angles, Burgers vectors
+# measured by discrete loop integrals, and Frank rotation deficits in closed form.
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,7 +61,10 @@ def test_contour_validation():
     (lambda: Contour.circle(1.0, 2), ValueError, "need positive radius and at least 3 segments"),
     (lambda: burgers_vector_chart(disclination_geometry(0.05), Contour.circle(1.0, 64)), ValidationError,
      "burgers_vector_chart needs a dislocation defect"),
-], ids=["repeated-vertex", "circle-radius", "circle-segments", "chart-burgers-of-a-disclination"])
+    (lambda: frank_rotation_deficit(DefectGeometry.dislocation(0.01), Contour.circle(1.0, 64)), ValidationError,
+     "frank_rotation_deficit needs a disclination defect"),
+], ids=["repeated-vertex", "circle-radius", "circle-segments", "chart-burgers-of-a-disclination",
+        "deficit-of-a-dislocation"])
 def test_defect_guards_name_their_fault(call, error, message):
     with pytest.raises(error) as raised:
         call()
@@ -171,6 +176,16 @@ def test_frank_deficit_unit_circle():
     defect = disclination_geometry(omega)
     deficit = frank_rotation_deficit(defect, Contour.circle(1.0, 8192))
     assert deficit == pytest.approx(-2 * np.pi * omega, rel=1e-6)
+
+
+def test_a_defect_is_its_catalog_geometry():
+    # kind and strength are the geometry's name and one parameter, and the deficit is -2 pi omega w exactly
+    defect = disclination_geometry(0.05)
+    assert [f.name for f in fields(DefectGeometry)] == ["geometry"]
+    assert (defect.geometry.name, defect.geometry.params) == ("disclination", {"omega": 0.05})
+    assert frank_rotation_deficit(defect, Contour.circle(1.0, 4096)) == -2 * np.pi * 0.05
+    assert frank_rotation_deficit(defect, Contour.circle(0.5, 64, turns=3)) == -2 * np.pi * 0.05 * 3
+    assert str(frank_rotation_deficit(defect, Contour.circle(0.4, 64, center=(1.5, 1.5)))) == "0.0"
 
 
 def test_frank_deficit_non_enclosing():

@@ -9,10 +9,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torsiongeo import catalog
-from torsiongeo.errors import (DerivativeUnavailable, MetricNotPositiveDefinite, NonFiniteResult, TriadUnavailable,
-                               ValidationError)
+from torsiongeo.errors import (DerivativeUnavailable, MetricNotPositiveDefinite, NonFiniteResult, TorsionGeoError,
+                               TriadUnavailable, ValidationError)
 from torsiongeo.geometry import (
     Geometry,
     PointGeometry,
@@ -472,6 +474,53 @@ def test_connection_derivative_near_a_sphere_pole_is_a_named_error(theta):
     with pytest.raises(NonFiniteResult, match=message):
         geom.batch([[1.0, 0.3], [theta, 0.3]]).scalar_riemann
     assert np.isfinite(geom.at([3e-103, 0.3]).scalar_riemann)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [2e-162, 1e-158, 7e-155])
+def test_inverse_metric_near_a_sphere_pole_is_a_named_error(theta):
+    # sin^2 theta is below 1 / DBL_MAX there: g^phiphi overflows, and so would every connection raised with it
+    geom = catalog.make("sphere")
+    message = "^" + re.escape(f"sphere: inverse metric is not finite at q=[{theta}, 0.3]") + "$"
+    for prop in ("metric_inverse", "christoffel", "affine", "affine_from_inverse", "affine_first", "contortion"):
+        for pt in (geom.at([theta, 0.3]), geom.batch([[1.0, 0.3], [theta, 0.3]])):
+            with pytest.raises(NonFiniteResult, match=message):
+                getattr(pt, prop)
+    assert np.isfinite(geom.at([1e-150, 0.3]).christoffel).all()
+
+
+BUNDLE_PROPERTIES = sorted(n for n, attr in vars(PointGeometry).items() if isinstance(attr, _memo))
+
+
+@st.composite
+def sample_box_points(draw):
+    name = draw(st.sampled_from(catalog.names()))
+    return name, [draw(st.floats(lo, hi)) for lo, hi in catalog.make(name).sample_box]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(sample_box_points())
+@example(("polar", [0.0, 0.0]))  # the catalog's singular points: the polar origin, the defect cores
+@example(("dislocation", [0.0, 0.0]))
+@example(("disclination", [0.0, 0.0]))
+@example(("dislocation", [6e-13, 8e-13]))  # a metric singular in floating point
+@example(("sphere", [0.0, 0.3]))  # the sphere's poles
+@example(("sphere", [np.pi, 0.3]))
+@example(("sphere", [1e-158, 0.3]))  # an overflowing inverse metric
+@example(("sphere", [1e-120, 0.3]))  # an overflowing derivative of the inverse metric
+def test_every_bundle_property_is_finite_or_a_named_error(case):
+    # at sample points and at the catalog's singular points, read through both at and batch
+    name, q = case
+    geom = catalog.make(name)
+    assert len(BUNDLE_PROPERTIES) == 33
+    for pt in (geom.at(q), geom.batch([q])):
+        for prop in BUNDLE_PROPERTIES:
+            try:
+                value = getattr(pt, prop)
+            except TorsionGeoError:
+                continue
+            assert np.isfinite(value).all(), f"{name} {prop} at q={q}"
 
 
 @pytest.mark.parametrize("name", ["torsion-toy", "polar"])

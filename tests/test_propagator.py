@@ -18,6 +18,7 @@
 import functools
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -43,7 +44,7 @@ from torsiongeo.propagator import (
 )
 from torsiongeo.slicing import MEASURES, SliceConfig, delta_jacobian_action, short_time_action
 from torsiongeo.spectrum import extract_spectrum, richardson_pair
-from torsiongeo.triads import TriadField
+from torsiongeo.triads import MetricField, TriadField
 
 
 def flat_line():
@@ -507,6 +508,21 @@ def test_sphere_builder_reads_its_radius_from_the_metric():
     assert np.array_equal(bare.eigenvalues, propagate(sphere, cfg, grid=240).eigenvalues)
     levels = -np.log(bare.eigenvalues[:4]) / cfg.eps
     assert levels == pytest.approx([0.0, 0.25, 0.75, 1.5], abs=5e-3)
+
+
+def test_sphere_builder_refuses_a_metric_not_of_the_round_form():
+    # g_phiphi = 2 sin^2 theta with g_thetatheta = 1 is no round sphere: the builder would propagate it as the unit one
+    def metric(q):
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0], g[..., 1, 1] = 1.0, 2.0 * np.sin(q[..., 0]) ** 2
+        return g
+
+    cfg = SliceConfig(n_slices=4, eps=0.05)
+    message = "^" + re.escape("squashed: the sphere builder needs the round metric diag(a^2, a^2 sin^2 theta)") + "$"
+    with pytest.raises(TorsionGeoError, match=message):
+        propagate(Geometry(MetricField(2, metric), name="squashed", topology="sphere"), cfg, grid=128)
+    for a in (0.5, 1.0, 2.0):  # the catalog's own sphere passes, within rounding of its g_phiphi
+        assert propagate(catalog.make("sphere", a=a), cfg, grid=320).trace[0] > 0.0
 
 
 def test_sphere_expansion_order_ablation():
