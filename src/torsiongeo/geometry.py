@@ -41,8 +41,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, MetricNotPositiveDefinite, NonFiniteResult
-from .triads import MetricField, TriadField, _central_diff, _first
+from .errors import DerivativeUnavailable, MetricNotPositiveDefinite
+from .triads import MetricField, TriadField, _central_diff, _finite
 
 Field = Union[TriadField, MetricField]
 
@@ -158,14 +158,14 @@ class PointGeometry:
 
     @_memo
     def metric_inverse(self) -> np.ndarray:
-        """g^-1; a metric singular in floating point raises ``MetricNotPositiveDefinite``."""
+        """g^-1; a metric singular in floating point raises ``MetricNotPositiveDefinite``, an
+        inverse that overflows (near a pole of the sphere) ``NonFiniteResult``."""
         try:
-            return np.linalg.inv(self.metric)
+            gi = np.linalg.inv(self.metric)
         except np.linalg.LinAlgError:
             bad = _first_singular(self.q, self.metric)
             raise MetricNotPositiveDefinite(f"{self.geometry.name}: metric singular at q={bad}") from None
-
-    _inverse = property(lambda self: self.metric_inverse)  # the curvature side's g^-1, unchecked if metric-only
+        return _finite(gi, self.q, "inverse metric", self.geometry.name)
 
     @_memo
     def det_metric(self):
@@ -190,12 +190,9 @@ class PointGeometry:
     @_memo
     def d_metric_inverse(self) -> np.ndarray:
         """partial_s g^mn; one that overflows (near a pole of the sphere) raises ``NonFiniteResult``."""
-        gi, dg = self._inverse, self.d_metric
+        gi, dg = self.metric_inverse, self.d_metric
         d = -np.einsum("...ma,...abs,...bn->...mns", gi, dg, gi)
-        if not np.isfinite(d).all():
-            bad = _first(self.q, ~np.isfinite(d).all(axis=(-3, -2, -1)))
-            raise NonFiniteResult(f"{self.geometry.name}: derivative of the inverse metric is not finite at q={bad}")
-        return d
+        return _finite(d, self.q, "derivative of the inverse metric", self.geometry.name)
 
     # -- connections -------------------------------------------------------
 
@@ -297,11 +294,11 @@ class PointGeometry:
 
     @_memo
     def scalar(self):
-        return _scalar(np.einsum("...nl,...nl->...", self._inverse, self.ricci))
+        return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci))
 
     @_memo
     def scalar_riemann(self):
-        return _scalar(np.einsum("...nl,...nl->...", self._inverse, self.ricci_riemann))
+        return _scalar(np.einsum("...nl,...nl->...", self.metric_inverse, self.ricci_riemann))
 
     @_memo
     def einstein(self) -> np.ndarray:
@@ -324,16 +321,6 @@ class _TorsionFreePoint(PointGeometry):
     scalar = property(lambda self: self.scalar_riemann)
     torsion = _memo(lambda self: np.zeros_like(self.d_metric))  # S_{ab}^c, shaped as g_{ab,c}
     d_contortion = _memo(lambda self: np.zeros(self.torsion.shape + self.torsion.shape[-1:]))
-    _inverse = _memo(PointGeometry.metric_inverse.func)  # unchecked: d_metric_inverse names its overflow
-
-    @_memo
-    def metric_inverse(self) -> np.ndarray:
-        """g^-1; one that overflows (near a pole of the sphere) raises ``NonFiniteResult``."""
-        gi = self._inverse
-        if not np.isfinite(gi).all():
-            bad = _first(self.q, ~np.isfinite(gi).all(axis=(-2, -1)))
-            raise NonFiniteResult(f"{self.geometry.name}: inverse metric is not finite at q={bad}")
-        return gi
 
     @_memo
     def chart_scale(self):

@@ -81,10 +81,7 @@ def _derivative(evals: tuple, order: int, q, dim: int, step: float, name: str) -
         values = _checked(evals[order](q), q, dim, 2 + order, name)
     else:
         values = _central_diff(lambda p: _derivative(evals, order - 1, p, dim, step, name), q, step)
-    if not np.isfinite(values).all():
-        bad = _first(q, ~np.isfinite(values).all(axis=tuple(range(q.ndim - 1, values.ndim))))
-        raise NonFiniteResult(f"{name}: derivative of order {order} is not finite at q={bad}")
-    return values
+    return _finite(values, q, f"derivative of order {order}", name)
 
 
 def _first(q: np.ndarray, bad: np.ndarray) -> Optional[list]:
@@ -92,6 +89,15 @@ def _first(q: np.ndarray, bad: np.ndarray) -> Optional[list]:
     if bad.ndim == 0:  # a single point: skip the reduction machinery
         return q.tolist() if bad else None
     return q[bad][0].tolist() if bad.any() else None
+
+
+def _finite(values: np.ndarray, q: np.ndarray, what: str, name: str) -> np.ndarray:
+    """``values`` at the points ``q`` (..., D); one that is not finite raises
+    ``NonFiniteResult("<name>: <what> is not finite at q=<first bad point>")``."""
+    if not np.isfinite(values).all():
+        bad = _first(q, ~np.isfinite(values).all(axis=tuple(range(q.ndim - 1, values.ndim))))
+        raise NonFiniteResult(f"{name}: {what} is not finite at q={bad}")
+    return values
 
 
 class TriadField:

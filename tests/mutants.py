@@ -18,28 +18,35 @@ brackets counts as failed when any of its parametrized cases fails.  Before
 the mutants, the named tests run once against the unedited source and must
 all pass there.
 
+Each run is ``pytest.main`` in a child forked from the script's process, which
+pins BLAS to one thread and imports pytest, hypothesis and numpy once, but
+never ``torsiongeo``: the child puts its copy's ``src/`` first on ``sys.path``
+and imports the package from there.  A run's output goes to ``pytest.log`` in
+its temporary directory.
+
 The script reports each mutant as killed or surviving and exits 1 when a
 mutant survives, when its old text is not found exactly once, or when the
-unedited source fails a named test.  Hypothesis runs with a fixed seed, and its
-example database stays in the temporary directory.  The file name keeps pytest
-from collecting it.
+unedited source fails a named test; a run that pytest ends with an error, or
+that takes longer than ``TEST_TIMEOUT_S``, stops the check with an exception.
+Hypothesis runs with a fixed seed, and its files stay in the temporary
+directory.  The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import re
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
-WORKERS = 2  # pytest processes at a time
-TEST_TIMEOUT_S = 600  # per pytest process; a mutant that hangs its tests stops the check with an error
+WORKERS = 2  # pytest runs at a time
+TEST_TIMEOUT_S = 600  # per pytest run; a mutant that hangs its tests stops the check with an error
 
 SLICING = "torsiongeo/slicing.py"
 PROPAGATOR = "torsiongeo/propagator.py"
@@ -234,7 +241,7 @@ MUTANTS = [
      "_derivative((evals[0], None, None), order - 1, p, dim, step, name)",
      ["tests/test_geometry.py::test_finite_difference_fields_match_the_analytic_catalog"]),
     ("field derivatives returned without the finiteness guard", TRIADS,
-     "if not np.isfinite(values).all():", "if False:",
+     'return _finite(values, q, f"derivative of order {order}", name)', "return values",
      ["tests/test_triads.py::test_field_derivative_at_a_core_is_a_named_error"]),
     ("angle gradient evaluated with numpy's warnings on at the core", CATALOG,
      "@_AT_CORE\ndef angle_gradient(", "def angle_gradient(",
@@ -248,12 +255,13 @@ MUTANTS = [
      ["tests/test_geometry.py::test_metric_singular_in_floating_point_is_a_named_error",
       "tests/test_cli.py::test_geom_at_a_metric_singular_in_floating_point_exits_1_naming_the_point"]),
     ("inverse metric derivative returned without the finiteness guard", GEOMETRY,
-     "if not np.isfinite(d).all():", "if False:",
+     'return _finite(d, self.q, "derivative of the inverse metric", self.geometry.name)', "return d",
      ["tests/test_geometry.py::test_connection_derivative_near_a_sphere_pole_is_a_named_error"]),
-    ("metric-only inverse metric returned without the finiteness guard", GEOMETRY,
-     "if not np.isfinite(gi).all():", "if False:",
+    ("inverse metric returned without the finiteness guard", GEOMETRY,
+     'return _finite(gi, self.q, "inverse metric", self.geometry.name)', "return gi",
      ["tests/test_geometry.py::test_inverse_metric_near_a_sphere_pole_is_a_named_error",
-      "tests/test_geometry.py::test_every_bundle_property_is_finite_or_a_named_error"]),
+      "tests/test_geometry.py::test_every_bundle_property_is_finite_or_a_named_error",
+      "tests/test_cli.py::test_geom_overflowing_point_exits_1_quietly"]),
     ("sphere builder without the round-form check", PROPAGATOR,
      "if not np.allclose(pt.metric,", "if False and not np.allclose(pt.metric,",
      ["tests/test_propagator.py::test_sphere_builder_refuses_a_metric_not_of_the_round_form"]),
@@ -263,23 +271,37 @@ MUTANTS = [
      ["tests/test_triads.py::test_nan_metric_is_not_positive_definite"]),
 ]
 
-FAILED = re.compile(r"^FAILED (\S+?)(?: - .*)?$", re.MULTILINE)
+class _Failed:
+    """A pytest plugin that collects the node ids of the tests whose call failed, as ``-rf`` lists them."""
+
+    def __init__(self):
+        self.ids = set()
+
+    def pytest_runtest_logreport(self, report):
+        if report.when == "call" and report.failed:
+            self.ids.add(report.nodeid)
 
 
 def run_tests(src: Path, workdir: Path, tests) -> set:
-    """Run ``tests`` against the package under ``src``; the node ids that failed."""
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-         "--hypothesis-profile=mutants",
+    """Run ``tests`` against the package under ``src`` in this (forked) process; the node ids that
+    failed, relative to the checkout.  The process's output goes to ``workdir/pytest.log``."""
+    sys.path.insert(0, str(src))
+    os.environ.update(PYTHONPATH=str(src), HYPOTHESIS_STORAGE_DIRECTORY=str(workdir / ".hypothesis"))
+    os.chdir(workdir)
+    log = workdir / "pytest.log"
+    with open(log, "w") as out:
+        os.dup2(out.fileno(), 1)
+        os.dup2(out.fileno(), 2)
+    failed = _Failed()
+    code = pytest.main(
+        ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--hypothesis-profile=mutants",
          "--rootdir", str(ROOT), *(str(ROOT / test) for test in tests)],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=TEST_TIMEOUT_S,
+        plugins=[failed],
     )
-    if proc.returncode not in (0, 1):  # 2-5: interrupted, internal or usage error, or nothing collected
-        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    # pytest prints node ids relative to its working directory
-    return {(workdir / node).resolve().relative_to(ROOT).as_posix() + "::" + rest
-            for node, rest in (found.split("::", 1) for found in FAILED.findall(proc.stdout))}
+    if code not in (0, 1):  # 2-5: interrupted, internal or usage error, or nothing collected
+        sys.stdout.flush()
+        raise RuntimeError(f"pytest exited {int(code)}:\n{log.read_text()[-4000:]}")
+    return failed.ids
 
 
 def caught(test: str, failed: set) -> bool:
@@ -302,18 +324,27 @@ def check(mutant, tmp: Path) -> str:
 
 def main() -> int:
     start = time.perf_counter()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")  # before numpy loads, as in conftest.py
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+    sys.dont_write_bytecode = True  # no __pycache__ under tests/ from the forked runs
+    import hypothesis  # noqa: F401  warm modules every forked run inherits, with pytest; torsiongeo is left to each run
+    import numpy  # noqa: F401
+
     named = sorted({test for *_, tests in MUTANTS for test in tests})
     with tempfile.TemporaryDirectory(prefix="torsiongeo-mutants-") as tmp:
         tmp = Path(tmp)
-        clean = run_tests(ROOT / "src", tmp, named)
-        if clean:
-            print("unedited source fails: " + ", ".join(sorted(clean)))
-            return 1
         dirs = [tmp / f"mutant-{k}" for k in range(len(MUTANTS))]
-        for d in dirs:
+        for d in [tmp / "unedited", *dirs]:
             d.mkdir()
-        with ThreadPoolExecutor(max_workers=WORKERS) as pool:  # each worker waits on one pytest process
-            reports = list(pool.map(check, MUTANTS, dirs))
+        # each run in a fresh child forked from this process, which never imports the package under test
+        with multiprocessing.get_context("fork").Pool(WORKERS, maxtasksperchild=1) as pool:
+            clean = pool.apply_async(run_tests, (ROOT / "src", tmp / "unedited", named)).get(TEST_TIMEOUT_S)
+            if clean:
+                print("unedited source fails: " + ", ".join(sorted(clean)))
+                return 1
+            pending = [pool.apply_async(check, (mutant, d)) for mutant, d in zip(MUTANTS, dirs)]
+            reports = [p.get(TEST_TIMEOUT_S) for p in pending]
     print("\n".join(reports))
     killed = sum(report.startswith("killed") for report in reports)
     print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")

@@ -469,10 +469,9 @@ def test_geom_malformed_points_are_config_errors(tmp_path, capsys, points):
 
 
 def test_geom_overflowing_point_exits_1_quietly(tmp_path, cli_env):
-    # the bundle refuses an inverse-metric derivative that overflows; the payload walk, a determinant that does
+    # the bundle refuses an inverse metric that overflows; the payload walk, a determinant that does
     for point, message in (
-        ([1e300, 1e300],
-         re.escape("error: torsion-toy: derivative of the inverse metric is not finite at q=[1e+300, 1e+300]")),
+        ([1e300, 1e300], re.escape("error: torsion-toy: inverse metric is not finite at q=[1e+300, 1e+300]")),
         ([6e78, 8e78], r"error: results\.points\[0\]\.\w+(\[\d\])* is not finite"),
     ):
         cfg = write_config(tmp_path, {"geometry": "torsion-toy", "command": "geom", "points": [point]})
